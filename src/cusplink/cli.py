@@ -2,10 +2,12 @@
 subcommand with JSON, DOT, or table output.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
-2 on a usage error (bad flags, bad family, invalid n).  JSON output is
-deterministic for fixed inputs: keys are sorted and floats carry 15
-significant digits.  The CSL_MAX_GROUP environment variable overrides
-the group-closure cap.
+2 on a usage error (bad flags, bad family, invalid n, an invalid
+CSL_MAX_GROUP).  A violated internal invariant is a check failure too:
+it exits 1 with "error: invariant violated: ..." instead of a traceback.
+JSON output is deterministic for fixed inputs: keys are sorted and
+floats carry 15 significant digits.  The CSL_MAX_GROUP environment
+variable overrides the group-order cap.
 """
 
 from __future__ import annotations
@@ -282,6 +284,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
         return 1
 
 

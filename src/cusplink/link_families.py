@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .finite_field import FieldSpec
 from .perm_action import (
-    PermGroup,
     Permutation,
     affine_group,
     group_closure,
@@ -65,9 +64,6 @@ class LinkBlueprint:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def symmetry_group(self) -> PermGroup:
-        return group_closure(self.symmetry_generators)
 
     def to_json_dict(self) -> dict:
         if self.linking_matrix is not None:

@@ -1,14 +1,29 @@
-"""Permutation groups presented by generators, with exact decision of
-k-transitivity and of the transitivity degree of an action.
+"""Permutation groups presented by generators, held as a stabilizer chain.
 
 Points are bare indices 0..d-1; callers bind them to whatever is being
 permuted (field labels, link components, map faces).  Composition is
 function-style: (p * q)(x) = p(q(x)), the right factor acts first.
 
-k-transitivity is decided from the orbit of a single ordered k-tuple:
-the action on distinct k-tuples is transitive exactly when that orbit
-has full size d*(d-1)*...*(d-k+1).  A literal all-pairs checker is kept
-alongside for cross-validation on small groups.
+A group is held as a stabilizer chain along the fixed base 0, 1, 2, ...,
+built by the deterministic Schreier-Sims algorithm (Seress, Permutation
+Group Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 4.4).  Level i of the chain stands for G_i,
+the subgroup fixing each of 0..i-1; its basic orbit is the orbit of i
+under G_i, with one coset representative per orbit point.  The chain
+gives:
+
+- the order, as the product of the basic-orbit lengths;
+- membership, by sifting a permutation down the levels;
+- k-transitivity, by the base-prefix criterion: G is k-transitive
+  exactly when the basic orbits of 0..k-1 have lengths d, d-1, ...,
+  d-k+1, because G is k-transitive when it is transitive and G_0 is
+  (k-1)-transitive on the remaining points.
+
+The product of the basic-orbit lengths found so far is a lower bound on
+the order, so a group larger than the cap (default 10**6, overridable
+via the CSL_MAX_GROUP environment variable or the max_order argument) is
+refused while its chain is still being built.  The element list and the
+literal all-tuples checker are kept for cross-checks on small groups.
 """
 
 from __future__ import annotations
@@ -16,16 +31,44 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import lcm, prod
 
 DEFAULT_MAX_GROUP = 10 ** 6
 _ENV_MAX_GROUP = "CSL_MAX_GROUP"
 
 
-def _group_cap(explicit: int | None) -> int:
+def _group_cap(explicit: int | None) -> tuple[int, str]:
+    """The group-order cap and the name of the setting it came from."""
     if explicit is not None:
-        return explicit
-    return int(os.environ.get(_ENV_MAX_GROUP, DEFAULT_MAX_GROUP))
+        value, source = explicit, "max_order"
+    elif _ENV_MAX_GROUP in os.environ:
+        value, source = os.environ[_ENV_MAX_GROUP], _ENV_MAX_GROUP
+    else:
+        return DEFAULT_MAX_GROUP, "the default"
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return cap, source
+
+
+def _cap_exceeded(cap: int, source: str, bound: int) -> RuntimeError:
+    return RuntimeError(
+        f"group order cap {cap} (from {source}) exceeded: the order is at least {bound}")
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p * q on raw image tuples, unchecked: x goes to p[q[x]]."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(p)
+    for x, y in enumerate(p):
+        inverse[y] = x
+    return tuple(inverse)
 
 
 @dataclass(frozen=True)
@@ -39,6 +82,13 @@ class Permutation:
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
+
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap an image tuple already known to be a bijection."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
@@ -63,13 +113,10 @@ class Permutation:
     def __mul__(self, other: Permutation) -> Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch in composition")
-        return Permutation(tuple(self.images[other.images[x]] for x in range(self.degree)))
+        return Permutation._unchecked(_compose(self.images, other.images))
 
     def inverse(self) -> Permutation:
-        images = [0] * self.degree
-        for x, y in enumerate(self.images):
-            images[y] = x
-        return Permutation(tuple(images))
+        return Permutation._unchecked(_invert(self.images))
 
     def __pow__(self, exponent: int) -> Permutation:
         if exponent < 0:
@@ -86,11 +133,7 @@ class Permutation:
         return all(i == x for x, i in enumerate(self.images))
 
     def order(self) -> int:
-        power, n = self, 1
-        while not power.is_identity():
-            power = power * self
-            n += 1
-        return n
+        return lcm(*map(len, self.cycles(include_fixed=True)))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, sorted."""
@@ -119,13 +162,121 @@ class Permutation:
         return self.cycle_string()
 
 
+class StabilizerChain:
+    """The stabilizer chain of the group generated by raw image tuples,
+    along the base 0, 1, ..., m-1.
+
+    Level i keeps the strong generators that fix 0..i-1 and the
+    transversal of its basic orbit: for each orbit point p, a group
+    element u with u(i) = p, and its inverse.  Whenever a new strong
+    generator fixes every base point, the next integers join the base
+    until one of them is moved, even where that leaves a trivial basic
+    orbit, so the base stays a prefix of 0, 1, 2, ....
+    """
+
+    def __init__(self, generators, degree: int, cap: int, cap_source: str):
+        self._identity = tuple(range(degree))
+        self._cap = cap
+        self._cap_source = cap_source
+        self._generators: list[list[tuple[int, ...]]] = []
+        self._transversals: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        for g in generators:
+            self._absorb(g, 0)
+        level = len(self._transversals) - 1
+        while level >= 0:
+            changed = self._schreier_check(level)
+            level = level - 1 if changed is None else changed
+
+    @property
+    def orbit_lengths(self) -> list[int]:
+        """Basic-orbit lengths of base points 0, 1, ..., m-1."""
+        return [len(transversal) for transversal in self._transversals]
+
+    def orbit_length(self, point: int) -> int:
+        """Basic-orbit length of any point; 1 past the end of the base,
+        where the stabilizer is trivial."""
+        return len(self._transversals[point]) if point < len(self._transversals) else 1
+
+    @property
+    def order(self) -> int:
+        return prod(self.orbit_lengths)
+
+    def contains(self, images: tuple[int, ...]) -> bool:
+        return self._sift(images, 0)[0] == self._identity
+
+    def _sift(self, h, start: int):
+        """Strip h by coset representatives from level start down; return
+        the residue and the level where it left the chain (m if none)."""
+        for level in range(start, len(self._transversals)):
+            rep = self._transversals[level].get(h[level])
+            if rep is None:
+                return h, level
+            h = _compose(rep[1], h)
+        return h, len(self._transversals)
+
+    def _absorb(self, h, start: int) -> int | None:
+        """Sift h, which fixes 0..start-1, from level start.  A nontrivial
+        residue joins the strong generators of levels start..j, j being
+        the level where it left the chain; returns j, or None when h
+        sifted to the identity."""
+        h, j = self._sift(h, start)
+        if h == self._identity:
+            return None
+        while j == len(self._transversals):
+            self._generators.append([])
+            self._transversals.append({j: (self._identity, self._identity)})
+            if h[j] == j:
+                j += 1
+        for level in range(start, j + 1):
+            self._generators[level].append(h)
+            self._grow_orbit(level)
+        if self.order > self._cap:
+            raise _cap_exceeded(self._cap, self._cap_source, self.order)
+        return j
+
+    def _grow_orbit(self, level: int) -> None:
+        """Extend the basic orbit of a level under its strong generators,
+        keeping the representatives already chosen."""
+        transversal = self._transversals[level]
+        generators = self._generators[level]
+        frontier = list(transversal)
+        while frontier:
+            new = []
+            for p in frontier:
+                u = transversal[p][0]
+                for g in generators:
+                    q = g[p]
+                    if q not in transversal:
+                        v = _compose(g, u)
+                        transversal[q] = (v, _invert(v))
+                        new.append(q)
+            frontier = new
+
+    def _schreier_check(self, level: int) -> int | None:
+        """Sift each Schreier generator v^-1 g u of a level through the
+        levels below it.  The first that leaves a residue is absorbed and
+        the deepest level it changed is returned; None when all sift."""
+        transversal = self._transversals[level]
+        for p, (u, _) in transversal.items():
+            for g in self._generators[level]:
+                gu = _compose(g, u)
+                v, v_inverse = transversal[g[p]]
+                if gu == v:
+                    continue
+                changed = self._absorb(_compose(v_inverse, gu), level + 1)
+                if changed is not None:
+                    return changed
+        return None
+
+
 class PermGroup:
     """The group generated by a nonempty list of same-degree permutations.
 
-    The element set is computed lazily by breadth-first products of the
-    generators; a cap (default 10**6, overridable via the CSL_MAX_GROUP
-    environment variable or the max_order argument) guards runaway
-    closures.  Completed groups are immutable.
+    Order, membership and transitivity come from the stabilizer chain,
+    built on first use.  The element set is listed only when asked for,
+    by breadth-first products of the generators.  Both refuse a group
+    whose order exceeds the cap (default 10**6, overridable via the
+    CSL_MAX_GROUP environment variable or the max_order argument).
     """
 
     def __init__(self, generators, max_order: int | None = None):
@@ -137,33 +288,40 @@ class PermGroup:
             raise ValueError("generators must share one degree")
         self.degree = degree
         self.generators = generators
-        self._max_order = _group_cap(max_order)
+        self._max_order, self._cap_source = _group_cap(max_order)
+
+    @cached_property
+    def chain(self) -> StabilizerChain:
+        return StabilizerChain((g.images for g in self.generators), self.degree,
+                               self._max_order, self._cap_source)
 
     @cached_property
     def elements(self) -> frozenset[Permutation]:
-        identity = Permutation.identity(self.degree)
+        """Every element, by breadth-first products of the generators;
+        only the literal cross-checks need it."""
+        generators = [g.images for g in self.generators]
+        identity = tuple(range(self.degree))
         seen = {identity}
         frontier = [identity]
         while frontier:
             new = []
-            for g in self.generators:
+            for g in generators:
                 for h in frontier:
-                    product = g * h
+                    product = _compose(g, h)
                     if product not in seen:
                         seen.add(product)
                         new.append(product)
                         if len(seen) > self._max_order:
-                            raise RuntimeError(
-                                f"group closure exceeded the cap {self._max_order}")
+                            raise _cap_exceeded(self._max_order, self._cap_source, len(seen))
             frontier = new
-        return frozenset(seen)
+        return frozenset(map(Permutation._unchecked, seen))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.chain.order
 
     def __contains__(self, perm: Permutation) -> bool:
-        return perm in self.elements
+        return perm.degree == self.degree and self.chain.contains(perm.images)
 
     def __iter__(self):
         return iter(sorted(self.elements, key=lambda p: p.images))
@@ -207,39 +365,21 @@ class PermGroup:
 
 
 def group_closure(generators, max_order: int | None = None) -> PermGroup:
-    """Close a generator list into a PermGroup, forcing the element set."""
+    """The PermGroup of a generator list, with its stabilizer chain built
+    now (so a group over the cap is refused here)."""
     group = PermGroup(generators, max_order=max_order)
-    group.elements  # noqa: B018  (force the closure now)
+    group.chain  # noqa: B018  (build the chain now)
     return group
-
-
-def _tuple_orbit_size(group: PermGroup, start: tuple[int, ...], cap: int) -> int:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for g in group.generators:
-            for tup in frontier:
-                image = tuple(g(x) for x in tup)
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-        if len(seen) > cap:
-            break
-    return len(seen)
 
 
 def is_k_transitive(group: PermGroup, k: int) -> bool:
     """Can the group map every ordered k-tuple of distinct points onto
-    every other?  Decided by the orbit size of one fixed k-tuple."""
+    every other?  Decided by the base-prefix criterion on the chain."""
     d = group.degree
     if not 1 <= k <= d:
         raise ValueError(f"k must satisfy 1 <= k <= degree, got {k}")
-    target = 1
-    for i in range(k):
-        target *= d - i
-    return _tuple_orbit_size(group, tuple(range(k)), target) == target
+    chain = group.chain
+    return all(chain.orbit_length(i) == d - i for i in range(k))
 
 
 def is_k_transitive_literal(group: PermGroup, k: int) -> bool:
@@ -261,24 +401,17 @@ def is_k_transitive_literal(group: PermGroup, k: int) -> bool:
 
 def transitivity_degree(group: PermGroup) -> int:
     """Largest k for which the action is k-transitive (0 if not even
-    transitive).  Consistent with is_k_transitive for all smaller k,
-    by the inclusive hierarchy of transitivity."""
-    degree = 0
-    for k in range(1, group.degree + 1):
-        if not is_k_transitive(group, k):
-            break
-        degree = k
-    return degree
+    transitive): the length of the base prefix whose basic orbits have
+    lengths d, d-1, ...."""
+    d = group.degree
+    chain = group.chain
+    return next((i for i in range(d) if chain.orbit_length(i) != d - i), d)
 
 
 def orbit_sizes_divide_order(group: PermGroup) -> bool:
     """Orbit-stabilizer sanity check, used by the property suites."""
     order = group.order
     return all(order % len(orbit) == 0 for orbit in group.orbits())
-
-
-def order_divides_symmetric(group: PermGroup) -> bool:
-    return factorial(group.degree) % group.order == 0
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL,
         exact = eigenvalues_2x2(arr)[0].real
         allowance = max(10.0 * tol, 1e-9) * max(1.0, abs(exact))
         if abs(lam - exact) > allowance:
-            raise AssertionError("power iteration disagrees with the quadratic formula")
+            raise AssertionError("power iteration disagrees with the quadratic formula: "
+                                 f"{lam!r} vs {exact!r}, allowance {allowance!r}")
     return lam, v
 
 

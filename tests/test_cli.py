@@ -186,3 +186,33 @@ def test_group_cap_failure_maps_to_exit_1(monkeypatch, capsys):
     code, _, err = run(capsys, "transitivity", "cube")
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_invalid_cap_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("CSL_MAX_GROUP", value)
+    code, out, err = run(capsys, "transitivity", "cube")
+    assert code == 2 and out == ""
+    assert "CSL_MAX_GROUP" in err and repr(value) in err
+    assert "invalid literal" not in err
+
+
+def test_group_cap_message_names_cap_source_and_bound(monkeypatch, capsys):
+    monkeypatch.setenv("CSL_MAX_GROUP", "2")
+    code, _, err = run(capsys, "transitivity", "cube")
+    assert code == 1
+    # the cube group's first basic orbit already has 4 points
+    assert err == "error: group order cap 2 (from CSL_MAX_GROUP) exceeded: " \
+                  "the order is at least 4\n"
+
+
+def test_violated_invariant_maps_to_exit_1(monkeypatch, capsys):
+    from cusplink import train_track
+
+    # a quadratic formula that disagrees with power iteration
+    monkeypatch.setattr(train_track, "eigenvalues_2x2", lambda matrix: (1.0 + 0j, 0j))
+    code, out, err = run(capsys, "dilatation")
+    assert code == 1 and out == ""
+    assert err.startswith("error: invariant violated: power iteration disagrees "
+                          "with the quadratic formula")
+    assert "Traceback" not in err

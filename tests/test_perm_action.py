@@ -41,6 +41,8 @@ def test_inverse_and_power():
     assert g ** 5 == Permutation.identity(5)
     assert g ** -2 == (g.inverse()) ** 2
     assert g.order() == 5
+    assert Permutation.from_cycles(5, [(0, 1), (2, 3, 4)]).order() == 6
+    assert Permutation.identity(4).order() == 1
 
 
 def test_cycle_string():
@@ -175,3 +177,53 @@ def test_group_json_shape():
         "order": 3,
         "transitivity_degree": 1,
     }
+
+
+def test_oversized_group_is_refused_while_the_chain_is_built():
+    # S_12 has order 479001600; listing it would take minutes
+    gens = [Permutation.from_cycles(12, [(0, 1)]), cyclic(12)]
+    with pytest.raises(RuntimeError, match=r"cap 1000000 \(from the default\) exceeded"):
+        group_closure(gens)
+    with pytest.raises(RuntimeError, match=r"cap 100 \(from max_order\) exceeded: "
+                                           r"the order is at least 132"):
+        group_closure(gens, max_order=100)
+
+
+def test_invalid_caps_are_refused():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_order must be a positive integer"):
+            group_closure([cyclic(3)], max_order=bad)
+
+
+def test_membership_by_sifting():
+    s4 = group_closure([Permutation.from_cycles(4, [(0, 1)]), cyclic(4)])
+    a4 = group_closure([Permutation.from_cycles(4, [(0, 1, 2)]),
+                        Permutation.from_cycles(4, [(1, 2, 3)])])
+    odd = Permutation.from_cycles(4, [(2, 3)])
+    assert odd in s4 and odd not in a4
+    assert Permutation.from_cycles(4, [(0, 1), (2, 3)]) in a4
+    assert cyclic(5) not in s4
+
+
+def test_chain_base_is_a_prefix_with_trivial_levels_kept():
+    # (2 3) fixes 0 and 1, so the base runs 0, 1, 2 with two trivial orbits
+    group = group_closure([Permutation.from_cycles(4, [(2, 3)])])
+    assert group.chain.orbit_lengths == [1, 1, 2]
+    assert group.order == 2 and transitivity_degree(group) == 0
+
+
+def test_helical_link_never_lists_group_elements(monkeypatch):
+    from cusplink import link_families
+
+    built = []
+
+    def recording(spec):
+        built.append(affine_group(spec))
+        return built[-1]
+
+    monkeypatch.setattr(link_families, "affine_group", recording)
+    blueprint, _ = link_families.helical_link(field_of_order(64))
+    (group,) = built
+    assert group.order == blueprint.symmetry_order == 4032
+    assert transitivity_degree(group) == blueprint.transitivity_degree == 2
+    assert "elements" not in group.__dict__
