@@ -2,9 +2,11 @@
 subcommand with JSON, DOT, or table output.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
-2 on a usage error (bad flags, bad family, invalid n, an invalid
-CSL_MAX_GROUP).  A violated internal invariant is a check failure too:
-it exits 1 with "error: invariant violated: ..." instead of a traceback.
+2 on a usage error (bad flags, bad family, invalid n, a census range
+reaching past the field-order cap, a dilatation tolerance outside its
+bounds, an invalid CSL_MAX_GROUP, which every subcommand checks).  A
+violated internal invariant is a check failure too: it exits 1 with
+"error: invariant violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.  The CSL_MAX_GROUP environment
 variable overrides the group-order cap.
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import link_families, train_track
+from . import link_families, perm_action, train_track
 from .finite_field import field_of_order, make_field, prime_power
 from .link_families import (
     EXAMPLE_BRAID,
@@ -189,21 +191,22 @@ def cmd_dilatation(args) -> int:
 
 
 def cmd_census(args) -> int:
+    # Every field first: an order over the cap is refused before any link is built.
+    fields = [field_of_order(n) for n in range(max(args.n_min, 4), args.n_max + 1)
+              if prime_power(n) is not None]
     rows = []
     passed = True
-    for n in range(max(args.n_min, 2), args.n_max + 1):
-        if n <= 3 or prime_power(n) is None:
-            continue
-        blueprint, _helix = helical_link(field_of_order(n))
+    for spec in fields:
+        blueprint, _helix = helical_link(spec)
         row = {
-            "n": n,
+            "n": spec.n,
             "cusps": blueprint.n_components,
             "symmetry_order": blueprint.symmetry_order,
             "transitivity_degree": blueprint.transitivity_degree,
             "linking": "complete" if blueprint.linking_complete else "partial",
         }
         rows.append(row)
-        passed = passed and (row["cusps"] == n
+        passed = passed and (row["cusps"] == spec.n
                              and row["transitivity_degree"] == 2
                              and blueprint.linking_complete)
     if args.format == "table":
@@ -278,6 +281,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        perm_action._group_cap(None)  # refuse a bad CSL_MAX_GROUP even where no group is built
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,12 +172,6 @@ class FieldSpec:
         """All n elements in canonical (base-p) order."""
         return [self.element(i) for i in range(self.n)]
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.element(a) + self.element(b)
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.element(a) * self.element(b)
-
     def primitive(self) -> FieldElement:
         """Least element (canonical order) generating the multiplicative
         group; its powers run through all n-1 nonzero elements."""

@@ -323,9 +323,6 @@ class PermGroup:
     def __contains__(self, perm: Permutation) -> bool:
         return perm.degree == self.degree and self.chain.contains(perm.images)
 
-    def __iter__(self):
-        return iter(sorted(self.elements, key=lambda p: p.images))
-
     def __len__(self):
         return self.order
 

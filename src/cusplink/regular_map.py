@@ -29,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .finite_field import FieldElement, FieldSpec, prime_power
-from .perm_action import Permutation, affine_permutation
+from .finite_field import FieldSpec, prime_power
+from .perm_action import Permutation
 
 
 class RotationMap:
@@ -157,10 +157,6 @@ class BiggsMap(RotationMap):
                 successor = a + self.omega * (b - a)
                 phi[(a.index, b.index)] = (a.index, successor.index)
         super().__init__(darts, alpha, phi)
-
-    def face_label(self, face: int) -> FieldElement:
-        """The field element labeling a face (faces sort by label index)."""
-        return self.spec.element(self.faces[face][0][0])
 
 
 def biggs_map(spec: FieldSpec) -> BiggsMap:
@@ -315,8 +311,3 @@ def dart_dot(rotation_map: RotationMap, name: str = "darts") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def biggs_face_symmetry(rotation_map: BiggsMap, s, t) -> Permutation:
-    """Convenience wrapper: the affine label permutation matching the
-    face action of affine_map_automorphism(rotation_map, s, t)."""
-    return affine_permutation(rotation_map.spec, s, t)

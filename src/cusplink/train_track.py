@@ -15,6 +15,11 @@ eigenvalue lam = 3 + 2*sqrt(2) with weight vector proportional to
 (sqrt(2), 1); the general solver is a power iteration with a Rayleigh
 quotient stopping rule, cross-checked on 2x2 inputs against the exact
 quadratic formula.
+
+numpy is imported inside the eigen functions only (as_array,
+is_primitive, eigenvalues_2x2, perron_eigen), so building substitutions,
+transition matrices and their DOT rendering never loads it and a CLI
+command that does not solve for an eigenvalue starts without it.
 """
 
 from __future__ import annotations
@@ -22,11 +27,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 10 ** 6
+# Coarser tolerances let the stopping rule accept an early Rayleigh
+# quotient (tol = 1 stops at 6.0 for the dilatation).
+MAX_TOL = 1e-6
+# The residual cannot be computed more finely than a few roundings of
+# the largest row sum; asking for less spins to MAX_ITERATIONS.
+ROUNDING_EPSILONS = 4
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,8 @@ class TransitionMatrix:
     matrix: tuple[tuple[int, ...], ...]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.matrix, dtype=np.int64)
 
     def transpose(self) -> TransitionMatrix:
@@ -92,6 +107,8 @@ def transition_matrix(rules: SubstitutionRules) -> TransitionMatrix:
 
 
 def _as_matrix(matrix) -> np.ndarray:
+    import numpy as np
+
     if isinstance(matrix, TransitionMatrix):
         arr = np.array(matrix.matrix, dtype=float)
     else:
@@ -108,6 +125,8 @@ def _as_matrix(matrix) -> np.ndarray:
 def is_primitive(matrix) -> bool:
     """Some power of the matrix is strictly positive.  Decided from the
     zero pattern of powers up to the Wielandt bound (n-1)^2 + 1."""
+    import numpy as np
+
     arr = _as_matrix(matrix)
     n = arr.shape[0]
     pattern = arr > 0
@@ -121,6 +140,8 @@ def is_primitive(matrix) -> bool:
 
 def eigenvalues_2x2(matrix) -> tuple[complex, complex]:
     """Quadratic-formula eigenvalues, largest modulus first."""
+    import numpy as np
+
     arr = np.array(matrix, dtype=float)
     if arr.shape != (2, 2):
         raise ValueError("a 2x2 matrix is required")
@@ -142,10 +163,19 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL,
     normalized to 1) of a primitive nonnegative matrix, by power
     iteration from the all-ones vector.  Convergence is declared when
     the residual max|M v - lam v| drops below tol * max|v|, with lam the
-    Rayleigh quotient."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    Rayleigh quotient.  tol must lie between the rounding floor
+    (ROUNDING_EPSILONS float64 epsilons times the largest row sum) and
+    MAX_TOL."""
+    import numpy as np
+
     arr = _as_matrix(matrix)
+    if not tol <= MAX_TOL:
+        raise ValueError(f"tol must be at most the ceiling {MAX_TOL:g}, got {tol!r}")
+    floor = ROUNDING_EPSILONS * float(np.finfo(float).eps) * float(arr.sum(axis=1).max())
+    if tol < floor:
+        raise ValueError(f"tol must be at least the rounding floor {floor:.3g} "
+                         f"({ROUNDING_EPSILONS} float64 epsilons times the largest row sum), "
+                         f"got {tol!r}")
     if not is_primitive(arr):
         raise ValueError("matrix is not primitive (no power is strictly positive)")
     v = np.ones(arr.shape[0])

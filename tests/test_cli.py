@@ -216,3 +216,33 @@ def test_violated_invariant_maps_to_exit_1(monkeypatch, capsys):
     assert err.startswith("error: invariant violated: power iteration disagrees "
                           "with the quadratic formula")
     assert "Traceback" not in err
+
+
+def test_census_refuses_over_cap_before_building_links(monkeypatch, capsys):
+    import cusplink.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "helical_link", lambda spec: built.append(spec.n))
+    code, out, err = run(capsys, "census", "--n-min", "61", "--n-max", "67")
+    assert code == 2 and out == ""
+    assert err == "error: order 67 exceeds the cap 64\n"
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [("map", "--n", "5"), ("dilatation", "--format", "dot"),
+                                  ("dilatation",), ("links",), ("census", "--n-max", "3")])
+def test_invalid_cap_env_is_refused_by_every_subcommand(monkeypatch, capsys, argv):
+    monkeypatch.setenv("CSL_MAX_GROUP", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: CSL_MAX_GROUP must be a positive integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("tol, bound", [("1e-300", "at least the rounding floor 6.22e-15"),
+                                        ("1", "at most the ceiling 1e-06"),
+                                        ("nan", "at most the ceiling 1e-06")],
+                         ids=["floor", "ceiling", "nan"])
+def test_dilatation_tolerance_out_of_bounds_is_a_usage_error(capsys, tol, bound):
+    code, out, err = run(capsys, "dilatation", "--tol", tol)
+    assert code == 2 and out == ""
+    assert bound in err and f"got {float(tol)!r}" in err
