@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import link_families, perm_action, train_track
-from .finite_field import field_of_order, make_field, prime_power
+from .finite_field import DEFAULT_MAX_ORDER, field_of_order, make_field, prime_power
 from .link_families import (
     EXAMPLE_BRAID,
     chain_link,
@@ -31,8 +31,6 @@ from .link_families import (
 )
 from .regular_map import biggs_map, face_adjacency_dot, map_summary
 from .train_track import biggs_substitution, eigen_report, substitution_dot
-
-_FAMILIES = ("chain", "braid", "cube", "cube_edge", "icosahedral", "helical")
 
 
 def _round_floats(value):
@@ -72,39 +70,40 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _field_for(n: int):
-    if n is None:
-        raise ValueError("--n is required for this command")
-    if prime_power(n) is None or n <= 3:
-        raise ValueError(f"n must be a prime power greater than 3, got {n}")
-    return field_of_order(n)
+def _emit_report(args, payload, rows: list[dict], columns: list[str]) -> None:
+    """The rows as a table under --format table, else the payload as JSON."""
+    if args.format == "table":
+        _emit(_render_table(rows, columns), args)
+    else:
+        _emit(_json_dumps(payload), args)
 
 
 def _field_from_args(args, default_n: int | None = None):
-    """Resolve --n, or --p with optional --k, into a field."""
-    if getattr(args, "p", None) is not None:
+    """Resolve --n, or --p with optional --k, into a field.  An order over
+    the cap is refused before it is factored."""
+    if args.p is not None:
         spec = make_field(args.p, args.k if args.k is not None else 1)
         if spec.n <= 3:
             raise ValueError(f"field order must exceed 3, got {spec.n}")
         return spec
     n = args.n if args.n is not None else default_n
-    return _field_for(n)
+    if n is None:
+        raise ValueError("--n is required for this command")
+    if n <= 3 or (n <= DEFAULT_MAX_ORDER and prime_power(n) is None):
+        raise ValueError(f"n must be a prime power greater than 3, got {n}")
+    return field_of_order(n)
 
 
-def _blueprint_for(family: str, args) -> link_families.LinkBlueprint:
-    if family == "chain":
-        return chain_link(args.n if args.n is not None else 6, args.t)
-    if family == "braid":
-        return cyclic_braid_closure(EXAMPLE_BRAID, m=args.m)
-    if family == "cube":
-        return cube_link()
-    if family == "cube_edge":
-        return cube_edge_link()
-    if family == "icosahedral":
-        return icosahedral_link()
-    if family == "helical":
-        return helical_link(_field_from_args(args, default_n=5))[0]
-    raise ValueError(f"unknown family {family!r}")
+# Each family's builder from the parsed flags.  The builders are looked up
+# in this module when called, so a replaced module attribute is used.
+_FAMILIES = {
+    "chain": lambda args: chain_link(args.n if args.n is not None else 6, args.t),
+    "braid": lambda args: cyclic_braid_closure(EXAMPLE_BRAID, m=args.m),
+    "cube": lambda args: cube_link(),
+    "cube_edge": lambda args: cube_edge_link(),
+    "icosahedral": lambda args: icosahedral_link(),
+    "helical": lambda args: helical_link(_field_from_args(args, default_n=5))[0],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -121,48 +120,31 @@ def cmd_map(args) -> int:
     else:
         payload = summary.to_json_dict()
         payload["match"] = match
-        if args.format == "json":
-            _emit(_json_dumps(payload), args)
-        else:
-            _emit(_render_table([payload],
-                                ["n", "V", "E", "F", "genus", "formula_genus",
-                                 "vertex_degree", "match"]), args)
+        _emit_report(args, payload, [payload], ["n", "V", "E", "F", "genus", "formula_genus",
+                                                "vertex_degree", "match"])
     return 0 if match else 1
 
 
 def cmd_transitivity(args) -> int:
-    blueprint = _blueprint_for(args.family, args)
-    payload = {
-        "family": blueprint.family,
-        "n_components": blueprint.n_components,
-        "symmetry_order": blueprint.symmetry_order,
-        "transitivity_degree": blueprint.transitivity_degree,
-    }
-    if args.format == "table":
-        _emit(_render_table([payload], list(payload)), args)
-    else:
-        _emit(_json_dumps(payload), args)
+    row = _links_row(_FAMILIES[args.family](args))
+    payload = {column: row[column] for column in _TRANSITIVITY_COLUMNS}
+    _emit_report(args, payload, [payload], _TRANSITIVITY_COLUMNS)
     return 0
 
 
 def cmd_links(args) -> int:
     if args.family:
-        blueprint = _blueprint_for(args.family, args)
-        if args.format == "table":
-            _emit(_render_table([_links_row(blueprint)], _LINKS_COLUMNS), args)
-        else:
-            _emit(_json_dumps(blueprint.to_json_dict()), args)
+        blueprint = _FAMILIES[args.family](args)
+        _emit_report(args, blueprint.to_json_dict(), [_links_row(blueprint)], _LINKS_COLUMNS)
         return 0
-    rows = [_links_row(_blueprint_for(family, args)) for family in _FAMILIES]
-    if args.format == "json":
-        _emit(_json_dumps({"families": rows}), args)
-    else:
-        _emit(_render_table(rows, _LINKS_COLUMNS), args)
+    rows = [_links_row(build(args)) for build in _FAMILIES.values()]
+    _emit_report(args, {"families": rows}, rows, _LINKS_COLUMNS)
     return 0
 
 
 _LINKS_COLUMNS = ["family", "ambient", "n_components", "symmetry_order",
                   "transitivity_degree", "hyperbolicity"]
+_TRANSITIVITY_COLUMNS = ["family", "n_components", "symmetry_order", "transitivity_degree"]
 
 
 def _links_row(blueprint: link_families.LinkBlueprint) -> dict:
@@ -181,11 +163,7 @@ def cmd_dilatation(args) -> int:
         _emit(substitution_dot(biggs_substitution()), args)
         return 0
     report = eigen_report(tol=args.tol)
-    if args.format == "table":
-        row = {key: report[key] for key in ("lambda", "lambda_inverse", "w", "z")}
-        _emit(_render_table([row], list(row)), args)
-    else:
-        _emit(_json_dumps(report), args)
+    _emit_report(args, report, [report], ["lambda", "lambda_inverse", "w", "z"])
     threshold = max(1000.0 * args.tol, 1e-12)
     return 0 if all(value <= threshold for value in report["residuals"].values()) else 1
 
@@ -209,11 +187,8 @@ def cmd_census(args) -> int:
         passed = passed and (row["cusps"] == spec.n
                              and row["transitivity_degree"] == 2
                              and blueprint.linking_complete)
-    if args.format == "table":
-        _emit(_render_table(rows, ["n", "cusps", "symmetry_order",
-                                   "transitivity_degree", "linking"]), args)
-    else:
-        _emit(_json_dumps({"rows": rows}), args)
+    _emit_report(args, {"rows": rows}, rows,
+                 ["n", "cusps", "symmetry_order", "transitivity_degree", "linking"])
     return 0 if passed else 1
 
 
@@ -232,9 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=None, help="write output to this path")
 
     def add_field_args(sub):
-        sub.add_argument("--n", type=int, default=None, help="field order (prime power > 3)")
+        sub.add_argument("--n", type=int, default=None,
+                         help=f"field order, a prime power > 3 and at most {DEFAULT_MAX_ORDER}; "
+                              "for the chain family, the loop count")
         sub.add_argument("--p", type=int, default=None, help="field characteristic")
         sub.add_argument("--k", type=int, default=None, help="field exponent (with --p)")
+
+    def add_family_args(sub):
+        add_field_args(sub)
+        sub.add_argument("--t", type=int, default=0, help="half-twists (chain)")
+        sub.add_argument("--m", type=int, default=1, help="extra power (braid closure)")
+
+    family_help = (f"chain: --n loops (default 6, at most {link_families.MAX_CHAIN_LOOPS}) "
+                   "and --t; braid: --m; helical: --n or --p/--k (default order 5); "
+                   "cube, cube_edge, icosahedral: no arguments")
 
     sub = subparsers.add_parser("map", help="build the order-n map and report its genus")
     add_field_args(sub)
@@ -243,21 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("transitivity",
                                 help="transitivity degree of a family's symmetry action")
-    sub.add_argument("family", choices=_FAMILIES)
-    add_field_args(sub)
-    sub.add_argument("--t", type=int, default=0, help="half-twists (chain)")
-    sub.add_argument("--m", type=int, default=1, help="extra power (braid closure)")
+    sub.add_argument("family", choices=_FAMILIES, help=family_help)
+    add_family_args(sub)
     add_common(sub)
     sub.set_defaults(func=cmd_transitivity)
 
     sub = subparsers.add_parser("links", help="blueprint data for one family or all")
-    sub.add_argument("--family", choices=_FAMILIES, default=None)
-    sub.add_argument("--n", type=int, default=None,
-                     help="components (chain, default 6) or field order (helical, default 5)")
-    sub.add_argument("--p", type=int, default=None, help="field characteristic (helical)")
-    sub.add_argument("--k", type=int, default=None, help="field exponent (with --p)")
-    sub.add_argument("--t", type=int, default=0)
-    sub.add_argument("--m", type=int, default=1)
+    sub.add_argument("--family", choices=_FAMILIES, default=None,
+                     help=f"one family, else all; {family_help}")
+    add_family_args(sub)
     add_common(sub)
     sub.set_defaults(func=cmd_links)
 

@@ -275,13 +275,19 @@ def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     mod-p arithmetic with modulus x).
 
     Raises ValueError for non-prime p, k < 1, or order beyond max_order.
+    The cap is checked first, by a product that stops once past it, so a
+    huge p or k is refused at once.
     """
     if k < 1:
         raise ValueError("exponent k must be >= 1")
+    order = 1
+    for _ in range(k if p > 1 else 0):
+        order *= p
+        if order > max_order:
+            shown = f"{p}^{k}" if k > 1 and k * p.bit_length() > 128 else p ** k
+            raise ValueError(f"order {shown} exceeds the cap {max_order}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p ** k > max_order:
-        raise ValueError(f"order {p ** k} exceeds the cap {max_order}")
     for candidate in _monic_polys(k, p):
         if _is_irreducible(candidate, p):
             return FieldSpec(p, k, candidate)
@@ -289,7 +295,10 @@ def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
 
 
 def field_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
-    """make_field for a prime-power order given directly."""
+    """make_field for a prime-power order given directly; an order over
+    the cap is refused before it is factored."""
+    if n > max_order:
+        raise ValueError(f"order {n} exceeds the cap {max_order}")
     decomposition = prime_power(n)
     if decomposition is None:
         raise ValueError(f"{n} is not a prime power")

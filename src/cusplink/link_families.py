@@ -2,9 +2,13 @@
 structure, the symmetry action on components, and hyperbolicity status.
 
 A blueprint records what is exactly checkable about each family at desk
-scale: component counts, pairwise linking data, and the permutation
-action of the visible symmetries, whose transitivity degree is computed
-(never asserted).  Hyperbolicity is provenance metadata only, it is
+scale: component counts, pairwise linking data, and the group of visible
+symmetries acting on the components.  Each builder passes only the group
+(from group_closure, or affine_group for the helical family); the
+blueprint reads the order from it and computes the transitivity degree
+once, so both are computed, never asserted, and it checks the linking
+data against the group when built.  The chain's loop count is bounded
+by MAX_CHAIN_LOOPS.  Hyperbolicity is provenance metadata only, it is
 never computed here.
 
 Crossing-sign convention: right-handed crossings count +1.  Chain
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .finite_field import FieldSpec
 from .perm_action import (
+    PermGroup,
     Permutation,
     affine_group,
     group_closure,
@@ -42,42 +47,71 @@ class Hyperbolicity:
 
 @dataclass(frozen=True)
 class LinkBlueprint:
-    """One link family instance.
+    """One link family instance, built from its symmetry group.
 
     linking_matrix is a symmetric integer matrix with zero diagonal (one
-    row per component), or None when only the completeness flag is
-    meaningful (every pair of components links).  Every symmetry
-    generator acts on component indices and preserves the linking data.
+    row per component), or None when every pair of components links and
+    no numbers are recorded.  The group acts on component indices and
+    must preserve the linking data; its order, generators and
+    transitivity degree are read from it, the degree once, here.
     """
 
     family: str
     ambient: str
     components: tuple[str, ...]
     linking_matrix: tuple[tuple[int, ...], ...] | None
-    linking_complete: bool
-    symmetry_generators: tuple[Permutation, ...]
-    symmetry_order: int
-    transitivity_degree: int
+    symmetry: PermGroup
     hyperbolicity: Hyperbolicity
     params: dict = field(default_factory=dict)
+    transitivity_degree: int = field(init=False)
+
+    def __post_init__(self):
+        n = self.n_components
+        if self.symmetry.degree != n:
+            raise ValueError(f"symmetry degree {self.symmetry.degree} differs from "
+                             f"the component count {n}")
+        matrix = self.linking_matrix
+        if matrix is not None:
+            if len(matrix) != n or any(len(row) != n for row in matrix):
+                raise ValueError(f"linking matrix is not {n}x{n}")
+            for i in range(n):
+                if matrix[i][i] != 0:
+                    raise ValueError(f"linking matrix diagonal entry {i} is {matrix[i][i]}, not 0")
+                for j in range(i):
+                    if matrix[i][j] != matrix[j][i]:
+                        raise ValueError(f"linking matrix is not symmetric at ({i}, {j})")
+            for g in self.symmetry_generators:
+                if any(matrix[g(i)][g(j)] != matrix[i][j] for i in range(n) for j in range(n)):
+                    raise ValueError(f"symmetry generator {g} does not preserve linking")
+        object.__setattr__(self, "transitivity_degree", transitivity_degree(self.symmetry))
 
     @property
     def n_components(self) -> int:
         return len(self.components)
 
+    @property
+    def symmetry_generators(self) -> tuple[Permutation, ...]:
+        return self.symmetry.generators
+
+    @property
+    def symmetry_order(self) -> int:
+        return self.symmetry.order
+
+    @property
+    def linking_complete(self) -> bool:
+        """Every pair of components links."""
+        matrix = self.linking_matrix
+        return matrix is None or all(matrix[i][j] for i in range(len(matrix))
+                                     for j in range(len(matrix)) if i != j)
+
     def to_json_dict(self) -> dict:
-        if self.linking_matrix is not None:
-            linking = [list(row) for row in self.linking_matrix]
-        elif self.linking_complete:
-            linking = "complete"
-        else:
-            linking = None
         return {
             "family": self.family,
             "ambient": self.ambient,
             "n_components": self.n_components,
             "components": list(self.components),
-            "linking": linking,
+            "linking": ("complete" if self.linking_matrix is None
+                        else [list(row) for row in self.linking_matrix]),
             "symmetry_order": self.symmetry_order,
             "transitivity_degree": self.transitivity_degree,
             "hyperbolicity": self.hyperbolicity.to_json_dict(),
@@ -85,36 +119,12 @@ class LinkBlueprint:
         }
 
 
-def _validate_blueprint(blueprint: LinkBlueprint) -> LinkBlueprint:
-    n = blueprint.n_components
-    for g in blueprint.symmetry_generators:
-        if g.degree != n:
-            raise ValueError("symmetry generator degree differs from component count")
-    matrix = blueprint.linking_matrix
-    if matrix is not None:
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("linking matrix shape mismatch")
-        for i in range(n):
-            if matrix[i][i] != 0:
-                raise ValueError("linking matrix diagonal must be zero")
-            for j in range(n):
-                if matrix[i][j] != matrix[j][i]:
-                    raise ValueError("linking matrix must be symmetric")
-        for g in blueprint.symmetry_generators:
-            for i in range(n):
-                for j in range(n):
-                    if matrix[g(i)][g(j)] != matrix[i][j]:
-                        raise ValueError("symmetry generator does not preserve linking")
-    return blueprint
-
-
-def _symmetry_stats(generators) -> tuple[int, int]:
-    group = group_closure(generators)
-    return group.order, transitivity_degree(group)
-
-
 # ---------------------------------------------------------------------------
 # chains
+
+# The chain's n x n linking matrix is built, checked entry by entry and
+# printed whole by `links`; 256 loops answer in well under a second.
+MAX_CHAIN_LOOPS = 256
 
 
 def chain_link(n: int, t: int) -> LinkBlueprint:
@@ -124,6 +134,8 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
     low-twist exceptions for shorter chains."""
     if n < 2:
         raise ValueError("a chain needs at least 2 loops")
+    if n > MAX_CHAIN_LOOPS:
+        raise ValueError(f"a chain has at most MAX_CHAIN_LOOPS = {MAX_CHAIN_LOOPS} loops, got {n}")
     sign = 1 if t >= 0 else -1
     matrix = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -132,7 +144,6 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
             matrix[i][j] = sign
             matrix[j][i] = sign
     shift = Permutation(tuple((i + 1) % n for i in range(n)))
-    order, degree = _symmetry_stats([shift])
     if n >= 5:
         hyperbolic = Hyperbolicity(
             "asserted_by_paper",
@@ -141,18 +152,15 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
         hyperbolic = Hyperbolicity(
             "unknown",
             f"hyperbolic except for {5 - n} low-twist values of t, not enumerated here")
-    return _validate_blueprint(LinkBlueprint(
+    return LinkBlueprint(
         family="chain",
         ambient="S3",
         components=tuple(f"loop_{i}" for i in range(n)),
         linking_matrix=tuple(tuple(row) for row in matrix),
-        linking_complete=(n <= 3),
-        symmetry_generators=(shift,),
-        symmetry_order=order,
-        transitivity_degree=degree,
+        symmetry=group_closure([shift]),
         hyperbolicity=hyperbolic,
         params={"n": n, "half_twists": t},
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +206,16 @@ def braid_permutation(braid: BraidWord) -> Permutation:
     return perm
 
 
-def _closure_linking(braid: BraidWord, repeats: int) -> list[list[int]]:
-    """Pairwise linking numbers of the closure of braid**repeats when the
-    total permutation is trivial (component = starting position).  Each
-    crossing contributes half its sign to the pair of strands involved.
+def _closure_linking(braid: BraidWord) -> list[list[int]]:
+    """Pairwise linking numbers of the closure of braid**n, n the strand
+    count, when that power's permutation is trivial (component =
+    starting position).  Each crossing contributes half its sign to the
+    pair of strands involved.
     """
     n = braid.strands
     doubled = [[0] * n for _ in range(n)]
     occupant = list(range(n))
-    for _ in range(repeats):
+    for _ in range(n):
         for g in braid.word:
             i = abs(g) - 1
             u, v = occupant[i], occupant[i + 1]
@@ -230,7 +239,9 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
     """Close braid**(n*m) for a braid whose permutation is a single
     n-cycle on its n strands.  The closure has exactly n components
     (verified by direct cycle count), carried cyclically into each other
-    by shifting the diagram one block."""
+    by shifting the diagram one block.  After n repeats every strand is
+    back in place, so the linking of the whole power is m times that of
+    one period, and the cost does not grow with m."""
     if m < 1:
         raise ValueError("power m must be >= 1")
     n = braid.strands
@@ -243,23 +254,19 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
     components = len(total.cycles(include_fixed=True))
     if components != n:
         raise AssertionError("closure component count disagrees with cycle count")
-    matrix = _closure_linking(braid, repeats)
-    order, degree = _symmetry_stats([perm])
-    return _validate_blueprint(LinkBlueprint(
+    matrix = [[m * x for x in row] for row in _closure_linking(braid)]
+    return LinkBlueprint(
         family="braid_closure",
         ambient="S3",
         components=tuple(f"strand_{i}" for i in range(n)),
         linking_matrix=tuple(tuple(row) for row in matrix),
-        linking_complete=all(matrix[i][j] != 0 for i in range(n) for j in range(n) if i != j),
-        symmetry_generators=(perm,),
-        symmetry_order=order,
-        transitivity_degree=degree,
+        symmetry=group_closure([perm]),
         hyperbolicity=Hyperbolicity(
             "conditional",
             "closure of the (n*m)-th power; the 2-pi theorem (Gromov-Thurston) "
             "gives hyperbolicity for sufficiently large m"),
         params={"strands": n, "word": list(braid.word), "m": m, "power": repeats},
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +291,20 @@ def cube_link() -> LinkBlueprint:
     A, B in {+1, -1} (one per cube diagonal), meeting in twelve points
     resolved alternately.  The rotation group of the cube permutes the
     four components 4-transitively."""
-    generators = _cube_diagonal_generators()
-    order, degree = _symmetry_stats(generators)
     n = 4
     matrix = tuple(tuple(0 if i == j else 1 for j in range(n)) for i in range(n))
-    return _validate_blueprint(LinkBlueprint(
+    return LinkBlueprint(
         family="cube_diagonal",
         ambient="S3",
         components=tuple(f"plane({a:+d},{b:+d})" for (a, b) in _CUBE_PLANES),
         linking_matrix=matrix,
-        linking_complete=True,
-        symmetry_generators=generators,
-        symmetry_order=order,
-        transitivity_degree=degree,
+        symmetry=group_closure(_cube_diagonal_generators()),
         hyperbolicity=Hyperbolicity(
             "asserted_by_paper",
             "alternating resolution of the four great circles; "
             "hyperbolicity verified externally with SnapPea"),
         params={"crossings": 12, "alternating": True},
-    ))
+    )
 
 
 def _cube_vertices() -> list[tuple[int, int, int]]:
@@ -339,26 +341,22 @@ def cube_edge_link() -> LinkBlueprint:
         _edge_permutation(lambda v: (v[1], -v[0], v[2])),
         _edge_permutation(lambda v: (v[2], v[0], v[1])),
     )
-    order, degree = _symmetry_stats(generators)
     n = len(edges)
     # loops at a common vertex interlock: linking 1 when edges share a vertex
     matrix = tuple(tuple(
         0 if i == j else int(bool(set(edges[i]) & set(edges[j])))
         for j in range(n)) for i in range(n))
-    return _validate_blueprint(LinkBlueprint(
+    return LinkBlueprint(
         family="cube_edge",
         ambient="S3",
         components=tuple(f"{_vertex_sign_label(u)}|{_vertex_sign_label(v)}" for (u, v) in edges),
         linking_matrix=matrix,
-        linking_complete=False,
-        symmetry_generators=generators,
-        symmetry_order=order,
-        transitivity_degree=degree,
+        symmetry=group_closure(generators),
         hyperbolicity=Hyperbolicity(
             "asserted_by_paper",
             "hyperbolicity verified externally with SnapPea"),
         params={"vertices": 8, "loops_per_vertex": 3},
-    ))
+    )
 
 
 def icosahedral_link() -> LinkBlueprint:
@@ -371,25 +369,20 @@ def icosahedral_link() -> LinkBlueprint:
     cycle = Permutation(tuple([1, 2, 3, 4, 0, 5]))
     inversion_images = [5, 4, 2, 3, 1, 0]
     inversion = Permutation(tuple(inversion_images))
-    generators = (cycle, inversion)
-    order, degree = _symmetry_stats(generators)
     matrix = tuple(tuple(0 if i == j else 1 for j in range(points)) for i in range(points))
     labels = tuple(f"axis_{x}" for x in (0, 1, 2, 3, 4, "inf"))
-    return _validate_blueprint(LinkBlueprint(
+    return LinkBlueprint(
         family="icosahedral",
         ambient="S3",
         components=labels,
         linking_matrix=matrix,
-        linking_complete=True,
-        symmetry_generators=generators,
-        symmetry_order=order,
-        transitivity_degree=degree,
+        symmetry=group_closure([cycle, inversion]),
         hyperbolicity=Hyperbolicity(
             "asserted_by_paper",
             "alternating resolution of the six great circles; "
             "hyperbolicity verified externally with SnapPea"),
         params={"crossings": 30, "alternating": True},
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +474,6 @@ def helical_link(spec: FieldSpec) -> tuple[LinkBlueprint, HelicalSpec]:
     vertex_degree = len(surface.vertices[0])
     geometry = polygon_geometry(n - 1, vertex_degree)
     window = None if geometry == "spherical" else polygon_radii(n - 1, vertex_degree)
-    group = affine_group(spec)
-    degree = transitivity_degree(group)
     helix = HelicalSpec(
         n=n,
         strands_per_face=n - 1,
@@ -492,15 +483,12 @@ def helical_link(spec: FieldSpec) -> tuple[LinkBlueprint, HelicalSpec]:
         arc_count=n * (n - 1),
         puncture_count_per_fiber=n * (n - 1),
     )
-    blueprint = _validate_blueprint(LinkBlueprint(
+    blueprint = LinkBlueprint(
         family="helical",
         ambient="SxS1",
         components=tuple(f"face_{element}" for element in spec.elements()),
         linking_matrix=None,
-        linking_complete=True,
-        symmetry_generators=group.generators,
-        symmetry_order=group.order,
-        transitivity_degree=degree,
+        symmetry=affine_group(spec),
         hyperbolicity=Hyperbolicity(
             "asserted_by_paper",
             "mapping torus of a point-pushing pseudo-Anosov monodromy "
@@ -512,5 +500,5 @@ def helical_link(spec: FieldSpec) -> tuple[LinkBlueprint, HelicalSpec]:
             "geometry": geometry,
             "genus": surface.genus,
         },
-    ))
+    )
     return blueprint, helix

@@ -349,14 +349,6 @@ class PermGroup:
             remaining -= orbit
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "generators": [list(g.images) for g in self.generators],
-            "order": self.order,
-            "transitivity_degree": transitivity_degree(self),
-        }
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 
@@ -371,12 +363,10 @@ def group_closure(generators, max_order: int | None = None) -> PermGroup:
 
 def is_k_transitive(group: PermGroup, k: int) -> bool:
     """Can the group map every ordered k-tuple of distinct points onto
-    every other?  Decided by the base-prefix criterion on the chain."""
-    d = group.degree
-    if not 1 <= k <= d:
+    every other?"""
+    if not 1 <= k <= group.degree:
         raise ValueError(f"k must satisfy 1 <= k <= degree, got {k}")
-    chain = group.chain
-    return all(chain.orbit_length(i) == d - i for i in range(k))
+    return transitivity_degree(group) >= k
 
 
 def is_k_transitive_literal(group: PermGroup, k: int) -> bool:

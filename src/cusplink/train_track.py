@@ -16,7 +16,7 @@ eigenvalue lam = 3 + 2*sqrt(2) with weight vector proportional to
 quotient stopping rule, cross-checked on 2x2 inputs against the exact
 quadratic formula.
 
-numpy is imported inside the eigen functions only (as_array,
+numpy is imported inside the eigen functions only (_as_matrix,
 is_primitive, eigenvalues_2x2, perron_eigen), so building substitutions,
 transition matrices and their DOT rendering never loads it and a CLI
 command that does not solve for an eigenvalue starts without it.
@@ -83,14 +83,8 @@ class TransitionMatrix:
     labels: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.matrix, dtype=np.int64)
-
     def transpose(self) -> TransitionMatrix:
-        arr = self.as_array().T
-        return TransitionMatrix(self.labels, tuple(tuple(int(x) for x in row) for row in arr))
+        return TransitionMatrix(self.labels, tuple(zip(*self.matrix)))
 
 
 def transition_matrix(rules: SubstitutionRules) -> TransitionMatrix:
@@ -234,7 +228,7 @@ def dilatation(tol: float = DEFAULT_TOL) -> tuple[float, float]:
     (3 + 2*sqrt(2), 3 - 2*sqrt(2)), computed by the eigen-solver on the
     substitution's transition matrix (never hardcoded).  The reduced
     track is the same for every field order, so no n enters."""
-    lam, _ = perron_eigen(transition_matrix(biggs_substitution()), tol=tol)
+    lam = tangential_weights(tol=tol).lam
     return lam, 1.0 / lam
 
 
@@ -300,16 +294,13 @@ def letter_counts(rules: SubstitutionRules, seed: str, iterations: int) -> list[
     are never materialized here)."""
     if seed not in rules.labels:
         raise ValueError(f"unknown seed letter {seed!r}")
-    rule_counts = {label: {other: sum(1 for letter in rules.rules[label] if letter == other)
-                           for other in rules.labels}
-                   for label in rules.labels}
-    counts = {label: int(label == seed) for label in rules.labels}
-    history = [dict(counts)]
+    matrix = transition_matrix(rules).matrix
+    counts = [int(label == seed) for label in rules.labels]
+    history = [dict(zip(rules.labels, counts))]
     for _ in range(iterations):
-        counts = {other: sum(counts[label] * rule_counts[label][other]
-                             for label in rules.labels)
-                  for other in rules.labels}
-        history.append(dict(counts))
+        counts = [sum(count * row[j] for count, row in zip(counts, matrix))
+                  for j in range(len(counts))]
+        history.append(dict(zip(rules.labels, counts)))
     return history
 
 

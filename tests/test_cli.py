@@ -246,3 +246,55 @@ def test_dilatation_tolerance_out_of_bounds_is_a_usage_error(capsys, tol, bound)
     code, out, err = run(capsys, "dilatation", "--tol", tol)
     assert code == 2 and out == ""
     assert bound in err and f"got {float(tol)!r}" in err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("map", "--n", "100000000000031"), "order 100000000000031"),
+    (("map", "--n", "1000000000000000003"), "order 1000000000000000003"),
+    (("map", "--n", "1000000000000000000"), "order 1000000000000000000"),
+    (("map", "--p", "3", "--k", "30000000"), "order 3^30000000"),
+    (("map", "--p", "100000000000031"), "order 100000000000031"),
+    (("transitivity", "helical", "--n", "1000000000000000003"), "order 1000000000000000003"),
+    (("links", "--p", "2", "--k", "7"), "order 128"),
+])
+def test_field_order_over_the_cap_is_refused_before_factoring(monkeypatch, capsys, argv, shown):
+    import cusplink.cli as cli
+    from cusplink import finite_field
+
+    def guarded(real):
+        def check(n):
+            assert n <= finite_field.DEFAULT_MAX_ORDER, f"{real.__name__}({n}) ran above the cap"
+            return real(n)
+        return check
+
+    monkeypatch.setattr(cli, "prime_power", guarded(finite_field.prime_power))
+    monkeypatch.setattr(finite_field, "prime_power", guarded(finite_field.prime_power))
+    monkeypatch.setattr(finite_field, "is_prime", guarded(finite_field.is_prime))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {shown} exceeds the cap 64\n"
+
+
+def test_transitivity_braid_is_constant_time_in_m(capsys):
+    code, out, _ = run(capsys, "transitivity", "braid", "--m", "1000000000")
+    assert code == 0
+    assert json.loads(out) == {"family": "braid_closure", "n_components": 5,
+                               "symmetry_order": 5, "transitivity_degree": 1}
+
+
+@pytest.mark.parametrize("argv", [("transitivity", "chain", "--n", "257"),
+                                  ("transitivity", "chain", "--n", "100000"),
+                                  ("links", "--family", "chain", "--n", "257"),
+                                  ("links", "--n", "257")])
+def test_chain_past_the_loop_bound_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: a chain has at most MAX_CHAIN_LOOPS = 256 loops, got {argv[-1]}\n"
+
+
+def test_family_help_names_each_family_argument(capsys):
+    with pytest.raises(SystemExit):
+        main(["transitivity", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "chain: --n loops (default 6, at most 256) and --t" in out
+    assert "helical: --n or --p/--k (default order 5)" in out

@@ -5,7 +5,11 @@ import pytest
 from cusplink.finite_field import field_of_order
 from cusplink.link_families import (
     EXAMPLE_BRAID,
+    MAX_CHAIN_LOOPS,
     BraidWord,
+    Hyperbolicity,
+    LinkBlueprint,
+    _closure_linking,
     braid_permutation,
     chain_link,
     cube_edge_link,
@@ -16,7 +20,7 @@ from cusplink.link_families import (
     polygon_geometry,
     polygon_radii,
 )
-from cusplink.perm_action import group_closure, is_k_transitive
+from cusplink.perm_action import Permutation, group_closure, is_k_transitive
 
 
 def all_blueprints():
@@ -57,6 +61,57 @@ def test_generators_preserve_linking():
             for i in range(bp.n_components):
                 for j in range(bp.n_components):
                     assert matrix[g(i)][g(j)] == matrix[i][j]
+
+
+def _blueprint(matrix, generators):
+    return LinkBlueprint(
+        family="test",
+        ambient="S3",
+        components=tuple(f"c{i}" for i in range(3)),
+        linking_matrix=matrix,
+        symmetry=group_closure(generators),
+        hyperbolicity=Hyperbolicity("unknown", "test fixture"),
+    )
+
+
+_ROTATION = Permutation((1, 2, 0))
+_SWAP = Permutation((1, 0, 2))
+_TRIANGLE = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def test_direct_construction_derives_the_symmetry_facts():
+    bp = _blueprint(_TRIANGLE, [_ROTATION, _SWAP])
+    assert bp.symmetry_order == 6
+    assert bp.transitivity_degree == 3
+    assert bp.symmetry_generators == (_ROTATION, _SWAP)
+    assert bp.linking_complete
+
+
+@pytest.mark.parametrize("matrix, generators, message", [
+    (_TRIANGLE, [Permutation((1, 0))], "symmetry degree 2 differs from the component count 3"),
+    (((0, 1), (1, 0)), [_ROTATION], "linking matrix is not 3x3"),
+    (((0, 1, 1), (1, 0, 1), (1, 1)), [_ROTATION], "linking matrix is not 3x3"),
+    (((1, 1, 1), (1, 1, 1), (1, 1, 1)), [_ROTATION], "diagonal entry 0 is 1, not 0"),
+    (((0, 1, 2), (1, 0, 1), (1, 1, 0)), [_SWAP], r"not symmetric at \(2, 0\)"),
+    (((0, 1, 0), (1, 0, 0), (0, 0, 0)), [_ROTATION], r"generator \(0 1 2\) does not preserve"),
+], ids=["generator-degree", "rows", "row-length", "diagonal", "asymmetric", "not-preserved"])
+def test_direct_construction_enforces_the_invariants(matrix, generators, message):
+    with pytest.raises(ValueError, match=message):
+        _blueprint(matrix, generators)
+
+
+def test_linking_complete_matches_the_matrix():
+    blueprints = all_blueprints() + [chain_link(n, 0) for n in range(2, 12)]
+    for bp in blueprints:
+        matrix = bp.linking_matrix
+        if matrix is None:
+            assert bp.linking_complete and bp.to_json_dict()["linking"] == "complete"
+            continue
+        pairs = [matrix[i][j] for i in range(bp.n_components)
+                 for j in range(bp.n_components) if i != j]
+        assert bp.linking_complete == all(pairs), bp.family
+    assert chain_link(3, 0).linking_complete and not chain_link(4, 0).linking_complete
+    assert not cube_edge_link().linking_complete
 
 
 def test_json_export_shape():
@@ -117,6 +172,12 @@ def test_chain_rejects_single_loop():
         chain_link(1, 0)
 
 
+def test_chain_loop_count_is_bounded():
+    assert chain_link(MAX_CHAIN_LOOPS, 0).symmetry_order == MAX_CHAIN_LOOPS
+    with pytest.raises(ValueError, match=f"at most MAX_CHAIN_LOOPS = {MAX_CHAIN_LOOPS} loops"):
+        chain_link(MAX_CHAIN_LOOPS + 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # braids
 
@@ -164,6 +225,24 @@ def test_higher_power_scales_linking():
     assert bp.n_components == 2
     assert bp.params["power"] == 6
     assert bp.linking_matrix[0][1] == 3
+
+
+@pytest.mark.parametrize("braid", [EXAMPLE_BRAID, BraidWord(2, (1,)), BraidWord(3, (1, 2)),
+                                   BraidWord(4, (1, -2, 3, 3, 3))])
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_power_linking_is_m_periods(braid, m):
+    # the literal walk over all n*m repeats of the word
+    literal = _closure_linking(braid * m)
+    assert [list(row) for row in cyclic_braid_closure(braid, m).linking_matrix] == literal
+
+
+def test_huge_power_answers_at_once():
+    for braid in (EXAMPLE_BRAID, BraidWord(3, (1, 2))):
+        one = cyclic_braid_closure(braid, 1).linking_matrix
+        huge = cyclic_braid_closure(braid, 10 ** 9)
+        assert huge.linking_matrix == tuple(tuple(10 ** 9 * x for x in row) for row in one)
+        assert huge.params["power"] == braid.strands * 10 ** 9
+    assert cyclic_braid_closure(BraidWord(3, (1, 2)), 10 ** 9).linking_matrix[0][1] == 10 ** 9
 
 
 def test_closure_requires_single_cycle():

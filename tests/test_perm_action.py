@@ -169,16 +169,6 @@ def test_group_elements_form_group():
             assert g * h in elements
 
 
-def test_group_json_shape():
-    payload = group_closure([cyclic(3)]).to_json_dict()
-    assert payload == {
-        "degree": 3,
-        "generators": [[1, 2, 0]],
-        "order": 3,
-        "transitivity_degree": 1,
-    }
-
-
 def test_oversized_group_is_refused_while_the_chain_is_built():
     # S_12 has order 479001600; listing it would take minutes
     gens = [Permutation.from_cycles(12, [(0, 1)]), cyclic(12)]
