@@ -2,14 +2,14 @@
 subcommand with JSON, DOT, or table output.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
-2 on a usage error (bad flags, bad family, invalid n, a census range
-reaching past the field-order cap, a dilatation tolerance outside its
+2 on a usage error (bad flags, bad family, invalid n, a census
+--n-max above the field-order cap, a dilatation tolerance outside its
 bounds, an invalid CSL_MAX_GROUP, which every subcommand checks).  A
 violated internal invariant is a check failure too: it exits 1 with
 "error: invariant violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
-floats carry 15 significant digits.  The CSL_MAX_GROUP environment
-variable overrides the group-order cap.
+floats carry 15 significant digits.  The group-order cap is set only
+by the CSL_MAX_GROUP environment variable.
 """
 
 from __future__ import annotations
@@ -169,12 +169,15 @@ def cmd_dilatation(args) -> int:
 
 
 def cmd_census(args) -> int:
-    # Every field first: an order over the cap is refused before any link is built.
-    fields = [field_of_order(n) for n in range(max(args.n_min, 4), args.n_max + 1)
-              if prime_power(n) is not None]
+    # Refused before anything is factored, so every order in range builds.
+    if args.n_max > DEFAULT_MAX_ORDER:
+        raise ValueError(f"order {args.n_max} exceeds the cap {DEFAULT_MAX_ORDER}")
     rows = []
     passed = True
-    for spec in fields:
+    for n in range(max(args.n_min, 4), args.n_max + 1):
+        if prime_power(n) is None:
+            continue
+        spec = field_of_order(n)
         blueprint, _helix = helical_link(spec)
         row = {
             "n": spec.n,
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        perm_action._group_cap(None)  # refuse a bad CSL_MAX_GROUP even where no group is built
+        perm_action._group_cap()  # refuse a bad CSL_MAX_GROUP even where no group is built
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,13 +57,6 @@ def _poly_trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:i]
 
 
-def _poly_add(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return _poly_trim(tuple(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-        for i in range(n)))
-
-
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -177,9 +170,6 @@ class FieldSpec:
         group; its powers run through all n-1 nonzero elements."""
         return _primitive(self)
 
-    def __repr__(self):
-        return f"FieldSpec(p={self.p}, k={self.k}, modulus={self.modulus})"
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -262,11 +252,6 @@ class FieldElement:
 
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
-
-    @classmethod
-    def from_string(cls, spec: FieldSpec, text: str) -> FieldElement:
-        """Parse the "c0,c1,...,c(k-1)" wire format."""
-        return spec.element([int(part) for part in text.split(",")])
 
 
 def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:

@@ -20,10 +20,11 @@ gives:
   (k-1)-transitive on the remaining points.
 
 The product of the basic-orbit lengths found so far is a lower bound on
-the order, so a group larger than the cap (default 10**6, overridable
-via the CSL_MAX_GROUP environment variable or the max_order argument) is
-refused while its chain is still being built.  The element list and the
-literal all-tuples checker are kept for cross-checks on small groups.
+the order, so a group larger than the cap (default 10**6, set only by
+the CSL_MAX_GROUP environment variable) is refused while its chain is
+still being built.  The breadth-first element list stays only for the
+benchmark's traced element counter, until ROADMAP item 1 has it count
+the order instead.
 """
 
 from __future__ import annotations
@@ -37,21 +38,18 @@ DEFAULT_MAX_GROUP = 10 ** 6
 _ENV_MAX_GROUP = "CSL_MAX_GROUP"
 
 
-def _group_cap(explicit: int | None) -> tuple[int, str]:
+def _group_cap() -> tuple[int, str]:
     """The group-order cap and the name of the setting it came from."""
-    if explicit is not None:
-        value, source = explicit, "max_order"
-    elif _ENV_MAX_GROUP in os.environ:
-        value, source = os.environ[_ENV_MAX_GROUP], _ENV_MAX_GROUP
-    else:
+    if _ENV_MAX_GROUP not in os.environ:
         return DEFAULT_MAX_GROUP, "the default"
+    value = os.environ[_ENV_MAX_GROUP]
     try:
         cap = int(value)
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return cap, source
+        raise ValueError(f"{_ENV_MAX_GROUP} must be a positive integer, got {value!r}")
+    return cap, _ENV_MAX_GROUP
 
 
 def _cap_exceeded(cap: int, source: str, bound: int) -> RuntimeError:
@@ -275,11 +273,10 @@ class PermGroup:
     Order, membership and transitivity come from the stabilizer chain,
     built on first use.  The element set is listed only when asked for,
     by breadth-first products of the generators.  Both refuse a group
-    whose order exceeds the cap (default 10**6, overridable via the
-    CSL_MAX_GROUP environment variable or the max_order argument).
+    whose order exceeds the cap (default 10**6, or CSL_MAX_GROUP).
     """
 
-    def __init__(self, generators, max_order: int | None = None):
+    def __init__(self, generators):
         generators = tuple(generators)
         if not generators:
             raise ValueError("at least one generator is required")
@@ -288,17 +285,17 @@ class PermGroup:
             raise ValueError("generators must share one degree")
         self.degree = degree
         self.generators = generators
-        self._max_order, self._cap_source = _group_cap(max_order)
+        self._cap, self._cap_source = _group_cap()
 
     @cached_property
     def chain(self) -> StabilizerChain:
         return StabilizerChain((g.images for g in self.generators), self.degree,
-                               self._max_order, self._cap_source)
+                               self._cap, self._cap_source)
 
     @cached_property
     def elements(self) -> frozenset[Permutation]:
-        """Every element, by breadth-first products of the generators;
-        only the literal cross-checks need it."""
+        """Every element, by breadth-first products of the generators; read
+        only by the benchmark's traced counter and the tests' cross-checks."""
         generators = [g.images for g in self.generators]
         identity = tuple(range(self.degree))
         seen = {identity}
@@ -311,8 +308,8 @@ class PermGroup:
                     if product not in seen:
                         seen.add(product)
                         new.append(product)
-                        if len(seen) > self._max_order:
-                            raise _cap_exceeded(self._max_order, self._cap_source, len(seen))
+                        if len(seen) > self._cap:
+                            raise _cap_exceeded(self._cap, self._cap_source, len(seen))
             frontier = new
         return frozenset(map(Permutation._unchecked, seen))
 
@@ -323,40 +320,14 @@ class PermGroup:
     def __contains__(self, perm: Permutation) -> bool:
         return perm.degree == self.degree and self.chain.contains(perm.images)
 
-    def __len__(self):
-        return self.order
-
-    def orbit(self, point: int) -> frozenset[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            new = []
-            for g in self.generators:
-                for x in frontier:
-                    y = g(x)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(seen)
-
-    def orbits(self) -> list[frozenset[int]]:
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            orbit = self.orbit(min(remaining))
-            out.append(orbit)
-            remaining -= orbit
-        return out
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 
 
-def group_closure(generators, max_order: int | None = None) -> PermGroup:
+def group_closure(generators) -> PermGroup:
     """The PermGroup of a generator list, with its stabilizer chain built
     now (so a group over the cap is refused here)."""
-    group = PermGroup(generators, max_order=max_order)
+    group = PermGroup(generators)
     group.chain  # noqa: B018  (build the chain now)
     return group
 
@@ -369,23 +340,6 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
     return transitivity_degree(group) >= k
 
 
-def is_k_transitive_literal(group: PermGroup, k: int) -> bool:
-    """The definition verbatim: every source tuple reaches every target
-    tuple under some element.  Exponential; for cross-checks only."""
-    from itertools import permutations as distinct_tuples
-
-    d = group.degree
-    if not 1 <= k <= d:
-        raise ValueError(f"k must satisfy 1 <= k <= degree, got {k}")
-    tuples = list(distinct_tuples(range(d), k))
-    elements = group.elements
-    for source in tuples:
-        images = {tuple(g(x) for x in source) for g in elements}
-        if len(images) != len(tuples):
-            return False
-    return True
-
-
 def transitivity_degree(group: PermGroup) -> int:
     """Largest k for which the action is k-transitive (0 if not even
     transitive): the length of the base prefix whose basic orbits have
@@ -393,12 +347,6 @@ def transitivity_degree(group: PermGroup) -> int:
     d = group.degree
     chain = group.chain
     return next((i for i in range(d) if chain.orbit_length(i) != d - i), d)
-
-
-def orbit_sizes_divide_order(group: PermGroup) -> bool:
-    """Orbit-stabilizer sanity check, used by the property suites."""
-    order = group.order
-    return all(order % len(orbit) == 0 for orbit in group.orbits())
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +363,7 @@ def affine_permutation(spec, s, t) -> Permutation:
     return Permutation(tuple((s * e + t).index for e in spec.elements()))
 
 
-def affine_group(spec, max_order: int | None = None) -> PermGroup:
+def affine_group(spec) -> PermGroup:
     """The full affine group of the field as a permutation group on the
     n field labels: generated by translations along an additive basis
     together with scaling by a generator of the multiplicative group.
@@ -427,4 +375,4 @@ def affine_group(spec, max_order: int | None = None) -> PermGroup:
         basis_vector = spec.element([0] * i + [1])
         generators.append(affine_permutation(spec, one, basis_vector))
     generators.append(affine_permutation(spec, spec.primitive(), zero))
-    return group_closure(generators, max_order=max_order)
+    return group_closure(generators)

@@ -21,6 +21,9 @@ multiplicative order.  The resulting map has n faces, each an
 (n-1)-gon, every pair of faces sharing exactly one edge, and its genus
 matches genus_formula(n): 1 + n(n-7)/4 when n = 3 mod 4, else
 1 + n(n-5)/4.
+
+Every RotationMap is validated when built; the one graph export is the
+face-adjacency DOT that the map subcommand prints.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .finite_field import FieldSpec, prime_power
-from .perm_action import Permutation
+from .perm_action import Permutation, affine_permutation
 
 
 class RotationMap:
@@ -42,14 +45,10 @@ class RotationMap:
     derived from the orbits.
     """
 
-    def __init__(self, darts, alpha: dict, phi: dict, check: bool = True):
+    def __init__(self, darts, alpha: dict, phi: dict):
         self.darts = tuple(sorted(darts))
         self.alpha = dict(alpha)
         self.phi = dict(phi)
-        if check:
-            self._check()
-
-    def _check(self):
         dart_set = set(self.darts)
         if len(dart_set) != len(self.darts):
             raise ValueError("duplicate darts")
@@ -232,13 +231,7 @@ def affine_map_automorphism(rotation_map: BiggsMap, s, t) -> dict:
     scale s.  It commutes with alpha and with phi, so it permutes faces,
     edges, and vertices; the induced face permutation is the affine
     permutation of the labels."""
-    spec = rotation_map.spec
-    s = spec.element(s)
-    t = spec.element(t)
-    if s.is_zero():
-        raise ValueError("scale factor s must be nonzero")
-    elements = spec.elements()
-    image_index = [(s * e + t).index for e in elements]
+    image_index = affine_permutation(rotation_map.spec, s, t).images
     return {(i, j): (image_index[i], image_index[j]) for (i, j) in rotation_map.darts}
 
 
@@ -266,24 +259,12 @@ def face_adjacency_complete(rotation_map: RotationMap) -> bool:
     return True
 
 
-def dart_automorphism_is_valid(rotation_map: RotationMap, dart_map: dict) -> bool:
-    """Full check used by the property suites: the dart permutation
-    commutes with alpha and with phi."""
-    alpha, phi = rotation_map.alpha, rotation_map.phi
-    for d in rotation_map.darts:
-        if dart_map[alpha[d]] != alpha[dart_map[d]]:
-            return False
-        if dart_map[phi[d]] != phi[dart_map[d]]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# DOT exports
+# DOT export
 
 
-def face_adjacency_dot(rotation_map: RotationMap, name: str = "faces") -> str:
-    lines = [f"graph {name} {{"]
+def face_adjacency_dot(rotation_map: RotationMap) -> str:
+    lines = ["graph faces {"]
     counts = rotation_map.face_pair_edge_counts()
     for pair in sorted(counts, key=sorted):
         members = sorted(pair)
@@ -291,23 +272,6 @@ def face_adjacency_dot(rotation_map: RotationMap, name: str = "faces") -> str:
             members = members * 2
         for _ in range(counts[pair]):
             lines.append(f"  f{members[0]} -- f{members[1]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def dart_dot(rotation_map: RotationMap, name: str = "darts") -> str:
-    """Dart structure: solid arrows for the face rotation phi, dashed
-    for the edge involution alpha (one arrow per unordered pair)."""
-
-    def node(d):
-        return '"' + ",".join(str(part) for part in (d if isinstance(d, tuple) else (d,))) + '"'
-
-    lines = [f"digraph {name} {{"]
-    for d in rotation_map.darts:
-        lines.append(f"  {node(d)} -> {node(rotation_map.phi[d])};")
-    for edge in rotation_map.edges:
-        a, b = sorted(edge)
-        lines.append(f"  {node(a)} -> {node(b)} [style=dashed, dir=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

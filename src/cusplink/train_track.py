@@ -13,8 +13,8 @@ w z w z w and a z edge over w z w z w z w, which gives the tangential
 whose transpose is the transverse (weight) system.  Both have dominant
 eigenvalue lam = 3 + 2*sqrt(2) with weight vector proportional to
 (sqrt(2), 1); the general solver is a power iteration with a Rayleigh
-quotient stopping rule, cross-checked on 2x2 inputs against the exact
-quadratic formula.
+quotient stopping rule, bounded by MAX_ITERATIONS and cross-checked on
+2x2 inputs against the exact quadratic formula.
 
 numpy is imported inside the eigen functions only (_as_matrix,
 is_primitive, eigenvalues_2x2, perron_eigen), so building substitutions,
@@ -151,8 +151,7 @@ def eigenvalues_2x2(matrix) -> tuple[complex, complex]:
     return tuple(sorted(pair, key=abs, reverse=True))
 
 
-def perron_eigen(matrix, tol: float = DEFAULT_TOL,
-                 max_iterations: int = MAX_ITERATIONS) -> tuple[float, np.ndarray]:
+def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and strictly positive eigenvector (last entry
     normalized to 1) of a primitive nonnegative matrix, by power
     iteration from the all-ones vector.  Convergence is declared when
@@ -174,7 +173,7 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL,
         raise ValueError("matrix is not primitive (no power is strictly positive)")
     v = np.ones(arr.shape[0])
     lam = 0.0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         w = arr @ v
         lam = float(v @ w) / float(v @ v)
         v = w / w[-1]
@@ -182,7 +181,7 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL,
         if residual <= tol * float(np.max(np.abs(v))):
             break
     else:
-        raise RuntimeError(f"power iteration did not converge within {max_iterations} steps")
+        raise RuntimeError(f"power iteration did not converge within {MAX_ITERATIONS} steps")
     if arr.shape[0] == 2:
         exact = eigenvalues_2x2(arr)[0].real
         allowance = max(10.0 * tol, 1e-9) * max(1.0, abs(exact))
@@ -315,19 +314,6 @@ def growth_ratios(rules: SubstitutionRules, seed: str = "w", iterations: int = 1
     return [lengths[i] / lengths[i - 1] for i in range(1, len(lengths))]
 
 
-def expand_word(rules: SubstitutionRules, word, iterations: int = 1) -> tuple[str, ...]:
-    """Literal expansion, for small iteration counts only."""
-    current = tuple(word)
-    for _ in range(iterations):
-        out = []
-        for letter in current:
-            if letter not in rules.rules:
-                raise ValueError(f"unknown letter {letter!r}")
-            out.extend(rules.rules[letter])
-        current = tuple(out)
-    return current
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -343,18 +329,6 @@ class AnosovReport:
     trace: int
     eigenvalues: tuple[complex, complex]
     is_anosov: bool
-
-    def to_json_dict(self) -> dict:
-        def encode(value: complex):
-            return value.real if abs(value.imag) < 1e-14 else [value.real, value.imag]
-
-        return {
-            "matrix": [list(row) for row in self.matrix],
-            "determinant": self.determinant,
-            "trace": self.trace,
-            "eigenvalues": [encode(v) for v in self.eigenvalues],
-            "is_anosov": self.is_anosov,
-        }
 
 
 def anosov_check(matrix) -> AnosovReport:
@@ -401,11 +375,11 @@ def eigen_report(tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def substitution_dot(rules: SubstitutionRules, name: str = "substitution") -> str:
+def substitution_dot(rules: SubstitutionRules) -> str:
     """DOT digraph of the substitution: one arrow per letter occurrence,
     annotated with its multiplicity."""
     counts = transition_matrix(rules)
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph substitution {"]
     for i, source in enumerate(rules.labels):
         for j, target in enumerate(rules.labels):
             multiplicity = counts.matrix[i][j]

@@ -258,6 +258,14 @@ def test_dilatation_tolerance_out_of_bounds_is_a_usage_error(capsys, tol, bound)
     (("links", "--p", "2", "--k", "7"), "order 128"),
 ])
 def test_field_order_over_the_cap_is_refused_before_factoring(monkeypatch, capsys, argv, shown):
+    _forbid_factoring_above_the_cap(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {shown} exceeds the cap 64\n"
+
+
+def _forbid_factoring_above_the_cap(monkeypatch):
+    """Make prime_power and is_prime fail if called on an order above the cap."""
     import cusplink.cli as cli
     from cusplink import finite_field
 
@@ -270,9 +278,23 @@ def test_field_order_over_the_cap_is_refused_before_factoring(monkeypatch, capsy
     monkeypatch.setattr(cli, "prime_power", guarded(finite_field.prime_power))
     monkeypatch.setattr(finite_field, "prime_power", guarded(finite_field.prime_power))
     monkeypatch.setattr(finite_field, "is_prime", guarded(finite_field.is_prime))
-    code, out, err = run(capsys, *argv)
+
+
+@pytest.mark.parametrize("n_min, n_max", [("1000000000000000003", "1000000000000000003"),
+                                          ("61", "66"), ("65", "66"), ("61", "67")])
+def test_census_n_max_over_the_cap_is_refused_before_factoring(monkeypatch, capsys,
+                                                               n_min, n_max):
+    _forbid_factoring_above_the_cap(monkeypatch)
+    code, out, err = run(capsys, "census", "--n-min", n_min, "--n-max", n_max)
     assert code == 2 and out == ""
-    assert err == f"error: {shown} exceeds the cap 64\n"
+    assert err == f"error: order {n_max} exceeds the cap 64\n"
+
+
+def test_census_up_to_the_cap_still_answers(monkeypatch, capsys):
+    _forbid_factoring_above_the_cap(monkeypatch)
+    code, out, _ = run(capsys, "census", "--n-min", "4", "--n-max", "64")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["rows"]][-2:] == [61, 64]
 
 
 def test_transitivity_braid_is_constant_time_in_m(capsys):

@@ -10,10 +10,9 @@ from cusplink.perm_action import (
     affine_permutation,
     group_closure,
     is_k_transitive,
-    is_k_transitive_literal,
-    orbit_sizes_divide_order,
     transitivity_degree,
 )
+from reference_checks import is_k_transitive_literal, orbit_sizes_divide_order
 
 
 def cyclic(n):
@@ -58,12 +57,13 @@ def test_closure_orders():
     assert affine_group(make_field(5, 1)).order == 20
 
 
-def test_closure_degree_mismatch_and_cap():
+def test_closure_degree_mismatch_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         group_closure([cyclic(4), cyclic(5)])
     gens = [Permutation.from_cycles(4, [(0, 1)]), cyclic(4)]
+    monkeypatch.setenv("CSL_MAX_GROUP", "10")
     with pytest.raises(RuntimeError):
-        group_closure(gens, max_order=10)
+        group_closure(gens)
 
 
 def test_cap_env_override(monkeypatch):
@@ -169,20 +169,22 @@ def test_group_elements_form_group():
             assert g * h in elements
 
 
-def test_oversized_group_is_refused_while_the_chain_is_built():
+def test_oversized_group_is_refused_while_the_chain_is_built(monkeypatch):
     # S_12 has order 479001600; listing it would take minutes
     gens = [Permutation.from_cycles(12, [(0, 1)]), cyclic(12)]
     with pytest.raises(RuntimeError, match=r"cap 1000000 \(from the default\) exceeded"):
         group_closure(gens)
-    with pytest.raises(RuntimeError, match=r"cap 100 \(from max_order\) exceeded: "
+    monkeypatch.setenv("CSL_MAX_GROUP", "100")
+    with pytest.raises(RuntimeError, match=r"cap 100 \(from CSL_MAX_GROUP\) exceeded: "
                                            r"the order is at least 132"):
-        group_closure(gens, max_order=100)
+        group_closure(gens)
 
 
-def test_invalid_caps_are_refused():
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match="max_order must be a positive integer"):
-            group_closure([cyclic(3)], max_order=bad)
+def test_invalid_caps_are_refused(monkeypatch):
+    for bad in ("0", "-5"):
+        monkeypatch.setenv("CSL_MAX_GROUP", bad)
+        with pytest.raises(ValueError, match="CSL_MAX_GROUP must be a positive integer"):
+            group_closure([cyclic(3)])
 
 
 def test_membership_by_sifting():

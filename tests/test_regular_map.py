@@ -8,14 +8,13 @@ from cusplink.regular_map import (
     RotationMap,
     affine_map_automorphism,
     biggs_map,
-    dart_automorphism_is_valid,
-    dart_dot,
     face_adjacency_complete,
     face_adjacency_dot,
     genus_formula,
     induced_face_permutation,
     map_summary,
 )
+from reference_checks import dart_automorphism_is_valid
 
 PRIME_POWERS = [4, 5, 7, 8, 9, 11, 13]
 
@@ -179,6 +178,3 @@ def test_dot_exports():
     adjacency = face_adjacency_dot(surface)
     assert adjacency.startswith("graph faces {")
     assert adjacency.count("--") == 10
-    darts = dart_dot(surface)
-    assert darts.startswith("digraph darts {")
-    assert '"0,1"' in darts

@@ -12,7 +12,6 @@ from cusplink.train_track import (
     dilatation,
     eigen_report,
     eigenvalues_2x2,
-    expand_word,
     growth_ratios,
     is_primitive,
     letter_counts,
@@ -24,6 +23,7 @@ from cusplink.train_track import (
     transverse_weights,
     word_lengths,
 )
+from reference_checks import expand_word
 
 LAMBDA = 3.0 + 2.0 * math.sqrt(2.0)
 
