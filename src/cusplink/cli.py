@@ -4,9 +4,11 @@ subcommand with JSON, DOT, or table output.
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
 2 on a usage error (bad flags, bad family, invalid n, a census
 --n-max above the field-order cap, a dilatation tolerance outside its
-bounds, an invalid CSL_MAX_GROUP, which every subcommand checks).  A
-violated internal invariant is a check failure too: it exits 1 with
-"error: invariant violated: ..." instead of a traceback.
+bounds, an invalid CSL_MAX_GROUP, which every subcommand checks, or an
+--out path that cannot be written, reported as "error: cannot write
+--out PATH: <reason>" with nothing on stdout).  A violated internal
+invariant is a check failure too: it exits 1 with "error: invariant
+violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.  The group-order cap is set only
 by the CSL_MAX_GROUP environment variable.
@@ -64,8 +66,11 @@ def _render_table(rows: list[dict], columns: list[str]) -> str:
 
 def _emit(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -16,21 +16,20 @@ eigenvalue lam = 3 + 2*sqrt(2) with weight vector proportional to
 quotient stopping rule, bounded by MAX_ITERATIONS and cross-checked on
 2x2 inputs against the exact quadratic formula.
 
-numpy is imported inside the eigen functions only (_as_matrix,
-is_primitive, eigenvalues_2x2, perron_eigen), so building substitutions,
-transition matrices and their DOT rendering never loads it and a CLI
-command that does not solve for an eigenvalue starts without it.
+The eigen functions work on rows of plain Python floats; the package
+has no numpy dependency, and the tests use numpy only as an oracle.
+perron_eigen accepts any sequence of rows (lists, tuples, a
+TransitionMatrix, an ndarray) and returns the eigenvector as a Vector:
+a tuple that a number scales, so lam * vec is a vector, not a
+repetition.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 10 ** 6
@@ -100,95 +99,119 @@ def transition_matrix(rules: SubstitutionRules) -> TransitionMatrix:
 # eigen machinery
 
 
-def _as_matrix(matrix) -> np.ndarray:
-    import numpy as np
+class Vector(tuple):
+    """An eigenvector: a tuple of floats that a number scales, so
+    lam * vec is the scaled vector rather than a repetition.  The
+    benchmark's traced residual computes M @ vec - lam * vec with an
+    ndarray M; the scaling stays until ROADMAP item 1 makes it compute
+    the residual elementwise."""
 
-    if isinstance(matrix, TransitionMatrix):
-        arr = np.array(matrix.matrix, dtype=float)
-    else:
-        arr = np.array(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    __slots__ = ()
+
+    def __rmul__(self, scalar):
+        return Vector(scalar * x for x in self)
+
+
+def _dot(a, b) -> float:
+    """Left-to-right sum of products, the same roundings on every Python
+    version (sum() compensates from 3.12 on)."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _float_rows(matrix) -> tuple[tuple[float, ...], ...]:
+    try:
+        rows = tuple(tuple(float(x) for x in row) for row in matrix)
+    except TypeError:  # a flat sequence, or entries that are not numbers
+        rows = ((),)
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("a square matrix is required")
-    if arr.shape[0] == 0:
+    return rows
+
+
+def _as_matrix(matrix) -> tuple[tuple[float, ...], ...]:
+    """The rows of a nonempty, square, finite, nonnegative matrix as
+    float tuples; matrix is a TransitionMatrix or any sequence of rows."""
+    rows = _float_rows(matrix.matrix if isinstance(matrix, TransitionMatrix) else matrix)
+    if not rows:
         raise ValueError("matrix is empty")
-    if (arr < 0).any():
-        raise ValueError("entries must be nonnegative")
-    return arr
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise ValueError(f"entries must be finite, got {value!r} at row {i}, column {j}")
+            if value < 0:
+                raise ValueError("entries must be nonnegative")
+    return rows
 
 
 def is_primitive(matrix) -> bool:
     """Some power of the matrix is strictly positive.  Decided from the
-    zero pattern of powers up to the Wielandt bound (n-1)^2 + 1."""
-    import numpy as np
-
-    arr = _as_matrix(matrix)
-    n = arr.shape[0]
-    pattern = arr > 0
-    reach = pattern.copy()
-    for _ in range((n - 1) ** 2 + 1):
-        if reach.all():
-            return True
-        reach = (reach.astype(np.int64) @ pattern.astype(np.int64)) > 0
-    return bool(reach.all())
+    zero pattern of the first power 2^k at or past the Wielandt bound
+    (n-1)^2 + 1, found by repeated boolean squaring: a primitive matrix
+    has every power from that bound on strictly positive."""
+    rows = _as_matrix(matrix)
+    reach = [[value > 0 for value in row] for row in rows]
+    power = 1
+    while power < (len(rows) - 1) ** 2 + 1 and not all(map(all, reach)):
+        reach = [[any(a and b for a, b in zip(row, column)) for column in zip(*reach)]
+                 for row in reach]
+        power *= 2
+    return all(map(all, reach))
 
 
 def eigenvalues_2x2(matrix) -> tuple[complex, complex]:
     """Quadratic-formula eigenvalues, largest modulus first."""
-    import numpy as np
-
-    arr = np.array(matrix, dtype=float)
-    if arr.shape != (2, 2):
+    rows = _float_rows(matrix)
+    if len(rows) != 2:
         raise ValueError("a 2x2 matrix is required")
-    tr = float(arr[0, 0] + arr[1, 1])
-    det = float(arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0])
+    (a, b), (c, d) = rows
+    tr = a + d
+    det = a * d - b * c
     disc = tr * tr - 4.0 * det
-    if disc >= 0:
-        root = math.sqrt(disc)
-        pair = ((tr + root) / 2.0, (tr - root) / 2.0)
-    else:
-        root = cmath.sqrt(disc)
-        pair = ((tr + root) / 2.0, (tr - root) / 2.0)
+    root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
+    pair = ((tr + root) / 2.0, (tr - root) / 2.0)
     return tuple(sorted(pair, key=abs, reverse=True))
 
 
-def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
     """Dominant eigenvalue and strictly positive eigenvector (last entry
     normalized to 1) of a primitive nonnegative matrix, by power
     iteration from the all-ones vector.  Convergence is declared when
     the residual max|M v - lam v| drops below tol * max|v|, with lam the
     Rayleigh quotient.  tol must lie between the rounding floor
     (ROUNDING_EPSILONS float64 epsilons times the largest row sum) and
-    MAX_TOL."""
-    import numpy as np
-
-    arr = _as_matrix(matrix)
+    MAX_TOL.  The eigenvector is a Vector, a tuple of floats that a
+    number scales."""
+    rows = _as_matrix(matrix)
     if not tol <= MAX_TOL:
         raise ValueError(f"tol must be at most the ceiling {MAX_TOL:g}, got {tol!r}")
-    floor = ROUNDING_EPSILONS * float(np.finfo(float).eps) * float(arr.sum(axis=1).max())
+    floor = ROUNDING_EPSILONS * sys.float_info.epsilon * max(sum(row) for row in rows)
     if tol < floor:
         raise ValueError(f"tol must be at least the rounding floor {floor:.3g} "
                          f"({ROUNDING_EPSILONS} float64 epsilons times the largest row sum), "
                          f"got {tol!r}")
-    if not is_primitive(arr):
+    if not is_primitive(rows):
         raise ValueError("matrix is not primitive (no power is strictly positive)")
-    v = np.ones(arr.shape[0])
+    v = [1.0] * len(rows)
     lam = 0.0
     for _ in range(MAX_ITERATIONS):
-        w = arr @ v
-        lam = float(v @ w) / float(v @ v)
-        v = w / w[-1]
-        residual = float(np.max(np.abs(arr @ v - lam * v)))
-        if residual <= tol * float(np.max(np.abs(v))):
+        w = [_dot(row, v) for row in rows]
+        lam = _dot(v, w) / _dot(v, v)
+        v = [x / w[-1] for x in w]
+        residual = max(abs(_dot(row, v) - lam * x) for row, x in zip(rows, v))
+        if residual <= tol * max(abs(x) for x in v):
             break
     else:
         raise RuntimeError(f"power iteration did not converge within {MAX_ITERATIONS} steps")
-    if arr.shape[0] == 2:
-        exact = eigenvalues_2x2(arr)[0].real
+    if len(rows) == 2:
+        exact = eigenvalues_2x2(rows)[0].real
         allowance = max(10.0 * tol, 1e-9) * max(1.0, abs(exact))
         if abs(lam - exact) > allowance:
             raise AssertionError("power iteration disagrees with the quadratic formula: "
                                  f"{lam!r} vs {exact!r}, allowance {allowance!r}")
-    return lam, v
+    return lam, Vector(v)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_criterion_7_property_suites():
             lam, vec = perron_eigen(matrix, tol=1e-11)
             lam_t, vec_t = perron_eigen(matrix.T, tol=1e-11)
             record.check(lam > 0, "nonpositive dominant eigenvalue")
-            record.check(bool((vec > 0).all() and (vec_t > 0).all()),
+            record.check(all(x > 0 for x in vec) and all(x > 0 for x in vec_t),
                          "eigenvector not strictly positive")
             record.check(abs(lam - lam_t) <= 2e-11 * max(1.0, lam),
                          "transpose eigenvalue mismatch")

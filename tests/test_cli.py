@@ -91,6 +91,35 @@ def test_dilatation_json(capsys):
     assert all(value < 1e-12 for value in payload["residuals"].values())
 
 
+# The exact stdout at the default tolerance, as printed when the eigen
+# solver still ran on numpy: the plain-float iteration gives the same bits.
+DILATATION_STDOUT = {
+    "json": """{
+  "lambda": 5.8284271247462,
+  "lambda_inverse": 0.17157287525381,
+  "residuals": {
+    "char_poly": 3.5527136788005e-14,
+    "combined_row": 7.105427357601e-15,
+    "inverse_product": 0.0,
+    "long_arc_pair": 3.19744231092045e-14,
+    "short_arc_pair": 6.21724893790088e-15,
+    "transpose_gap": 8.88178419700125e-16
+  },
+  "w": 1.41421356237309,
+  "z": 1.0
+}
+""",
+    "table": "lambda           lambda_inverse    w                 z\n"
+             "5.8284271247462  0.17157287525381  1.41421356237309  1\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_dilatation_stdout_is_pinned(capsys, fmt):
+    code, out, err = run(capsys, "dilatation", "--format", fmt)
+    assert (code, out, err) == (0, DILATATION_STDOUT[fmt], "")
+
+
 def test_dilatation_coarse_tolerance(capsys):
     code, out, _ = run(capsys, "dilatation", "--tol", "1e-6")
     assert code == 0
@@ -159,6 +188,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["genus"] == 1
+
+
+@pytest.mark.parametrize("where, reason", [("missing/x.json", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where, reason):
+    target = tmp_path / where
+    code, out, err = run(capsys, "map", "--n", "9", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {target}: {reason}\n"
 
 
 def test_census_reports_check_failures(monkeypatch, capsys):

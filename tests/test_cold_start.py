@@ -1,5 +1,5 @@
-"""The eigen solver alone imports numpy: every command that solves for
-no eigenvalue starts without it, each checked in a fresh interpreter."""
+"""No command imports numpy, the eigen solver included: each is checked
+in a fresh interpreter."""
 
 import os
 import subprocess
@@ -40,5 +40,6 @@ def test_command_starts_without_numpy(argv):
     assert not numpy_loaded(*argv)
 
 
-def test_eigen_solver_loads_numpy():
-    assert numpy_loaded("dilatation")
+def test_eigen_solver_starts_without_numpy():
+    assert not numpy_loaded("dilatation")
+    assert not numpy_loaded("dilatation", "--format", "table")

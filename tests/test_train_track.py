@@ -70,7 +70,7 @@ def test_perron_on_the_weight_system():
     assert lam == pytest.approx(LAMBDA, abs=1e-12)
     assert vec[-1] == 1.0
     assert vec[0] == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert (vec > 0).all()
+    assert all(x > 0 for x in vec)
 
 
 def test_perron_rejects_identity_and_bad_tol():
@@ -80,6 +80,22 @@ def test_perron_rejects_identity_and_bad_tol():
         perron_eigen([[2]], tol=0.0)
     with pytest.raises(ValueError):
         perron_eigen([[1, -1], [1, 1]])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_entries_are_refused_at_once(value):
+    message = f"entries must be finite, got {value!r} at row 1, column 0"
+    with pytest.raises(ValueError, match=message):
+        perron_eigen([[1, 1], [value, 1]])
+    with pytest.raises(ValueError, match=message):
+        is_primitive([[1, 1], [value, 1]])
+
+
+def test_perron_vector_scales_by_a_number():
+    lam, vec = perron_eigen([[3, 4], [2, 3]])
+    assert isinstance(vec, tuple)
+    assert lam * vec == tuple(lam * x for x in vec)
+    assert 2 * vec == (2 * vec[0], 2.0)
 
 
 def test_perron_fibonacci_matches_quadratic_formula():
@@ -98,7 +114,7 @@ def test_perron_transpose_duality():
         lam, vec = perron_eigen(matrix, tol=1e-13)
         lam_t, vec_t = perron_eigen(matrix.T, tol=1e-13)
         assert abs(lam - lam_t) <= 2e-13 * max(1.0, lam)
-        assert (vec > 0).all() and (vec_t > 0).all()
+        assert all(x > 0 for x in vec) and all(x > 0 for x in vec_t)
         checked += 1
 
 
