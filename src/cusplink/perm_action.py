@@ -30,6 +30,7 @@ the order instead.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
@@ -69,6 +70,16 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inverse)
 
 
+def _bijection_error(images: tuple) -> ValueError:
+    """Name the degree and the first repeated image, or else the least
+    point that is not an image."""
+    counts = Counter(images)
+    repeated = [y for y in images if counts[y] > 1]
+    defect = (f"{repeated[0]!r} is the image of two points" if repeated
+              else f"{min(set(range(len(images))) - counts.keys())} is not an image")
+    return ValueError(f"not a bijection of 0..{len(images) - 1} (degree {len(images)}): {defect}")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {0, ..., d-1} stored as its image tuple."""
@@ -79,7 +90,7 @@ class Permutation:
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
+            raise _bijection_error(images)
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
@@ -110,7 +121,7 @@ class Permutation:
 
     def __mul__(self, other: Permutation) -> Permutation:
         if self.degree != other.degree:
-            raise ValueError("degree mismatch in composition")
+            raise ValueError(f"degree mismatch in composition: {self.degree} and {other.degree}")
         return Permutation._unchecked(_compose(self.images, other.images))
 
     def inverse(self) -> Permutation:

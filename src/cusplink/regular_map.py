@@ -1,20 +1,22 @@
 """Combinatorial maps on closed orientable surfaces, and the regular-map
 family built from finite-field arithmetic.
 
-A map is encoded as a rotation system: a set of darts (directed edge
-sides), a fixed-point-free involution alpha pairing each dart with its
-reverse, and a face rotation phi.  Orbit conventions, fixed once and
-tested everywhere:
+A map is a rotation system over darts (directed edge sides) 0..D-1:
+alpha, a fixed-point-free involution pairing each dart with its
+reverse, and phi, the face rotation, both Permutations of degree D.
+Conventions, fixed once and tested everywhere:
 
-  faces     = orbits of phi
-  edges     = orbits of alpha
-  vertices  = orbits of d -> phi(alpha(d))
+  faces     = cycles of phi
+  edges     = cycles of alpha
+  vertices  = cycles of phi * alpha   (d -> phi(alpha(d)))
 
-For the field-labeled family the darts are ordered pairs (a, b) of
-distinct field elements (a dart of face a crossing toward face b), with
+For the field-labeled family the darts are the ordered pairs (a, b) of
+distinct field-element indices (a dart of face a crossing toward face
+b), numbered a*(n-1) + b - (b > a) in lexicographic order; with omega
+a multiplicative generator,
 
   alpha(a, b) = (b, a)
-  phi(a, b)   = (a, a + omega*(b - a)),    omega a multiplicative generator,
+  phi(a, b)   = (a, a + omega*(b - a)),
 
 so the edges around face a visit the neighbors a + omega^i in
 multiplicative order.  The resulting map has n faces, each an
@@ -37,57 +39,32 @@ from .perm_action import Permutation, affine_permutation
 
 
 class RotationMap:
-    """A rotation system given explicitly by alpha and phi over a dart set.
+    """A rotation system given by two same-degree dart Permutations;
+    alpha is checked to be a fixed-point-free involution."""
 
-    Darts may be any sortable hashable keys.  Validation checks that
-    alpha is a fixed-point-free involution and phi a bijection on the
-    same dart set; everything else (face sizes, adjacency structure) is
-    derived from the orbits.
-    """
-
-    def __init__(self, darts, alpha: dict, phi: dict):
-        self.darts = tuple(sorted(darts))
-        self.alpha = dict(alpha)
-        self.phi = dict(phi)
-        dart_set = set(self.darts)
-        if len(dart_set) != len(self.darts):
-            raise ValueError("duplicate darts")
-        for name, mapping in (("alpha", self.alpha), ("phi", self.phi)):
-            if set(mapping) != dart_set or set(mapping.values()) != dart_set:
-                raise ValueError(f"{name} is not a bijection of the dart set")
-        for d in self.darts:
-            if self.alpha[d] == d:
-                raise ValueError("alpha must be fixed-point free")
-            if self.alpha[self.alpha[d]] != d:
-                raise ValueError("alpha must be an involution")
-
-    def _orbits(self, mapping) -> list[tuple]:
-        seen, orbits = set(), []
-        for start in self.darts:
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            d = mapping(start)
-            while d != start:
-                cycle.append(d)
-                seen.add(d)
-                d = mapping(d)
-            orbits.append(tuple(cycle))
-        return orbits
+    def __init__(self, alpha: Permutation, phi: Permutation):
+        if alpha.degree != phi.degree:
+            raise ValueError(f"alpha has degree {alpha.degree} but phi has degree {phi.degree}")
+        for d, image in enumerate(alpha.images):
+            if image == d:
+                raise ValueError(f"alpha fixes dart {d}")
+            if alpha(image) != d:
+                raise ValueError(f"alpha(alpha({d})) = {alpha(image)}, not {d}")
+        self.alpha = alpha
+        self.phi = phi
+        self.darts = range(alpha.degree)
 
     @cached_property
-    def faces(self) -> list[tuple]:
-        return self._orbits(lambda d: self.phi[d])
+    def faces(self) -> list[tuple[int, ...]]:
+        return self.phi.cycles(include_fixed=True)
 
     @cached_property
-    def vertices(self) -> list[tuple]:
-        return self._orbits(lambda d: self.phi[self.alpha[d]])
+    def vertices(self) -> list[tuple[int, ...]]:
+        return (self.phi * self.alpha).cycles(include_fixed=True)
 
     @cached_property
-    def edges(self) -> list[frozenset]:
-        return sorted({frozenset((d, self.alpha[d])) for d in self.darts},
-                      key=lambda e: sorted(e))
+    def edges(self) -> list[tuple[int, int]]:
+        return self.alpha.cycles()
 
     @property
     def num_faces(self) -> int:
@@ -102,39 +79,37 @@ class RotationMap:
         return len(self.darts) // 2
 
     @property
-    def euler_characteristic(self) -> int:
-        return self.num_vertices - self.num_edges + self.num_faces
-
-    @property
     def genus(self) -> int:
-        chi = self.euler_characteristic
+        chi = self.num_vertices - self.num_edges + self.num_faces
+        counts = f"V={self.num_vertices}, E={self.num_edges}, F={self.num_faces}, chi={chi}"
         if chi % 2:
-            raise ValueError("odd Euler characteristic; not a closed orientable surface")
+            raise ValueError(f"odd Euler characteristic ({counts}); "
+                             "not a closed orientable surface")
         g = (2 - chi) // 2
         if g < 0:
-            raise ValueError("negative genus; map is disconnected or corrupt")
+            raise ValueError(f"negative genus ({counts}); map is disconnected or corrupt")
         return g
 
     @cached_property
-    def face_index(self) -> dict:
+    def face_index(self) -> list[int]:
         """dart -> position of its face in self.faces."""
-        out = {}
+        out = [0] * len(self.darts)
         for i, face in enumerate(self.faces):
             for d in face:
                 out[d] = i
         return out
 
     def face_pair_edge_counts(self) -> Counter:
-        """How many edges each unordered pair of faces shares."""
-        counts: Counter = Counter()
-        for edge in self.edges:
-            pair = frozenset(self.face_index[d] for d in edge)
-            counts[pair] += 1
-        return counts
+        """How many edges each pair of faces (i, j), i <= j, shares."""
+        face_index = self.face_index
+        return Counter(tuple(sorted((face_index[d], face_index[e]))) for d, e in self.edges)
 
-    def __repr__(self):
-        return (f"{type(self).__name__}(V={self.num_vertices}, E={self.num_edges}, "
-                f"F={self.num_faces}, genus={self.genus})")
+
+def _dart_permutation(n: int, image) -> Permutation:
+    """The permutation of the n(n-1) darts of the order-n map that sends
+    dart (a, b) to dart image(a, b); dart (a, b) is a*(n-1) + b - (b > a)."""
+    pairs = (image(a, b) for a in range(n) for b in range(n) if a != b)
+    return Permutation(tuple(x * (n - 1) + y - (y > x) for x, y in pairs))
 
 
 class BiggsMap(RotationMap):
@@ -144,18 +119,14 @@ class BiggsMap(RotationMap):
         if spec.n <= 3:
             raise ValueError("field order must exceed 3")
         self.spec = spec
-        self.omega = spec.primitive()
+        self.omega = omega = spec.primitive()
         elements = spec.elements()
-        darts = [(a.index, b.index) for a in elements for b in elements if a != b]
-        alpha = {(i, j): (j, i) for (i, j) in darts}
-        phi = {}
-        for a in elements:
-            for b in elements:
-                if a == b:
-                    continue
-                successor = a + self.omega * (b - a)
-                phi[(a.index, b.index)] = (a.index, successor.index)
-        super().__init__(darts, alpha, phi)
+
+        def successor(a, b):
+            return a, (elements[a] + omega * (elements[b] - elements[a])).index
+
+        super().__init__(_dart_permutation(spec.n, lambda a, b: (b, a)),
+                         _dart_permutation(spec.n, successor))
 
 
 def biggs_map(spec: FieldSpec) -> BiggsMap:
@@ -187,7 +158,6 @@ class MapSummary:
     vertices: int
     edges: int
     faces: int
-    euler: int
     genus: int
     formula_genus: int | None
     vertex_degree: int | None
@@ -219,31 +189,34 @@ def map_summary(rotation_map: RotationMap) -> MapSummary:
         vertices=rotation_map.num_vertices,
         edges=rotation_map.num_edges,
         faces=n,
-        euler=rotation_map.euler_characteristic,
         genus=rotation_map.genus,
         formula_genus=formula,
         vertex_degree=degrees.pop() if len(degrees) == 1 else None,
     )
 
 
-def affine_map_automorphism(rotation_map: BiggsMap, s, t) -> dict:
+def affine_map_automorphism(rotation_map: BiggsMap, s, t) -> Permutation:
     """The dart permutation (a, b) -> (s*a + t, s*b + t) for a nonzero
     scale s.  It commutes with alpha and with phi, so it permutes faces,
     edges, and vertices; the induced face permutation is the affine
     permutation of the labels."""
-    image_index = affine_permutation(rotation_map.spec, s, t).images
-    return {(i, j): (image_index[i], image_index[j]) for (i, j) in rotation_map.darts}
+    image = affine_permutation(rotation_map.spec, s, t)
+    return _dart_permutation(rotation_map.spec.n, lambda a, b: (image(a), image(b)))
 
 
-def induced_face_permutation(rotation_map: RotationMap, dart_map: dict) -> Permutation:
+def induced_face_permutation(rotation_map: RotationMap, dart_map: Permutation) -> Permutation:
     """Project a dart permutation to the faces, checking along the way
-    that it is actually well defined on phi-orbits."""
-    images = [None] * rotation_map.num_faces
+    that it is actually well defined on phi-cycles."""
+    if dart_map.degree != len(rotation_map.darts):
+        raise ValueError(f"dart map has degree {dart_map.degree} "
+                         f"but the map has {len(rotation_map.darts)} darts")
+    face_index = rotation_map.face_index
+    images = []
     for i, face in enumerate(rotation_map.faces):
-        targets = {rotation_map.face_index[dart_map[d]] for d in face}
+        targets = sorted({face_index[dart_map(d)] for d in face})
         if len(targets) != 1:
-            raise ValueError("dart map does not permute faces")
-        images[i] = targets.pop()
+            raise ValueError(f"dart map sends the darts of face {i} into faces {targets}")
+        images.append(targets[0])
     return Permutation(tuple(images))
 
 
@@ -252,11 +225,7 @@ def face_adjacency_complete(rotation_map: RotationMap) -> bool:
     shared edge per pair of faces?"""
     counts = rotation_map.face_pair_edge_counts()
     n = rotation_map.num_faces
-    for i in range(n):
-        for j in range(i + 1, n):
-            if counts.get(frozenset((i, j)), 0) != 1:
-                return False
-    return True
+    return all(counts[i, j] == 1 for i in range(n) for j in range(i + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +235,8 @@ def face_adjacency_complete(rotation_map: RotationMap) -> bool:
 def face_adjacency_dot(rotation_map: RotationMap) -> str:
     lines = ["graph faces {"]
     counts = rotation_map.face_pair_edge_counts()
-    for pair in sorted(counts, key=sorted):
-        members = sorted(pair)
-        if len(members) == 1:
-            members = members * 2
-        for _ in range(counts[pair]):
-            lines.append(f"  f{members[0]} -- f{members[1]};")
+    for i, j in sorted(counts):
+        lines.extend([f"  f{i} -- f{j};"] * counts[i, j])
     lines.append("}")
     return "\n".join(lines) + "\n"
 

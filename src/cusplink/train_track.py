@@ -39,6 +39,9 @@ MAX_TOL = 1e-6
 # The residual cannot be computed more finely than a few roundings of
 # the largest row sum; asking for less spins to MAX_ITERATIONS.
 ROUNDING_EPSILONS = 4
+# A residual whose contraction over the last CONTRACTION_WINDOW steps
+# cannot reach tol within MAX_ITERATIONS is refused, not spun out.
+CONTRACTION_WINDOW = 1000
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,24 @@ def eigenvalues_2x2(matrix) -> tuple[complex, complex]:
         raise ValueError("a 2x2 matrix is required")
     (a, b), (c, d) = rows
     tr = a + d
-    det = a * d - b * c
-    disc = tr * tr - 4.0 * det
+    # (a - d)^2 + 4bc equals tr^2 - 4 det without cancelling when a ~ d
+    disc = (a - d) ** 2 + 4.0 * b * c
     root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
     pair = ((tr + root) / 2.0, (tr - root) / 2.0)
     return tuple(sorted(pair, key=abs, reverse=True))
+
+
+def _refuse_slow_contraction(earlier: float, relative: float, step: int, tol: float) -> None:
+    """Raise when the relative residual, contracting per step as it did
+    over the last window, cannot reach tol within MAX_ITERATIONS."""
+    rate = math.log(relative / earlier) / CONTRACTION_WINDOW
+    predicted = step + math.log(tol / relative) / rate if rate < 0 else math.inf
+    if predicted > MAX_ITERATIONS:
+        raise RuntimeError(
+            f"power iteration cannot converge within {MAX_ITERATIONS} steps: over steps "
+            f"{step - CONTRACTION_WINDOW}..{step} the residual contracted by {math.exp(rate)!r} "
+            f"per step (from {earlier:.6g} to {relative:.6g}), which predicts "
+            f"{predicted:.3g} steps to reach tol {tol!r}")
 
 
 def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
@@ -196,13 +212,19 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
         raise ValueError("matrix is not primitive (no power is strictly positive)")
     v = [1.0] * len(rows)
     lam = 0.0
-    for _ in range(MAX_ITERATIONS):
+    earlier = None
+    for step in range(1, MAX_ITERATIONS + 1):
         w = [_dot(row, v) for row in rows]
         lam = _dot(v, w) / _dot(v, v)
         v = [x / w[-1] for x in w]
         residual = max(abs(_dot(row, v) - lam * x) for row, x in zip(rows, v))
-        if residual <= tol * max(abs(x) for x in v):
+        scale = max(abs(x) for x in v)
+        if residual <= tol * scale:
             break
+        if step % CONTRACTION_WINDOW == 0:
+            if earlier is not None:
+                _refuse_slow_contraction(earlier, residual / scale, step, tol)
+            earlier = residual / scale
     else:
         raise RuntimeError(f"power iteration did not converge within {MAX_ITERATIONS} steps")
     if len(rows) == 2:

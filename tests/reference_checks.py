@@ -53,15 +53,10 @@ def orbit_sizes_divide_order(group) -> bool:
     return all(order % len(found) == 0 for found in orbits(group))
 
 
-def dart_automorphism_is_valid(rotation_map, dart_map: dict) -> bool:
+def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     """The dart permutation commutes with alpha and with phi."""
     alpha, phi = rotation_map.alpha, rotation_map.phi
-    for d in rotation_map.darts:
-        if dart_map[alpha[d]] != alpha[dart_map[d]]:
-            return False
-        if dart_map[phi[d]] != phi[dart_map[d]]:
-            return False
-    return True
+    return dart_map * alpha == alpha * dart_map and dart_map * phi == phi * dart_map
 
 
 def expand_word(rules, word, iterations: int = 1) -> tuple[str, ...]:

@@ -225,15 +225,15 @@ def test_criterion_7_property_suites():
         for n in (4, 5, 7, 8, 9, 11, 13):
             spec = field_of_order(n)
             surface = biggs_map(spec)
-            record.check(all(surface.alpha[d] != d for d in surface.darts),
+            record.check(all(surface.alpha(d) != d for d in surface.darts),
                          f"n={n}: alpha has a fixed point")
-            record.check(all(surface.alpha[surface.alpha[d]] == d for d in surface.darts),
+            record.check(all(surface.alpha(surface.alpha(d)) == d for d in surface.darts),
                          f"n={n}: alpha is not an involution")
             record.check(all(len(face) == n - 1 for face in surface.faces),
                          f"n={n}: face is not an (n-1)-gon")
             record.check(surface.num_faces == n, f"n={n}: face count off")
             counts = surface.face_pair_edge_counts()
-            record.check(all(counts[frozenset((i, j))] == 1
+            record.check(all(counts[(i, j)] == 1
                              for i in range(n) for j in range(i + 1, n)),
                          f"n={n}: shared-edge count off")
             cases += 1

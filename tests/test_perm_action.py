@@ -20,10 +20,26 @@ def cyclic(n):
 
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a bijection of 0\.\.2 \(degree 3\): "
+                                         r"0 is the image of two points$"):
         Permutation((0, 0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a bijection of 0\.\.1 \(degree 2\): "
+                                         r"1 is not an image$"):
         Permutation((0, 2))
+
+
+def test_bijection_error_stays_short_on_a_large_degree():
+    images = list(range(4032))
+    images[4000] = 17
+    with pytest.raises(ValueError) as refusal:
+        Permutation(tuple(images))
+    assert str(refusal.value) == ("not a bijection of 0..4031 (degree 4032): "
+                                  "17 is the image of two points")
+
+
+def test_composition_degree_mismatch_names_both_degrees():
+    with pytest.raises(ValueError, match=r"^degree mismatch in composition: 3 and 2$"):
+        Permutation.identity(3) * Permutation.identity(2)
 
 
 def test_composition_convention():

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from cusplink.finite_field import field_of_order
-from cusplink.perm_action import affine_permutation
+from cusplink.perm_action import Permutation, affine_permutation
 from cusplink.regular_map import (
     RotationMap,
     affine_map_automorphism,
@@ -17,22 +17,34 @@ from cusplink.regular_map import (
 from reference_checks import dart_automorphism_is_valid
 
 PRIME_POWERS = [4, 5, 7, 8, 9, 11, 13]
+PRIME_POWERS_TO_64 = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                      37, 41, 43, 47, 49, 53, 59, 61, 64]
 
 
 def two_face_sphere():
     """Two faces glued along two edges: a 2-gon bubble, used as the
     incomplete-adjacency fixture."""
-    darts = [0, 1, 2, 3]
-    alpha = {0: 1, 1: 0, 2: 3, 3: 2}
-    phi = {0: 2, 2: 0, 1: 3, 3: 1}
-    return RotationMap(darts, alpha, phi)
+    alpha = Permutation((1, 0, 3, 2))
+    phi = Permutation((2, 3, 0, 1))
+    return RotationMap(alpha, phi)
 
 
 def test_rotation_map_validation():
-    with pytest.raises(ValueError):
-        RotationMap([0, 1], {0: 0, 1: 1}, {0: 1, 1: 0})  # alpha has fixed points
-    with pytest.raises(ValueError):
-        RotationMap([0, 1], {0: 1, 1: 0}, {0: 0, 1: 1, 2: 2})  # phi off the dart set
+    with pytest.raises(ValueError, match=r"^alpha fixes dart 0$"):
+        RotationMap(Permutation((0, 1)), Permutation((1, 0)))
+    with pytest.raises(ValueError, match=r"^alpha fixes dart 2$"):
+        RotationMap(Permutation((1, 0, 2, 3)), Permutation.identity(4))
+    with pytest.raises(ValueError, match=r"^alpha\(alpha\(0\)\) = 2, not 0$"):
+        RotationMap(Permutation((1, 2, 0)), Permutation.identity(3))
+    with pytest.raises(ValueError, match=r"^alpha has degree 2 but phi has degree 3$"):
+        RotationMap(Permutation((1, 0)), Permutation((0, 1, 2)))  # phi off the dart set
+
+
+def test_disconnected_map_names_its_counts():
+    bubbles = RotationMap(Permutation((1, 0, 3, 2, 5, 4, 7, 6)),
+                          Permutation((2, 3, 0, 1, 6, 7, 4, 5)))
+    with pytest.raises(ValueError, match=r"negative genus \(V=4, E=4, F=4, chi=4\)"):
+        bubbles.genus  # noqa: B018
 
 
 def test_genus_formula_values():
@@ -82,12 +94,12 @@ def test_structural_invariants(n):
     assert all(len(face) == n - 1 for face in surface.faces)
     assert surface.num_edges == n * (n - 1) // 2
     for d in surface.darts:
-        assert surface.alpha[d] != d
-        assert surface.alpha[surface.alpha[d]] == d
+        assert surface.alpha(d) != d
+        assert surface.alpha(surface.alpha(d)) == d
     counts = surface.face_pair_edge_counts()
     for i in range(n):
         for j in range(i + 1, n):
-            assert counts[frozenset((i, j))] == 1
+            assert counts[(i, j)] == 1
     assert face_adjacency_complete(surface)
 
 
@@ -116,7 +128,7 @@ def test_biggs_map_rejects_tiny_orders():
 def test_identity_automorphism():
     surface = biggs_map(field_of_order(5))
     auto = affine_map_automorphism(surface, 1, 0)
-    assert all(auto[d] == d for d in surface.darts)
+    assert all(auto(d) == d for d in surface.darts)
 
 
 def test_translation_automorphism_cycles_faces():
@@ -133,6 +145,15 @@ def test_scaling_automorphism_fixes_zero_face():
     faces = induced_face_permutation(surface, auto)
     assert faces(0) == 0
     assert sorted(len(c) for c in faces.cycles()) == [4]
+
+
+def test_dart_map_that_splits_a_face_is_named():
+    surface = biggs_map(field_of_order(5))
+    with pytest.raises(ValueError,
+                       match=r"^dart map sends the darts of face 0 into faces \[1, 2, 3, 4\]$"):
+        induced_face_permutation(surface, surface.alpha)
+    with pytest.raises(ValueError, match=r"^dart map has degree 3 but the map has 20 darts$"):
+        induced_face_permutation(surface, Permutation.identity(3))
 
 
 def test_scale_zero_rejected():
@@ -178,3 +199,13 @@ def test_dot_exports():
     adjacency = face_adjacency_dot(surface)
     assert adjacency.startswith("graph faces {")
     assert adjacency.count("--") == 10
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_64)
+def test_face_adjacency_dot_is_the_complete_graph(n):
+    # every two faces share exactly one edge, so the DOT lists each pair once
+    surface = biggs_map(field_of_order(n))
+    expected = "graph faces {\n" + "".join(
+        f"  f{i} -- f{j};\n" for i in range(n) for j in range(i + 1, n)) + "}\n"
+    assert face_adjacency_dot(surface) == expected
+    assert surface.num_vertices == (2 * n if n % 4 == 3 else n)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_perron_vector_scales_by_a_number():
 def test_perron_fibonacci_matches_quadratic_formula():
     lam, _ = perron_eigen([[1, 1], [1, 0]])
     assert lam == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
+
+
+def test_nearly_equal_diagonal_keeps_the_exact_eigenvalue():
+    # the all-ones start is an eigenvector, so the iteration stops at step 1,
+    # and the quadratic formula must not cancel 1 + 1e-9 down to 1.0
+    lam, vec = perron_eigen([[1, 1e-9], [1e-9, 1]])
+    assert abs(lam - 1.000000001) <= 1e-15
+    assert vec == (1.0, 1.0)
+    assert abs(eigenvalues_2x2([[1, 1e-9], [1e-9, 1]])[0] - 1.000000001) <= 1e-15
+
+
+def test_slow_contraction_is_refused_quickly():
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"cannot converge within 1000000 steps: over steps "
+                                           r"1000\.\.2000 the residual contracted by 0\.99999999\d* "
+                                           r"per step .* which predicts 2\.\d+e\+09 steps"):
+        perron_eigen([[1, 1e-9], [3e-9, 1]])
+    assert time.perf_counter() - started < 0.1
 
 
 def test_perron_transpose_duality():
