@@ -2,11 +2,12 @@
 subcommand with JSON, DOT, or table output.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
-2 on a usage error (bad flags, bad family, invalid n, a census
---n-max above the field-order cap, a dilatation tolerance outside its
-bounds, an invalid CSL_MAX_GROUP, which every subcommand checks, or an
---out path that cannot be written, reported as "error: cannot write
---out PATH: <reason>" with nothing on stdout).  A violated internal
+2 on a usage error (bad flags, --n given with --p or --k, --k without
+--p, bad family, invalid n, a census --n-max above the field-order
+cap, a dilatation tolerance outside its bounds, an invalid
+CSL_MAX_GROUP, which every subcommand checks, or an --out path that
+cannot be written, reported as "error: cannot write --out PATH:
+<reason>" with nothing on stdout).  A violated internal
 invariant is a check failure too: it exits 1 with "error: invariant
 violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
@@ -81,6 +82,17 @@ def _emit_report(args, payload, rows: list[dict], columns: list[str]) -> None:
         _emit(_render_table(rows, columns), args)
     else:
         _emit(_json_dumps(payload), args)
+
+
+def _check_field_flags(args) -> None:
+    """--n gives an order (or the chain's loop count) and --p with --k a
+    field, so --n is refused next to either, and --k without --p."""
+    n, p, k = (getattr(args, flag, None) for flag in ("n", "p", "k"))
+    field_flags = [flag for flag, value in (("--p", p), ("--k", k)) if value is not None]
+    if n is not None and field_flags:
+        raise ValueError(f"--n cannot be combined with {' and '.join(field_flags)}")
+    if k is not None and p is None:
+        raise ValueError("--k needs --p")
 
 
 def _field_from_args(args, default_n: int | None = None):
@@ -270,6 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         perm_action._group_cap()  # refuse a bad CSL_MAX_GROUP even where no group is built
+        _check_field_flags(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,9 +14,10 @@ division; at this scale that is both fast enough and easy to audit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 DEFAULT_MAX_ORDER = 64
+
+_setattr = object.__setattr__
 
 
 def is_prime(n: int) -> bool:
@@ -105,28 +106,49 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """A concrete model of GF(p^k): the prime, the exponent, and the
-    monic irreducible modulus (length k+1 coefficient vector)."""
+    monic irreducible modulus (length k+1 coefficient vector).
+    Immutable, and equal and hashed by (p, k, modulus)."""
 
-    p: int
-    k: int
-    modulus: tuple[int, ...]
+    __slots__ = ("p", "k", "modulus")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.k < 1:
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if k < 1:
             raise ValueError("exponent k must be >= 1")
-        mod = tuple(self.modulus)
-        object.__setattr__(self, "modulus", mod)
-        if len(mod) != self.k + 1 or mod[-1] != 1:
+        mod = tuple(modulus)
+        if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if any(not 0 <= c < self.p for c in mod):
+        if any(not 0 <= c < p for c in mod):
             raise ValueError("modulus coefficients must lie in [0, p)")
-        if not _is_irreducible(mod, self.p):
+        if not _is_irreducible(mod, p):
             raise ValueError("modulus is reducible over Z/p")
+        _setattr(self, "p", p)
+        _setattr(self, "k", k)
+        _setattr(self, "modulus", mod)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.k, self.modulus))
+
+    def __repr__(self):
+        return f"FieldSpec(p={self.p!r}, k={self.k!r}, modulus={self.modulus!r})"
+
+    def __reduce__(self):
+        return FieldSpec, (self.p, self.k, self.modulus)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FieldSpec is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -171,18 +193,39 @@ class FieldSpec:
         return _primitive(self)
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """Canonical polynomial residue; immutable and hashable."""
+    """Canonical polynomial residue; immutable, and equal and hashed by
+    (spec, coeffs)."""
 
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("spec", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.k:
+    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+        if len(coeffs) != spec.k:
             raise ValueError("coefficient vector must have length k")
-        if any(not 0 <= c < self.spec.p for c in self.coeffs):
+        # k >= 1, so coeffs is not empty
+        if not 0 <= min(coeffs) <= max(coeffs) < spec.p:
             raise ValueError("coefficients must be reduced mod p")
+        _setattr(self, "spec", spec)
+        _setattr(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.spec == other.spec
+
+    def __hash__(self):
+        return hash((self.spec, self.coeffs))
+
+    def __repr__(self):
+        return f"FieldElement(spec={self.spec!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return FieldElement, (self.spec, self.coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FieldElement is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def index(self) -> int:
@@ -198,7 +241,8 @@ class FieldElement:
     def _coerce(self, other: FieldElement) -> FieldElement:
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.spec != self.spec:
+        # `is not` first: != on FieldSpec runs __eq__ through object.__ne__
+        if other.spec is not self.spec and other.spec != self.spec:
             raise ValueError("elements belong to different fields")
         return other
 

@@ -20,7 +20,6 @@ symmetry invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .finite_field import FieldSpec
 from .perm_action import (
@@ -33,19 +32,20 @@ from .perm_action import (
 from .regular_map import biggs_map
 
 
-@dataclass(frozen=True)
 class Hyperbolicity:
     """Status tag plus a provenance note; statuses are
     asserted_by_paper, conditional, or unknown."""
 
-    status: str
-    note: str
+    __slots__ = ("status", "note")
+
+    def __init__(self, status: str, note: str):
+        self.status = status
+        self.note = note
 
     def to_json_dict(self) -> dict:
         return {"status": self.status, "note": self.note}
 
 
-@dataclass(frozen=True)
 class LinkBlueprint:
     """One link family instance, built from its symmetry group.
 
@@ -56,21 +56,24 @@ class LinkBlueprint:
     transitivity degree are read from it, the degree once, here.
     """
 
-    family: str
-    ambient: str
-    components: tuple[str, ...]
-    linking_matrix: tuple[tuple[int, ...], ...] | None
-    symmetry: PermGroup
-    hyperbolicity: Hyperbolicity
-    params: dict = field(default_factory=dict)
-    transitivity_degree: int = field(init=False)
+    __slots__ = ("family", "ambient", "components", "linking_matrix", "symmetry",
+                 "hyperbolicity", "params", "transitivity_degree")
 
-    def __post_init__(self):
+    def __init__(self, family: str, ambient: str, components: tuple[str, ...],
+                 linking_matrix: tuple[tuple[int, ...], ...] | None, symmetry: PermGroup,
+                 hyperbolicity: Hyperbolicity, params: dict | None = None):
+        self.family = family
+        self.ambient = ambient
+        self.components = components
+        self.linking_matrix = linking_matrix
+        self.symmetry = symmetry
+        self.hyperbolicity = hyperbolicity
+        self.params = {} if params is None else params
         n = self.n_components
-        if self.symmetry.degree != n:
-            raise ValueError(f"symmetry degree {self.symmetry.degree} differs from "
+        if symmetry.degree != n:
+            raise ValueError(f"symmetry degree {symmetry.degree} differs from "
                              f"the component count {n}")
-        matrix = self.linking_matrix
+        matrix = linking_matrix
         if matrix is not None:
             if len(matrix) != n or any(len(row) != n for row in matrix):
                 raise ValueError(f"linking matrix is not {n}x{n}")
@@ -83,7 +86,7 @@ class LinkBlueprint:
             for g in self.symmetry_generators:
                 if any(matrix[g(i)][g(j)] != matrix[i][j] for i in range(n) for j in range(n)):
                     raise ValueError(f"symmetry generator {g} does not preserve linking")
-        object.__setattr__(self, "transitivity_degree", transitivity_degree(self.symmetry))
+        self.transitivity_degree = transitivity_degree(symmetry)
 
     @property
     def n_components(self) -> int:
@@ -167,23 +170,41 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
 # braids and cyclic closures
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """A braid as a word in the standard generators: entry +i (1-based)
     is a right-handed crossing of strands i-1 and i, negative entries
-    are the inverses."""
+    are the inverses.  Immutable, and equal and hashed by (strands, word)."""
 
-    strands: int
-    word: tuple[int, ...]
+    __slots__ = ("strands", "word")
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, word: tuple[int, ...]):
+        if strands < 1:
             raise ValueError("strand count must be positive")
-        word = tuple(int(g) for g in self.word)
-        object.__setattr__(self, "word", word)
+        word = tuple(int(g) for g in word)
         for g in word:
-            if g == 0 or not 1 <= abs(g) <= self.strands - 1:
-                raise ValueError(f"generator index {g} out of range for {self.strands} strands")
+            if g == 0 or not 1 <= abs(g) <= strands - 1:
+                raise ValueError(f"generator index {g} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return self.strands == other.strands and self.word == other.word
+
+    def __hash__(self):
+        return hash((self.strands, self.word))
+
+    def __repr__(self):
+        return f"BraidWord(strands={self.strands!r}, word={self.word!r})"
+
+    def __reduce__(self):
+        return BraidWord, (self.strands, self.word)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"BraidWord is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def __mul__(self, repeats: int) -> BraidWord:
         return BraidWord(self.strands, self.word * repeats)
@@ -423,7 +444,6 @@ def polygon_radii(p: int, q: int) -> tuple[float, float]:
     return r1, r2
 
 
-@dataclass(frozen=True)
 class HelicalSpec:
     """Geometric bookkeeping for the helical-arc construction over the
     order-n map: each face carries n-1 helical arcs of slope
@@ -434,19 +454,23 @@ class HelicalSpec:
     is None for the one spherical case (n = 4), whose metric model is
     out of scope."""
 
-    n: int
-    strands_per_face: int
-    slope_numerator: int
-    slope_symbol: str
-    rho_window: tuple[float, float] | None
-    arc_count: int
-    puncture_count_per_fiber: int
+    __slots__ = ("n", "strands_per_face", "slope_numerator", "slope_symbol", "rho_window",
+                 "arc_count", "puncture_count_per_fiber")
 
-    def __post_init__(self):
-        if self.rho_window is not None:
-            r1, r2 = self.rho_window
+    def __init__(self, n: int, strands_per_face: int, slope_numerator: int, slope_symbol: str,
+                 rho_window: tuple[float, float] | None, arc_count: int,
+                 puncture_count_per_fiber: int):
+        if rho_window is not None:
+            r1, r2 = rho_window
             if not r1 < r2:
                 raise ValueError("radius window must satisfy r1 < r2 strictly")
+        self.n = n
+        self.strands_per_face = strands_per_face
+        self.slope_numerator = slope_numerator
+        self.slope_symbol = slope_symbol
+        self.rho_window = rho_window
+        self.arc_count = arc_count
+        self.puncture_count_per_fiber = puncture_count_per_fiber
 
     def to_json_dict(self) -> dict:
         return {

@@ -31,7 +31,6 @@ face-adjacency DOT that the map subcommand prints.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .finite_field import FieldSpec, prime_power
@@ -149,18 +148,21 @@ def genus_formula(n: int) -> int:
     return 1 + numerator // 4
 
 
-@dataclass(frozen=True)
 class MapSummary:
     """Euler-characteristic bookkeeping for one map, with the formula
     value attached for comparison when it applies."""
 
-    n: int
-    vertices: int
-    edges: int
-    faces: int
-    genus: int
-    formula_genus: int | None
-    vertex_degree: int | None
+    __slots__ = ("n", "vertices", "edges", "faces", "genus", "formula_genus", "vertex_degree")
+
+    def __init__(self, n: int, vertices: int, edges: int, faces: int, genus: int,
+                 formula_genus: int | None, vertex_degree: int | None):
+        self.n = n
+        self.vertices = vertices
+        self.edges = edges
+        self.faces = faces
+        self.genus = genus
+        self.formula_genus = formula_genus
+        self.vertex_degree = vertex_degree
 
     def to_json_dict(self) -> dict:
         return {

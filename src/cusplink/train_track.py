@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 10 ** 6
@@ -44,24 +43,24 @@ ROUNDING_EPSILONS = 4
 CONTRACTION_WINDOW = 1000
 
 
-@dataclass(frozen=True)
 class SubstitutionRules:
     """Map from branch-class labels to their image words."""
 
-    labels: tuple[str, ...]
-    rules: dict[str, tuple[str, ...]]
+    __slots__ = ("labels", "rules")
 
-    def __post_init__(self):
-        known = set(self.labels)
-        if len(known) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...], rules: dict[str, tuple[str, ...]]):
+        known = set(labels)
+        if len(known) != len(labels):
             raise ValueError("duplicate labels")
-        if set(self.rules) != known:
+        if set(rules) != known:
             raise ValueError("rules must cover exactly the label set")
-        for label, word in self.rules.items():
+        for label, word in rules.items():
             if not word:
                 raise ValueError(f"rule for {label!r} is empty")
             if any(letter not in known for letter in word):
                 raise ValueError(f"rule for {label!r} uses unknown letters")
+        self.labels = labels
+        self.rules = rules
 
 
 def biggs_substitution() -> SubstitutionRules:
@@ -76,14 +75,16 @@ def biggs_substitution() -> SubstitutionRules:
     )
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
     """Letter-count matrix of a substitution: row i counts the letters
     in the image of label i (the tangential, edge-length convention).
     The transpose carries the transverse weights."""
 
-    labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("labels", "matrix")
+
+    def __init__(self, labels: tuple[str, ...], matrix: tuple[tuple[int, ...], ...]):
+        self.labels = labels
+        self.matrix = matrix
 
     def transpose(self) -> TransitionMatrix:
         return TransitionMatrix(self.labels, tuple(zip(*self.matrix)))
@@ -240,7 +241,6 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
 # measures and the dilatation
 
 
-@dataclass(frozen=True)
 class MeasureSystem:
     """Positive weights per branch class with the eigenvalue they solve.
 
@@ -250,15 +250,16 @@ class MeasureSystem:
     w + 2z (semicircular, half-surrounding a puncture) and 2w + 2z
     (short branch between nearest-neighbor punctures)."""
 
-    kind: str
-    weights: dict[str, float]
-    lam: float
+    __slots__ = ("kind", "weights", "lam")
 
-    def __post_init__(self):
-        if self.kind not in ("transverse", "tangential"):
+    def __init__(self, kind: str, weights: dict[str, float], lam: float):
+        if kind not in ("transverse", "tangential"):
             raise ValueError("kind must be 'transverse' or 'tangential'")
-        if any(value <= 0 for value in self.weights.values()):
+        if any(value <= 0 for value in weights.values()):
             raise ValueError("weights must be strictly positive")
+        self.kind = kind
+        self.weights = weights
+        self.lam = lam
 
     def semicircular_weight(self) -> float:
         return self.weights["w"] + 2.0 * self.weights["z"]
@@ -290,20 +291,22 @@ def tangential_weights(tol: float = DEFAULT_TOL) -> MeasureSystem:
     return MeasureSystem("tangential", {"w": float(vec[0]), "z": float(vec[1])}, lam)
 
 
-@dataclass(frozen=True)
 class ArcCrossing:
     """Crossing record of one transverse arc: how many branches of each
     primitive weight class it meets.  branch_count, when recorded, is
     the raw number of branches crossed (composite branches count once
     but contribute their composite weight)."""
 
-    label: str
-    counts: dict[str, int] = field(default_factory=dict)
-    branch_count: int | None = None
+    __slots__ = ("label", "counts", "branch_count")
 
-    def __post_init__(self):
-        if any(value < 0 for value in self.counts.values()):
+    def __init__(self, label: str, counts: dict[str, int] | None = None,
+                 branch_count: int | None = None):
+        counts = {} if counts is None else counts
+        if any(value < 0 for value in counts.values()):
             raise ValueError("crossing counts must be nonnegative")
+        self.label = label
+        self.counts = counts
+        self.branch_count = branch_count
 
 
 def reference_arcs() -> dict[str, ArcCrossing]:
@@ -363,17 +366,20 @@ def growth_ratios(rules: SubstitutionRules, seed: str = "w", iterations: int = 1
 # reports
 
 
-@dataclass(frozen=True)
 class AnosovReport:
     """Determinant, trace, and eigenvalues of an integer 2x2 matrix,
     with the hyperbolicity verdict (unit determinant, no eigenvalue on
     the unit circle)."""
 
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-    determinant: int
-    trace: int
-    eigenvalues: tuple[complex, complex]
-    is_anosov: bool
+    __slots__ = ("matrix", "determinant", "trace", "eigenvalues", "is_anosov")
+
+    def __init__(self, matrix: tuple[tuple[int, int], tuple[int, int]], determinant: int,
+                 trace: int, eigenvalues: tuple[complex, complex], is_anosov: bool):
+        self.matrix = matrix
+        self.determinant = determinant
+        self.trace = trace
+        self.eigenvalues = eigenvalues
+        self.is_anosov = is_anosov
 
 
 def anosov_check(matrix) -> AnosovReport:

@@ -358,3 +358,18 @@ def test_family_help_names_each_family_argument(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert "chain: --n loops (default 6, at most 256) and --t" in out
     assert "helical: --n or --p/--k (default order 5)" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("map", "--n", "9", "--k", "3"), "--n cannot be combined with --k"),
+    (("map", "--p", "3", "--n", "16"), "--n cannot be combined with --p"),
+    (("map", "--n", "9", "--p", "3", "--k", "2"), "--n cannot be combined with --p and --k"),
+    (("map", "--k", "2"), "--k needs --p"),
+    (("transitivity", "helical", "--n", "9", "--p", "3"), "--n cannot be combined with --p"),
+    (("links", "--family", "chain", "--n", "5", "--k", "2"), "--n cannot be combined with --k"),
+    (("links", "--k", "2"), "--k needs --p"),
+])
+def test_conflicting_field_flags_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

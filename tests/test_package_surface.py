@@ -2,6 +2,7 @@
 literal cross-check references live in tests/reference_checks.py."""
 
 import importlib
+import pickle
 
 import pytest
 
@@ -30,3 +31,31 @@ def test_cross_check_references_are_not_shipped(module):
 def test_perm_group_has_no_orbit_methods():
     assert not hasattr(cusplink.PermGroup, "orbit")
     assert not hasattr(cusplink.PermGroup, "orbits")
+
+
+# Each value type, built twice from scratch, with its repr and one field.
+VALUE_TYPES = [
+    (lambda: cusplink.make_field(3, 2), "FieldSpec(p=3, k=2, modulus=(1, 0, 1))", "modulus"),
+    (lambda: cusplink.make_field(3, 2).element(4),
+     "FieldElement(spec=FieldSpec(p=3, k=2, modulus=(1, 0, 1)), coeffs=(1, 1))", "coeffs"),
+    (lambda: cusplink.Permutation((1, 2, 0)), "Permutation(images=(1, 2, 0))", "images"),
+    (lambda: cusplink.BraidWord(3, (1, -2)), "BraidWord(strands=3, word=(1, -2))", "word"),
+]
+
+
+@pytest.mark.parametrize("build, shown, name", VALUE_TYPES)
+def test_value_types_compare_by_value_and_stay_fixed(build, shown, name):
+    value, twin = build(), build()
+    assert value is not twin and value == twin and not value != twin
+    assert hash(value) == hash(twin) and len({value, twin}) == 1
+    assert value != shown and repr(value) == shown
+    assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(twin, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == getattr(twin, name)
+
+
+def test_equal_field_specs_share_one_cached_primitive():
+    assert cusplink.make_field(2, 5).primitive() is cusplink.make_field(2, 5).primitive()

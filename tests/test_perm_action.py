@@ -26,6 +26,12 @@ def test_permutation_validation():
     with pytest.raises(ValueError, match=r"^not a bijection of 0\.\.1 \(degree 2\): "
                                          r"1 is not an image$"):
         Permutation((0, 2))
+    with pytest.raises(TypeError, match=r"^image 1\.0 at position 0 is not an int$"):
+        Permutation((1.0, 0.0))
+    with pytest.raises(TypeError, match=r"^image '1' at position 1 is not an int$"):
+        Permutation((0, "1"))
+    with pytest.raises(TypeError, match=r"^image True at position 1 is not an int$"):
+        Permutation((0, True))
 
 
 def test_bijection_error_stays_short_on_a_large_degree():
