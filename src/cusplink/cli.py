@@ -2,14 +2,17 @@
 subcommand with JSON, DOT, or table output.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
-2 on a usage error (bad flags, --n given with --p or --k, --k without
---p, bad family, invalid n, a census --n-max above the field-order
-cap, a dilatation tolerance outside its bounds, an invalid
-CSL_MAX_GROUP, which every subcommand checks, or an --out path that
-cannot be written, reported as "error: cannot write --out PATH:
-<reason>" with nothing on stdout).  A violated internal
-invariant is a check failure too: it exits 1 with "error: invariant
-violated: ..." instead of a traceback.
+2 on a usage error, with nothing on stdout.  The usage errors are: a
+bad flag or family; a flag that is not read where it is given, reported
+as "error: <reader> does not read --<flag>" (a family flag --n, --t or
+--m that the chosen family does not read, any of them for `links`
+without --family, which builds every family at its defaults, and --tol
+under `dilatation --format dot`); an invalid n; a census --n-max above
+the field-order cap; a dilatation tolerance outside its bounds; an
+invalid CSL_MAX_GROUP, which every subcommand checks; and an --out path
+that cannot be written, reported as "error: cannot write --out PATH:
+<reason>".  A violated internal invariant is a check failure too: it
+exits 1 with "error: invariant violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.  The group-order cap is set only
 by the CSL_MAX_GROUP environment variable.
@@ -22,7 +25,7 @@ import json
 import sys
 
 from . import link_families, perm_action, train_track
-from .finite_field import DEFAULT_MAX_ORDER, field_of_order, make_field, prime_power
+from .finite_field import DEFAULT_MAX_ORDER, field_of_order, prime_power
 from .link_families import (
     EXAMPLE_BRAID,
     chain_link,
@@ -84,26 +87,9 @@ def _emit_report(args, payload, rows: list[dict], columns: list[str]) -> None:
         _emit(_json_dumps(payload), args)
 
 
-def _check_field_flags(args) -> None:
-    """--n gives an order (or the chain's loop count) and --p with --k a
-    field, so --n is refused next to either, and --k without --p."""
-    n, p, k = (getattr(args, flag, None) for flag in ("n", "p", "k"))
-    field_flags = [flag for flag, value in (("--p", p), ("--k", k)) if value is not None]
-    if n is not None and field_flags:
-        raise ValueError(f"--n cannot be combined with {' and '.join(field_flags)}")
-    if k is not None and p is None:
-        raise ValueError("--k needs --p")
-
-
-def _field_from_args(args, default_n: int | None = None):
-    """Resolve --n, or --p with optional --k, into a field.  An order over
-    the cap is refused before it is factored."""
-    if args.p is not None:
-        spec = make_field(args.p, args.k if args.k is not None else 1)
-        if spec.n <= 3:
-            raise ValueError(f"field order must exceed 3, got {spec.n}")
-        return spec
-    n = args.n if args.n is not None else default_n
+def _field(n: int | None):
+    """The field of order n, a prime power above 3.  An order over the
+    cap is refused before it is factored."""
     if n is None:
         raise ValueError("--n is required for this command")
     if n <= 3 or (n <= DEFAULT_MAX_ORDER and prime_power(n) is None):
@@ -111,16 +97,34 @@ def _field_from_args(args, default_n: int | None = None):
     return field_of_order(n)
 
 
-# Each family's builder from the parsed flags.  The builders are looked up
-# in this module when called, so a replaced module attribute is used.
+def _refuse_unread(args, reader: str, flags, reads=()) -> None:
+    """Refuse the first of `flags` given on the command line that is not
+    in `reads`, before anything is built or printed."""
+    for flag in flags:
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"{reader} does not read --{flag}")
+
+
+_FAMILY_FLAGS = ("n", "t", "m")
+
+# Each family: the flags it reads, with their defaults, and its builder.
+# The builders are looked up in this module when called, so a replaced
+# module attribute is used.
 _FAMILIES = {
-    "chain": lambda args: chain_link(args.n if args.n is not None else 6, args.t),
-    "braid": lambda args: cyclic_braid_closure(EXAMPLE_BRAID, m=args.m),
-    "cube": lambda args: cube_link(),
-    "cube_edge": lambda args: cube_edge_link(),
-    "icosahedral": lambda args: icosahedral_link(),
-    "helical": lambda args: helical_link(_field_from_args(args, default_n=5))[0],
+    "chain": ({"n": 6, "t": 0}, lambda n, t: chain_link(n, t)),
+    "braid": ({"m": 1}, lambda m: cyclic_braid_closure(EXAMPLE_BRAID, m=m)),
+    "cube": ({}, lambda: cube_link()),
+    "cube_edge": ({}, lambda: cube_edge_link()),
+    "icosahedral": ({}, lambda: icosahedral_link()),
+    "helical": ({"n": 5}, lambda n: helical_link(_field(n))),
 }
+
+
+def _build_family(name: str, args) -> link_families.LinkBlueprint:
+    reads, build = _FAMILIES[name]
+    _refuse_unread(args, f"family {name}", _FAMILY_FLAGS, reads)
+    return build(**{flag: default if getattr(args, flag) is None else getattr(args, flag)
+                    for flag, default in reads.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +132,7 @@ _FAMILIES = {
 
 
 def cmd_map(args) -> int:
-    spec = _field_from_args(args)
+    spec = _field(args.n)
     surface = biggs_map(spec)
     summary = map_summary(surface)
     match = summary.genus == summary.formula_genus
@@ -143,7 +147,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_transitivity(args) -> int:
-    row = _links_row(_FAMILIES[args.family](args))
+    row = _links_row(_build_family(args.family, args))
     payload = {column: row[column] for column in _TRANSITIVITY_COLUMNS}
     _emit_report(args, payload, [payload], _TRANSITIVITY_COLUMNS)
     return 0
@@ -151,10 +155,11 @@ def cmd_transitivity(args) -> int:
 
 def cmd_links(args) -> int:
     if args.family:
-        blueprint = _FAMILIES[args.family](args)
+        blueprint = _build_family(args.family, args)
         _emit_report(args, blueprint.to_json_dict(), [_links_row(blueprint)], _LINKS_COLUMNS)
         return 0
-    rows = [_links_row(build(args)) for build in _FAMILIES.values()]
+    _refuse_unread(args, "links without --family", _FAMILY_FLAGS)
+    rows = [_links_row(build(**defaults)) for defaults, build in _FAMILIES.values()]
     _emit_report(args, {"families": rows}, rows, _LINKS_COLUMNS)
     return 0
 
@@ -177,11 +182,13 @@ def _links_row(blueprint: link_families.LinkBlueprint) -> dict:
 
 def cmd_dilatation(args) -> int:
     if args.format == "dot":
+        _refuse_unread(args, "dilatation --format dot", ("tol",))
         _emit(substitution_dot(biggs_substitution()), args)
         return 0
-    report = eigen_report(tol=args.tol)
+    tol = train_track.DEFAULT_TOL if args.tol is None else args.tol
+    report = eigen_report(tol=tol)
     _emit_report(args, report, [report], ["lambda", "lambda_inverse", "w", "z"])
-    threshold = max(1000.0 * args.tol, 1e-12)
+    threshold = max(1000.0 * tol, 1e-12)
     return 0 if all(value <= threshold for value in report["residuals"].values()) else 1
 
 
@@ -195,7 +202,7 @@ def cmd_census(args) -> int:
         if prime_power(n) is None:
             continue
         spec = field_of_order(n)
-        blueprint, _helix = helical_link(spec)
+        blueprint = helical_link(spec)
         row = {
             "n": spec.n,
             "cusps": blueprint.n_components,
@@ -226,24 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=formats, default="json")
         sub.add_argument("--out", default=None, help="write output to this path")
 
-    def add_field_args(sub):
-        sub.add_argument("--n", type=int, default=None,
-                         help=f"field order, a prime power > 3 and at most {DEFAULT_MAX_ORDER}; "
-                              "for the chain family, the loop count")
-        sub.add_argument("--p", type=int, default=None, help="field characteristic")
-        sub.add_argument("--k", type=int, default=None, help="field exponent (with --p)")
-
     def add_family_args(sub):
-        add_field_args(sub)
-        sub.add_argument("--t", type=int, default=0, help="half-twists (chain)")
-        sub.add_argument("--m", type=int, default=1, help="extra power (braid closure)")
+        sub.add_argument("--n", type=int, default=None,
+                         help=f"chain: the loop count, at most {link_families.MAX_CHAIN_LOOPS}; "
+                              f"helical: the field order, a prime power > 3 and at most "
+                              f"{DEFAULT_MAX_ORDER}")
+        sub.add_argument("--t", type=int, default=None, help="half-twists (chain)")
+        sub.add_argument("--m", type=int, default=None, help="extra power (braid)")
 
-    family_help = (f"chain: --n loops (default 6, at most {link_families.MAX_CHAIN_LOOPS}) "
-                   "and --t; braid: --m; helical: --n or --p/--k (default order 5); "
-                   "cube, cube_edge, icosahedral: no arguments")
+    family_help = "; ".join(
+        f"{name}: " + (", ".join(f"--{flag} (default {default})" for flag, default in reads.items())
+                       or "no flags")
+        for name, (reads, _build) in _FAMILIES.items())
 
     sub = subparsers.add_parser("map", help="build the order-n map and report its genus")
-    add_field_args(sub)
+    sub.add_argument("--n", type=int, default=None,
+                     help=f"field order, a prime power > 3 and at most {DEFAULT_MAX_ORDER}")
     add_common(sub, formats=("json", "table", "dot"))
     sub.set_defaults(func=cmd_map)
 
@@ -256,14 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("links", help="blueprint data for one family or all")
     sub.add_argument("--family", choices=_FAMILIES, default=None,
-                     help=f"one family, else all; {family_help}")
+                     help=f"one family, else every family at its defaults; {family_help}")
     add_family_args(sub)
     add_common(sub)
     sub.set_defaults(func=cmd_links)
 
     sub = subparsers.add_parser("dilatation",
                                 help="stretch factor and weights of the monodromy")
-    sub.add_argument("--tol", type=float, default=train_track.DEFAULT_TOL)
+    sub.add_argument("--tol", type=float, default=None,
+                     help=f"power-iteration tolerance (default {train_track.DEFAULT_TOL:g}); "
+                          "not read by --format dot")
     add_common(sub, formats=("json", "table", "dot"))
     sub.set_defaults(func=cmd_dilatation)
 
@@ -282,7 +289,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         perm_action._group_cap()  # refuse a bad CSL_MAX_GROUP even where no group is built
-        _check_field_flags(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,6 @@ symmetry invariants.
 
 from __future__ import annotations
 
-import math
-
 from .finite_field import FieldSpec
 from .perm_action import (
     PermGroup,
@@ -422,92 +420,20 @@ def polygon_geometry(p: int, q: int) -> str:
     return "euclidean" if excess == 4 else "hyperbolic"
 
 
-def polygon_radii(p: int, q: int) -> tuple[float, float]:
-    """Inradius r1 (center to edge midpoint) and circumradius r2 (center
-    to vertex) of the regular p-gon with interior angle 2*pi/q.
-
-    Euclidean polygons are normalized to unit edge length; hyperbolic
-    radii are intrinsic (curvature -1).  Both come from solving the
-    right triangle with angles pi/p at the center, pi/q at the vertex,
-    and the right angle at the edge midpoint.  Spherical inputs are out
-    of scope and raise ValueError.
-    """
-    geometry = polygon_geometry(p, q)
-    if geometry == "spherical":
-        raise ValueError(f"({p},{q}) is spherical; only flat and hyperbolic polygons are supported")
-    if geometry == "euclidean":
-        r1 = 0.5 / math.tan(math.pi / p)
-        r2 = 0.5 / math.sin(math.pi / p)
-        return r1, r2
-    r1 = math.acosh(math.cos(math.pi / q) / math.sin(math.pi / p))
-    r2 = math.acosh(1.0 / (math.tan(math.pi / p) * math.tan(math.pi / q)))
-    return r1, r2
-
-
-class HelicalSpec:
-    """Geometric bookkeeping for the helical-arc construction over the
-    order-n map: each face carries n-1 helical arcs of slope
-    (n-1)/sigma on a cylinder of radius rho, where sigma stays symbolic
-    (only the arc count and the end-matching matter combinatorially) and
-    rho must lie strictly inside the window (r1, r2) so that each strand
-    reaches out to link with an arc of the neighboring face.  rho_window
-    is None for the one spherical case (n = 4), whose metric model is
-    out of scope."""
-
-    __slots__ = ("n", "strands_per_face", "slope_numerator", "slope_symbol", "rho_window",
-                 "arc_count", "puncture_count_per_fiber")
-
-    def __init__(self, n: int, strands_per_face: int, slope_numerator: int, slope_symbol: str,
-                 rho_window: tuple[float, float] | None, arc_count: int,
-                 puncture_count_per_fiber: int):
-        if rho_window is not None:
-            r1, r2 = rho_window
-            if not r1 < r2:
-                raise ValueError("radius window must satisfy r1 < r2 strictly")
-        self.n = n
-        self.strands_per_face = strands_per_face
-        self.slope_numerator = slope_numerator
-        self.slope_symbol = slope_symbol
-        self.rho_window = rho_window
-        self.arc_count = arc_count
-        self.puncture_count_per_fiber = puncture_count_per_fiber
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "strands_per_face": self.strands_per_face,
-            "slope": f"{self.slope_numerator}/{self.slope_symbol}",
-            "rho_window": list(self.rho_window) if self.rho_window else None,
-            "arc_count": self.arc_count,
-            "puncture_count_per_fiber": self.puncture_count_per_fiber,
-        }
-
-
-def helical_link(spec: FieldSpec) -> tuple[LinkBlueprint, HelicalSpec]:
+def helical_link(spec: FieldSpec) -> LinkBlueprint:
     """One closed curve per face of the order-n regular map, each a
     (n-1, 1) torus knot swept out by n-1 helical arcs around the face
     center, inside the product of the map's surface with a circle.
-    Because every pair of faces shares an edge and the radius window
-    forces each strand onto the neighboring faces, every pair of
-    components links.  The affine symmetry of the face labels carries
+    Because every pair of faces shares an edge and each strand runs at a
+    radius between the face polygon's inradius and circumradius, so
+    reaches onto the neighboring faces, every pair of components links.  The affine symmetry of the face labels carries
     the components 2-transitively."""
     n = spec.n
     if n <= 3:
         raise ValueError("field order must exceed 3")
     surface = biggs_map(spec)
     vertex_degree = len(surface.vertices[0])
-    geometry = polygon_geometry(n - 1, vertex_degree)
-    window = None if geometry == "spherical" else polygon_radii(n - 1, vertex_degree)
-    helix = HelicalSpec(
-        n=n,
-        strands_per_face=n - 1,
-        slope_numerator=n - 1,
-        slope_symbol="sigma",
-        rho_window=window,
-        arc_count=n * (n - 1),
-        puncture_count_per_fiber=n * (n - 1),
-    )
-    blueprint = LinkBlueprint(
+    return LinkBlueprint(
         family="helical",
         ambient="SxS1",
         components=tuple(f"face_{element}" for element in spec.elements()),
@@ -521,8 +447,7 @@ def helical_link(spec: FieldSpec) -> tuple[LinkBlueprint, HelicalSpec]:
             "n": n,
             "face_polygon": n - 1,
             "vertex_degree": vertex_degree,
-            "geometry": geometry,
+            "geometry": polygon_geometry(n - 1, vertex_degree),
             "genus": surface.genus,
         },
     )
-    return blueprint, helix

@@ -159,7 +159,7 @@ def test_criterion_6_census(capsys):
         expected = [n for n in range(4, 14) if prime_power(n) is not None]
         record.check(expected == [4, 5, 7, 8, 9, 11, 13], "prime-power range wrong")
         for n in expected:
-            blueprint, _ = helical_link(field_of_order(n))
+            blueprint = helical_link(field_of_order(n))
             record.check(blueprint.n_components == n, f"n={n}: component count off")
             record.check(blueprint.linking_complete, f"n={n}: linking not complete")
             record.check(blueprint.transitivity_degree == 2, f"n={n}: degree != 2")

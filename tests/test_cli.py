@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from cusplink import cli
 from cusplink.cli import main
+from cusplink.finite_field import DEFAULT_MAX_ORDER, field_of_order, make_field, prime_power
 
 
 def run(capsys, *argv):
@@ -35,13 +37,17 @@ def test_map_rejects_non_prime_power(capsys):
 
 
 def test_field_by_characteristic_and_exponent(capsys):
-    code, out, _ = run(capsys, "map", "--p", "3", "--k", "2")
+    # --n p^k names the field make_field(p, k) builds, modulus and all
+    for n in range(4, DEFAULT_MAX_ORDER + 1):
+        if prime_power(n) is not None:
+            assert field_of_order(n) == make_field(*prime_power(n))
+    code, out, _ = run(capsys, "map", "--n", "9")
     assert code == 0
     assert json.loads(out)["genus"] == 10
-    code, out, _ = run(capsys, "transitivity", "helical", "--p", "2", "--k", "3")
+    code, out, _ = run(capsys, "transitivity", "helical", "--n", "8")
     assert code == 0
     assert json.loads(out)["n_components"] == 8
-    code, _, _ = run(capsys, "map", "--p", "2", "--k", "1")  # order 2 is too small
+    code, _, _ = run(capsys, "map", "--n", "2")  # order 2 is too small
     assert code == 2
 
 
@@ -206,9 +212,9 @@ def test_census_reports_check_failures(monkeypatch, capsys):
     real = helical_link
 
     def broken(spec):
-        blueprint, helix = real(spec)
+        real(spec)
         # a chain blueprint in place of the helical one: degree 1, partial linking
-        return chain_link(spec.n, 0), helix
+        return chain_link(spec.n, 0)
 
     monkeypatch.setattr(cli, "helical_link", broken)
     code, _, _ = run(capsys, "census", "--n-max", "5")
@@ -290,10 +296,10 @@ def test_dilatation_tolerance_out_of_bounds_is_a_usage_error(capsys, tol, bound)
     (("map", "--n", "100000000000031"), "order 100000000000031"),
     (("map", "--n", "1000000000000000003"), "order 1000000000000000003"),
     (("map", "--n", "1000000000000000000"), "order 1000000000000000000"),
-    (("map", "--p", "3", "--k", "30000000"), "order 3^30000000"),
-    (("map", "--p", "100000000000031"), "order 100000000000031"),
+    (("transitivity", "helical", "--n", "81"), "order 81"),
+    (("links", "--family", "helical", "--n", "100000000000031"), "order 100000000000031"),
     (("transitivity", "helical", "--n", "1000000000000000003"), "order 1000000000000000003"),
-    (("links", "--p", "2", "--k", "7"), "order 128"),
+    (("links", "--family", "helical", "--n", "128"), "order 128"),
 ])
 def test_field_order_over_the_cap_is_refused_before_factoring(monkeypatch, capsys, argv, shown):
     _forbid_factoring_above_the_cap(monkeypatch)
@@ -345,7 +351,7 @@ def test_transitivity_braid_is_constant_time_in_m(capsys):
 @pytest.mark.parametrize("argv", [("transitivity", "chain", "--n", "257"),
                                   ("transitivity", "chain", "--n", "100000"),
                                   ("links", "--family", "chain", "--n", "257"),
-                                  ("links", "--n", "257")])
+                                  ("links", "--family", "chain", "--n", "100000")])
 def test_chain_past_the_loop_bound_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -356,20 +362,53 @@ def test_family_help_names_each_family_argument(capsys):
     with pytest.raises(SystemExit):
         main(["transitivity", "--help"])
     out = " ".join(capsys.readouterr().out.split())
-    assert "chain: --n loops (default 6, at most 256) and --t" in out
-    assert "helical: --n or --p/--k (default order 5)" in out
+    assert ("chain: --n (default 6), --t (default 0); braid: --m (default 1); "
+            "cube: no flags; cube_edge: no flags; icosahedral: no flags; "
+            "helical: --n (default 5)") in out
+    assert "chain: the loop count, at most 256" in out
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("map", "--n", "9", "--k", "3"), "--n cannot be combined with --k"),
-    (("map", "--p", "3", "--n", "16"), "--n cannot be combined with --p"),
-    (("map", "--n", "9", "--p", "3", "--k", "2"), "--n cannot be combined with --p and --k"),
-    (("map", "--k", "2"), "--k needs --p"),
-    (("transitivity", "helical", "--n", "9", "--p", "3"), "--n cannot be combined with --p"),
-    (("links", "--family", "chain", "--n", "5", "--k", "2"), "--n cannot be combined with --k"),
-    (("links", "--k", "2"), "--k needs --p"),
-])
-def test_conflicting_field_flags_are_refused(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("command", [("transitivity",), ("links", "--family")],
+                         ids=["transitivity", "links"])
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_family_refuses_the_flags_it_does_not_read(capsys, command, family):
+    reads, _build = cli._FAMILIES[family]
+    for flag in (flag for flag in cli._FAMILY_FLAGS if flag not in reads):
+        code, out, err = run(capsys, *command, family, f"--{flag}", "9")
+        assert code == 2 and out == ""
+        assert err == f"error: family {family} does not read --{flag}\n"
+
+
+@pytest.mark.parametrize("command", [("transitivity",), ("links", "--family")],
+                         ids=["transitivity", "links"])
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_family_flag_at_its_default_changes_nothing(capsys, command, family):
+    reads, _build = cli._FAMILIES[family]
+    plain = run(capsys, *command, family)
+    assert plain[0] == 0
+    for flag, default in reads.items():
+        assert run(capsys, *command, family, f"--{flag}", str(default)) == plain
+
+
+@pytest.mark.parametrize("flag", ["--n", "--t", "--m"])
+def test_links_without_family_reads_no_family_flag(capsys, flag):
+    code, out, err = run(capsys, "links", flag, "7")
     assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: links without --family does not read {flag}\n"
+
+
+@pytest.mark.parametrize("argv", [("map", "--p", "3"), ("transitivity", "helical", "--k", "2"),
+                                  ("links", "--family", "helical", "--p", "3", "--k", "2")])
+def test_removed_field_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["1", "nan", "1e-13"])
+def test_dilatation_dot_reads_no_tolerance(capsys, tol):
+    code, out, err = run(capsys, "dilatation", "--format", "dot", "--tol", tol)
+    assert code == 2 and out == ""
+    assert err == "error: dilatation --format dot does not read --tol\n"

@@ -60,6 +60,24 @@ def test_make_field_rejects_bad_input():
     assert make_field(2, 7, max_order=128).n == 128
 
 
+@pytest.mark.parametrize("p, k, shown", [(3, 30000000, "3^30000000"),
+                                         (100000000000031, 1, "100000000000031")])
+def test_make_field_refuses_over_the_cap_before_factoring(monkeypatch, p, k, shown):
+    from cusplink import finite_field
+
+    def guarded(real):
+        def check(n):
+            assert n <= DEFAULT_MAX_ORDER, f"{real.__name__}({n}) ran above the cap"
+            return real(n)
+        return check
+
+    monkeypatch.setattr(finite_field, "is_prime", guarded(finite_field.is_prime))
+    monkeypatch.setattr(finite_field, "prime_power", guarded(finite_field.prime_power))
+    with pytest.raises(ValueError) as excinfo:
+        make_field(p, k)
+    assert str(excinfo.value) == f"order {shown} exceeds the cap {DEFAULT_MAX_ORDER}"
+
+
 def test_gf4_multiplication():
     gf4 = make_field(2, 2)
     x = gf4.element([0, 1])

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from cusplink.finite_field import field_of_order
@@ -18,7 +16,6 @@ from cusplink.link_families import (
     helical_link,
     icosahedral_link,
     polygon_geometry,
-    polygon_radii,
 )
 from cusplink.perm_action import Permutation, group_closure, is_k_transitive
 
@@ -32,7 +29,7 @@ def all_blueprints():
         cube_link(),
         cube_edge_link(),
         icosahedral_link(),
-        helical_link(field_of_order(5))[0],
+        helical_link(field_of_order(5)),
     ]
 
 
@@ -121,7 +118,7 @@ def test_json_export_shape():
     assert payload["n_components"] == 5
     assert payload["hyperbolicity"]["status"] == "asserted_by_paper"
     assert payload["linking"][0][1] == 1
-    helical_payload = helical_link(field_of_order(5))[0].to_json_dict()
+    helical_payload = helical_link(field_of_order(5)).to_json_dict()
     assert helical_payload["linking"] == "complete"
     assert helical_payload["ambient"] == "SxS1"
 
@@ -288,46 +285,13 @@ def test_icosahedral_link():
 
 
 # ---------------------------------------------------------------------------
-# polygon radii
-
-
-def test_unit_square_radii():
-    r1, r2 = polygon_radii(4, 4)
-    assert r1 == pytest.approx(0.5, abs=1e-12)
-    assert r2 == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-
-
-def test_unit_hexagon_radii():
-    r1, r2 = polygon_radii(6, 3)
-    assert r1 == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
+# polygon geometry
 
 
 def test_spherical_rejected():
-    with pytest.raises(ValueError):
-        polygon_radii(3, 3)
     assert polygon_geometry(3, 3) == "spherical"
     with pytest.raises(ValueError):
-        polygon_radii(2, 7)
-
-
-def _hyperbolic_angle(opposite, side_b, side_c):
-    """Angle between sides b and c from the hyperbolic law of cosines."""
-    value = (math.cosh(side_b) * math.cosh(side_c) - math.cosh(opposite)) / (
-        math.sinh(side_b) * math.sinh(side_c))
-    return math.acos(value)
-
-
-@pytest.mark.parametrize("p,q", [(6, 4), (7, 7), (8, 8), (10, 5), (12, 12)])
-def test_hyperbolic_radii_against_law_of_cosines(p, q):
-    r1, r2 = polygon_radii(p, q)
-    assert 0 < r1 < r2
-    # right triangle: center (angle pi/p), vertex (angle pi/q), edge midpoint
-    # (right angle); half edge from the hyperbolic Pythagorean relation
-    half_edge = math.acosh(math.cosh(r2) / math.cosh(r1))
-    assert _hyperbolic_angle(half_edge, r1, r2) == pytest.approx(math.pi / p, abs=1e-9)
-    assert _hyperbolic_angle(r1, half_edge, r2) == pytest.approx(math.pi / q, abs=1e-9)
-    assert _hyperbolic_angle(r2, half_edge, r1) == pytest.approx(math.pi / 2, abs=1e-9)
+        polygon_geometry(2, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -336,31 +300,20 @@ def test_hyperbolic_radii_against_law_of_cosines(p, q):
 
 @pytest.mark.parametrize("n", [4, 5, 7, 8, 9, 11, 13])
 def test_helical_families(n):
-    blueprint, helix = helical_link(field_of_order(n))
+    blueprint = helical_link(field_of_order(n))
     assert blueprint.n_components == n
     assert blueprint.linking_complete
     assert blueprint.transitivity_degree == 2
     # sharply 2-transitive: order equals the number of ordered pairs
     assert blueprint.symmetry_order == n * (n - 1)
-    assert helix.strands_per_face == n - 1
-    assert helix.arc_count == n * (n - 1)
-    assert helix.puncture_count_per_fiber == n * (n - 1)
-    if n == 4:
-        assert helix.rho_window is None  # tetrahedral case is spherical
-    else:
-        r1, r2 = helix.rho_window
-        assert 0 < r1 < r2
-
-
-def test_helical_n5_window_is_the_unit_square_window():
-    _, helix = helical_link(field_of_order(5))
-    assert helix.rho_window[0] == pytest.approx(0.5, abs=1e-12)
-    assert helix.rho_window[1] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-    assert helix.to_json_dict()["slope"] == "4/sigma"
+    # triangles three at a vertex (n = 4) tile the sphere; squares four at
+    # a vertex (n = 5) and hexagons three at a vertex (n = 7), the torus
+    expected = {4: "spherical", 5: "euclidean", 7: "euclidean"}.get(n, "hyperbolic")
+    assert blueprint.params["geometry"] == expected
 
 
 def test_helical_components_carry_field_labels():
-    blueprint, _ = helical_link(field_of_order(4))
+    blueprint = helical_link(field_of_order(4))
     assert blueprint.components == ("face_0,0", "face_1,0", "face_0,1", "face_1,1")
 
 

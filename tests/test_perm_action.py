@@ -236,7 +236,7 @@ def test_helical_link_never_lists_group_elements(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(link_families, "affine_group", recording)
-    blueprint, _ = link_families.helical_link(field_of_order(64))
+    blueprint = link_families.helical_link(field_of_order(64))
     (group,) = built
     assert group.order == blueprint.symmetry_order == 4032
     assert transitivity_degree(group) == blueprint.transitivity_degree == 2
