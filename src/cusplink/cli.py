@@ -8,11 +8,13 @@ as "error: <reader> does not read --<flag>" (a family flag --n, --t or
 --m that the chosen family does not read, any of them for `links`
 without --family, which builds every family at its defaults, and --tol
 under `dilatation --format dot`); an invalid n; a census --n-max above
-the field-order cap; a dilatation tolerance outside its bounds; an
-invalid CSL_MAX_GROUP, which every subcommand checks; and an --out path
-that cannot be written, reported as "error: cannot write --out PATH:
-<reason>".  A violated internal invariant is a check failure too: it
-exits 1 with "error: invariant violated: ..." instead of a traceback.
+the field-order cap; a census range that holds no prime power above 3
+(--n-min 10 --n-max 5, or --n-max 3); a dilatation tolerance outside
+its bounds; an invalid CSL_MAX_GROUP, which every subcommand checks;
+and an --out path that cannot be written, reported as "error: cannot
+write --out PATH: <reason>".  A violated internal invariant is a check
+failure too: it exits 1 with "error: invariant violated: ..." instead
+of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.  The group-order cap is set only
 by the CSL_MAX_GROUP environment variable.
@@ -214,6 +216,9 @@ def cmd_census(args) -> int:
         passed = passed and (row["cusps"] == spec.n
                              and row["transitivity_degree"] == 2
                              and blueprint.linking_complete)
+    if not rows:  # nothing to check is not a pass
+        raise ValueError(f"census range --n-min {args.n_min} --n-max {args.n_max} "
+                         "holds no prime power above 3")
     _emit_report(args, {"rows": rows}, rows,
                  ["n", "cusps", "symmetry_order", "transitivity_degree", "linking"])
     return 0 if passed else 1

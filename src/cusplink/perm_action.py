@@ -396,15 +396,10 @@ def affine_permutation(spec, s, t) -> Permutation:
 
 
 def affine_group(spec) -> PermGroup:
-    """The full affine group of the field as a permutation group on the
-    n field labels: generated by translations along an additive basis
-    together with scaling by a generator of the multiplicative group.
-    Its order is n*(n-1) and the action is sharply 2-transitive."""
-    one = spec.one
-    zero = spec.zero
-    generators = []
-    for i in range(spec.k):
-        basis_vector = spec.element([0] * i + [1])
-        generators.append(affine_permutation(spec, one, basis_vector))
-    generators.append(affine_permutation(spec, spec.primitive(), zero))
-    return group_closure(generators)
+    """The full affine group AGL(1, n) of the field as a permutation
+    group on the n field labels, generated by x -> x + 1 and x -> w*x for
+    a generator w of the multiplicative group: conjugating x + 1 by the
+    powers of the scaling gives every translation x + w^i.  Its order is
+    n*(n-1) and the action is sharply 2-transitive."""
+    return group_closure([affine_permutation(spec, spec.one, spec.one),
+                          affine_permutation(spec, spec.primitive(), spec.zero)])

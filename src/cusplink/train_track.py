@@ -26,7 +26,6 @@ repetition.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 
@@ -125,20 +124,16 @@ def _dot(a, b) -> float:
     return total
 
 
-def _float_rows(matrix) -> tuple[tuple[float, ...], ...]:
+def _as_matrix(matrix) -> tuple[tuple[float, ...], ...]:
+    """The rows of a nonempty, square, finite, nonnegative matrix as
+    float tuples; matrix is a TransitionMatrix or any sequence of rows."""
     try:
-        rows = tuple(tuple(float(x) for x in row) for row in matrix)
+        rows = tuple(tuple(float(x) for x in row) for row in
+                     (matrix.matrix if isinstance(matrix, TransitionMatrix) else matrix))
     except TypeError:  # a flat sequence, or entries that are not numbers
         rows = ((),)
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("a square matrix is required")
-    return rows
-
-
-def _as_matrix(matrix) -> tuple[tuple[float, ...], ...]:
-    """The rows of a nonempty, square, finite, nonnegative matrix as
-    float tuples; matrix is a TransitionMatrix or any sequence of rows."""
-    rows = _float_rows(matrix.matrix if isinstance(matrix, TransitionMatrix) else matrix)
     if not rows:
         raise ValueError("matrix is empty")
     for i, row in enumerate(rows):
@@ -165,18 +160,16 @@ def is_primitive(matrix) -> bool:
     return all(map(all, reach))
 
 
-def eigenvalues_2x2(matrix) -> tuple[complex, complex]:
-    """Quadratic-formula eigenvalues, largest modulus first."""
-    rows = _float_rows(matrix)
+def eigenvalues_2x2(matrix) -> tuple[float, float]:
+    """Quadratic-formula eigenvalues of a nonnegative 2x2 matrix, larger
+    first.  The discriminant (a - d)^2 + 4bc equals tr^2 - 4 det without
+    cancelling when a ~ d, and is never negative."""
+    rows = _as_matrix(matrix)
     if len(rows) != 2:
         raise ValueError("a 2x2 matrix is required")
     (a, b), (c, d) = rows
-    tr = a + d
-    # (a - d)^2 + 4bc equals tr^2 - 4 det without cancelling when a ~ d
-    disc = (a - d) ** 2 + 4.0 * b * c
-    root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
-    pair = ((tr + root) / 2.0, (tr - root) / 2.0)
-    return tuple(sorted(pair, key=abs, reverse=True))
+    root = math.sqrt((a - d) ** 2 + 4.0 * b * c)
+    return (a + d + root) / 2.0, (a + d - root) / 2.0
 
 
 def _refuse_slow_contraction(earlier: float, relative: float, step: int, tol: float) -> None:
@@ -229,7 +222,7 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
     else:
         raise RuntimeError(f"power iteration did not converge within {MAX_ITERATIONS} steps")
     if len(rows) == 2:
-        exact = eigenvalues_2x2(rows)[0].real
+        exact = eigenvalues_2x2(rows)[0]
         allowance = max(10.0 * tol, 1e-9) * max(1.0, abs(exact))
         if abs(lam - exact) > allowance:
             raise AssertionError("power iteration disagrees with the quadratic formula: "
@@ -245,10 +238,7 @@ class MeasureSystem:
     """Positive weights per branch class with the eigenvalue they solve.
 
     kind is "transverse" (weights, normalized z = 1) or "tangential"
-    (edge lengths, normalized the same way).  For the transverse system,
-    the composite branches of the unreduced track have the sums
-    w + 2z (semicircular, half-surrounding a puncture) and 2w + 2z
-    (short branch between nearest-neighbor punctures)."""
+    (edge lengths, normalized the same way)."""
 
     __slots__ = ("kind", "weights", "lam")
 
@@ -260,12 +250,6 @@ class MeasureSystem:
         self.kind = kind
         self.weights = weights
         self.lam = lam
-
-    def semicircular_weight(self) -> float:
-        return self.weights["w"] + 2.0 * self.weights["z"]
-
-    def short_branch_weight(self) -> float:
-        return 2.0 * self.weights["w"] + 2.0 * self.weights["z"]
 
 
 def dilatation(tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -332,68 +316,7 @@ def crossing_measure(arc: ArcCrossing, measures: MeasureSystem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# substitution growth
-
-
-def letter_counts(rules: SubstitutionRules, seed: str, iterations: int) -> list[dict[str, int]]:
-    """Exact letter counts of the iterated images of a single seed
-    letter (exact integers; the words themselves grow geometrically and
-    are never materialized here)."""
-    if seed not in rules.labels:
-        raise ValueError(f"unknown seed letter {seed!r}")
-    matrix = transition_matrix(rules).matrix
-    counts = [int(label == seed) for label in rules.labels]
-    history = [dict(zip(rules.labels, counts))]
-    for _ in range(iterations):
-        counts = [sum(count * row[j] for count, row in zip(counts, matrix))
-                  for j in range(len(counts))]
-        history.append(dict(zip(rules.labels, counts)))
-    return history
-
-
-def word_lengths(rules: SubstitutionRules, seed: str, iterations: int) -> list[int]:
-    return [sum(counts.values()) for counts in letter_counts(rules, seed, iterations)]
-
-
-def growth_ratios(rules: SubstitutionRules, seed: str = "w", iterations: int = 12) -> list[float]:
-    """Successive length ratios of the iterated seed word; they converge
-    to the dominant eigenvalue."""
-    lengths = word_lengths(rules, seed, iterations)
-    return [lengths[i] / lengths[i - 1] for i in range(1, len(lengths))]
-
-
-# ---------------------------------------------------------------------------
 # reports
-
-
-class AnosovReport:
-    """Determinant, trace, and eigenvalues of an integer 2x2 matrix,
-    with the hyperbolicity verdict (unit determinant, no eigenvalue on
-    the unit circle)."""
-
-    __slots__ = ("matrix", "determinant", "trace", "eigenvalues", "is_anosov")
-
-    def __init__(self, matrix: tuple[tuple[int, int], tuple[int, int]], determinant: int,
-                 trace: int, eigenvalues: tuple[complex, complex], is_anosov: bool):
-        self.matrix = matrix
-        self.determinant = determinant
-        self.trace = trace
-        self.eigenvalues = eigenvalues
-        self.is_anosov = is_anosov
-
-
-def anosov_check(matrix) -> AnosovReport:
-    """Inspect the torus transformation induced on the two-fold quotient:
-    for [[3, 4], [2, 3]] this confirms determinant 1, trace 6, and scale
-    factors 3 +- 2*sqrt(2)."""
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
-    if len(rows) != 2 or any(len(row) != 2 for row in rows):
-        raise ValueError("a 2x2 integer matrix is required")
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    tr = rows[0][0] + rows[1][1]
-    eigenvalues = eigenvalues_2x2(rows)
-    hyperbolic = abs(det) == 1 and all(abs(abs(v) - 1.0) > 1e-12 for v in eigenvalues)
-    return AnosovReport(rows, det, tr, eigenvalues, hyperbolic)
 
 
 def eigen_report(tol: float = DEFAULT_TOL) -> dict:

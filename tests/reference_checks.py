@@ -1,9 +1,15 @@
-"""Literal reference implementations the tests compare the program
-against.  Each follows a definition verbatim and is exponential or
-linear in the object it checks, so it runs on small inputs only; the
-program itself never calls them."""
+"""Reference implementations the tests compare the program against;
+the program itself never calls them.  The group and map references
+follow a definition verbatim and are exponential or linear in the
+object they check, so they run on small inputs only.  The train-track
+references run on installed oracles instead: numpy's eigenvalues and
+exact integer matrix powers."""
 
 from itertools import permutations as distinct_tuples
+
+import numpy as np
+
+from cusplink.train_track import transition_matrix
 
 
 def is_k_transitive_literal(group, k: int) -> bool:
@@ -70,3 +76,38 @@ def expand_word(rules, word, iterations: int = 1) -> tuple[str, ...]:
             out.extend(rules.rules[letter])
         current = tuple(out)
     return current
+
+
+def letter_counts(rules, seed: str, iterations: int) -> dict[str, int]:
+    """Letter counts of the seed letter's image after `iterations`
+    substitutions: the seed's row of that power of the transition
+    matrix, in exact integers."""
+    matrix = np.array(transition_matrix(rules).matrix, dtype=object)
+    row = np.linalg.matrix_power(matrix, iterations)[rules.labels.index(seed)]
+    return dict(zip(rules.labels, map(int, row)))
+
+
+def growth_ratios(rules, seed: str, iterations: int) -> list[float]:
+    """Successive length ratios of the iterated seed word; they converge
+    to the dominant eigenvalue."""
+    lengths = [sum(letter_counts(rules, seed, k).values()) for k in range(iterations + 1)]
+    return [after / before for before, after in zip(lengths, lengths[1:])]
+
+
+def is_anosov(matrix) -> bool:
+    """An integer 2x2 matrix of determinant +-1 with no eigenvalue on
+    the unit circle, by numpy's eigenvalues."""
+    (a, b), (c, d) = matrix
+    moduli = np.abs(np.linalg.eigvals(np.array(matrix, dtype=float)))
+    return abs(a * d - b * c) == 1 and bool(np.all(np.abs(moduli - 1.0) > 1e-12))
+
+
+def composite_weights(matrix) -> tuple[float, float]:
+    """The unreduced track's composite branch weights from numpy's
+    Perron vector (w, z) of the transverse matrix at z = 1: the
+    semicircular branch half-surrounding a puncture, w + 2z, and the
+    short branch between nearest-neighbour punctures, 2w + 2z."""
+    values, vectors = np.linalg.eig(np.array(matrix, dtype=float))
+    w, z = vectors[:, np.argmax(values.real)].real
+    w /= z
+    return w + 2, 2 * w + 2

@@ -37,11 +37,10 @@ from cusplink.regular_map import (
 )
 from cusplink.train_track import (
     biggs_substitution,
-    growth_ratios,
     is_primitive,
     perron_eigen,
 )
-from reference_checks import dart_automorphism_is_valid, orbits
+from reference_checks import dart_automorphism_is_valid, growth_ratios, orbits
 
 LAMBDA = 3.0 + 2.0 * math.sqrt(2.0)
 GENUS_RANGE = (5, 7, 8, 9, 11, 13)

@@ -149,9 +149,12 @@ def test_census_default_range(capsys):
 
 
 def test_census_empty_range(capsys):
-    code, out, _ = run(capsys, "census", "--n-max", "3")
-    assert code == 0
-    assert json.loads(out)["rows"] == []
+    # empty ranges, and a range whose only order is not a prime power
+    for n_min, n_max in [("4", "3"), ("10", "5"), ("-5", "3"), ("6", "6")]:
+        code, out, err = run(capsys, "census", "--n-min", n_min, "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert err == f"error: census range --n-min {n_min} --n-max {n_max} " \
+                      "holds no prime power above 3\n"
 
 
 def test_census_table(capsys):
@@ -254,7 +257,7 @@ def test_violated_invariant_maps_to_exit_1(monkeypatch, capsys):
     from cusplink import train_track
 
     # a quadratic formula that disagrees with power iteration
-    monkeypatch.setattr(train_track, "eigenvalues_2x2", lambda matrix: (1.0 + 0j, 0j))
+    monkeypatch.setattr(train_track, "eigenvalues_2x2", lambda matrix: (1.0, 0.0))
     code, out, err = run(capsys, "dilatation")
     assert code == 1 and out == ""
     assert err.startswith("error: invariant violated: power iteration disagrees "

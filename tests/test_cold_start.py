@@ -1,7 +1,8 @@
 """No command imports numpy, the eigen solver included, and none
-imports dataclasses or inspect (about 11 ms of start-up between them):
-each is checked in a fresh interpreter.  typing is not checked, since
-site may load it before cusplink is imported."""
+imports dataclasses or inspect (about 11 ms of start-up between them)
+or cmath (the eigen solver reads only nonnegative matrices, whose 2x2
+eigenvalues are real): each is checked in a fresh interpreter.  typing
+is not checked, since site may load it before cusplink is imported."""
 
 import functools
 import os
@@ -15,7 +16,7 @@ import cusplink
 
 SRC = Path(cusplink.__file__).resolve().parents[1]
 
-WATCHED = ("numpy", "dataclasses", "inspect")
+WATCHED = ("numpy", "dataclasses", "inspect", "cmath")
 
 # Runs the CLI with the given argv (none: import only) and reports on
 # stderr which watched modules were loaded by the time the command
@@ -66,3 +67,9 @@ def test_command_loads_neither_dataclasses_nor_inspect(argv):
     after_import, after_command = loaded(*argv)
     assert not after_import & {"dataclasses", "inspect"}
     assert not after_command & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS + [("dilatation",)])
+def test_command_loads_no_cmath(argv):
+    after_import, after_command = loaded(*argv)
+    assert "cmath" not in after_import | after_command

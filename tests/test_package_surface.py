@@ -1,5 +1,5 @@
 """The installed package exports what the CLI and the checks use; the
-literal cross-check references live in tests/reference_checks.py."""
+cross-check references live in tests/reference_checks.py."""
 
 import importlib
 import pickle
@@ -11,7 +11,9 @@ import reference_checks
 
 MODULES = ["cusplink", "cusplink.perm_action", "cusplink.regular_map", "cusplink.train_track"]
 MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits",
-         "dart_automorphism_is_valid", "expand_word"]
+         "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios"]
+# Second routes that dilatation never ran, gone without a same-named reference.
+REMOVED = ["anosov_check", "AnosovReport", "word_lengths"]
 
 
 def test_every_exported_name_resolves():
@@ -26,6 +28,16 @@ def test_cross_check_references_are_not_shipped(module):
         assert callable(getattr(reference_checks, name))
         assert not hasattr(shipped, name), f"{module}.{name}"
         assert name not in cusplink.__all__
+
+
+@pytest.mark.parametrize("module", ["cusplink", "cusplink.train_track"])
+def test_removed_train_track_routes_are_gone(module):
+    shipped = importlib.import_module(module)
+    for name in REMOVED:
+        assert not hasattr(shipped, name), f"{module}.{name}"
+        assert name not in cusplink.__all__
+    for name in ("semicircular_weight", "short_branch_weight"):
+        assert not hasattr(cusplink.MeasureSystem, name)
 
 
 def test_perm_group_has_no_orbit_methods():

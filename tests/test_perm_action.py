@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from cusplink.finite_field import field_of_order, make_field
+from cusplink.finite_field import field_of_order, make_field, prime_power
 from cusplink.perm_action import (
     Permutation,
     affine_group,
@@ -168,6 +168,23 @@ def test_affine_group_sharply_two_transitive(n):
     group = affine_group(field_of_order(n))
     assert group.order == n * (n - 1)
     assert transitivity_degree(group) == 2
+
+
+PRIME_POWERS_4_TO_64 = [n for n in range(4, 65) if prime_power(n)]
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS_4_TO_64)
+def test_two_generators_give_the_whole_affine_group(n):
+    # x -> x + 1 and x -> w*x; every translation along the additive basis
+    # 1, x, ..., x^(k-1), the old generators, lies in the group they make
+    spec = field_of_order(n)
+    group = affine_group(spec)
+    assert len(group.generators) == 2
+    assert group.order == n * (n - 1)
+    assert transitivity_degree(group) == 2
+    for i in range(spec.k):
+        assert affine_permutation(spec, spec.one, spec.element([0] * i + [1])) in group
+    assert affine_permutation(spec, spec.primitive(), spec.zero) in group
 
 
 def test_affine_permutation_translation_is_shift():

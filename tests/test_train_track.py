@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,24 +9,27 @@ import pytest
 from cusplink.train_track import (
     ArcCrossing,
     SubstitutionRules,
-    anosov_check,
     biggs_substitution,
     crossing_measure,
     dilatation,
     eigen_report,
     eigenvalues_2x2,
-    growth_ratios,
     is_primitive,
-    letter_counts,
     perron_eigen,
     reference_arcs,
     substitution_dot,
     tangential_weights,
     transition_matrix,
     transverse_weights,
-    word_lengths,
 )
-from reference_checks import expand_word
+from cusplink.cli import main as cli_main
+from reference_checks import (
+    composite_weights,
+    expand_word,
+    growth_ratios,
+    is_anosov,
+    letter_counts,
+)
 
 LAMBDA = 3.0 + 2.0 * math.sqrt(2.0)
 
@@ -154,8 +159,16 @@ def test_transverse_weights():
     assert abs(10 * w + 14 * z - lam * (2 * w + 2 * z)) < 1e-12
     assert abs(2 * w + 3 * z - lam * z) < 1e-12
     assert abs(3 * w + 4 * z - lam * w) < 1e-12
-    assert measures.semicircular_weight() == pytest.approx(w + 2 * z)
-    assert measures.short_branch_weight() == pytest.approx(2 * w + 2 * z)
+
+
+def test_composite_branch_weights_match_numpy():
+    semicircular, short_branch = composite_weights(((3, 4), (2, 3)))
+    measures = transverse_weights()
+    assert crossing_measure(ArcCrossing("semi", {"w": 1, "z": 2}), measures) == \
+        pytest.approx(semicircular, abs=1e-12)
+    # the arc CD crosses exactly one short branch
+    assert crossing_measure(reference_arcs()["CD"], measures) == \
+        pytest.approx(short_branch, abs=1e-12)
 
 
 def test_tangential_weights_are_reciprocal():
@@ -192,32 +205,35 @@ def test_crossing_measure_rejects_unknown_class():
 
 
 def test_anosov_reports():
-    report = anosov_check([[3, 4], [2, 3]])
-    assert report.determinant == 1
-    assert report.trace == 6
-    assert report.eigenvalues[0] == pytest.approx(LAMBDA, abs=1e-12)
-    assert report.eigenvalues[1] == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-12)
-    assert report.is_anosov
+    # the torus map induced on the two-fold quotient
+    assert is_anosov([[3, 4], [2, 3]])
+    assert np.linalg.det([[3, 4], [2, 3]]) == pytest.approx(1.0)
+    assert sorted(np.linalg.eigvals([[3.0, 4.0], [2.0, 3.0]])) == \
+        pytest.approx([3 - 2 * math.sqrt(2), LAMBDA], abs=1e-12)
+    assert is_anosov([[2, 1], [1, 1]])
+    assert not is_anosov([[1, 0], [0, 1]])
+    assert not is_anosov([[0, -1], [1, 0]])  # eigenvalues on the unit circle
+    assert not is_anosov([[2, 0], [0, 1]])  # determinant 2
 
-    identity = anosov_check([[1, 0], [0, 1]])
-    assert identity.eigenvalues == (1.0, 1.0)
-    assert not identity.is_anosov
 
-    fib_like = anosov_check([[2, 1], [1, 1]])
-    assert fib_like.eigenvalues[0] == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
-    assert fib_like.eigenvalues[1] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
-
-    rotation = anosov_check([[0, -1], [1, 0]])
-    assert not rotation.is_anosov  # eigenvalues on the unit circle
+@pytest.mark.parametrize("matrix", [[[3, 4], [2, 3]], [[2, 1], [1, 1]], [[1, 1], [1, 0]],
+                                    [[1, 1e-9], [1e-9, 1]], [[0, 2], [3, 0]]])
+def test_eigenvalues_2x2_match_numpy(matrix):
+    assert eigenvalues_2x2(matrix) == pytest.approx(
+        sorted(np.linalg.eigvals(np.array(matrix, dtype=float)).real, reverse=True), abs=1e-12)
 
 
 def test_eigenvalues_2x2_requires_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         eigenvalues_2x2([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="2x2"):
+        eigenvalues_2x2([[1]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        eigenvalues_2x2([[0, -1], [1, 0]])
 
 
 def test_word_lengths_start_as_pell_like_sequence():
-    lengths = word_lengths(biggs_substitution(), "w", 4)
+    lengths = [sum(letter_counts(biggs_substitution(), "w", k).values()) for k in range(5)]
     assert lengths == [1, 5, 29, 169, 985]
 
 
@@ -225,9 +241,7 @@ def test_letter_counts_match_literal_expansion():
     rules = biggs_substitution()
     for k in range(5):
         word = expand_word(rules, ("w",), k)
-        counts = letter_counts(rules, "w", k)[-1]
-        assert counts["w"] == sum(1 for letter in word if letter == "w")
-        assert counts["z"] == sum(1 for letter in word if letter == "z")
+        assert letter_counts(rules, "w", k) == {label: word.count(label) for label in "wz"}
 
 
 def test_growth_ratios_converge_to_lambda():
@@ -256,3 +270,56 @@ def test_substitution_dot():
     text = substitution_dot(biggs_substitution())
     assert 'w -> z [label="2"]' in text
     assert 'z -> w [label="4"]' in text
+
+
+# ---------------------------------------------------------------------------
+# exact certificate of the printed dilatation
+
+EPS = Fraction(1, 10 ** 13)
+
+
+def char_poly():
+    """x^2 - tr x + det of the substitution's integer transition matrix,
+    evaluated exactly, and the abscissa tr / 2 of its vertex."""
+    (a, b), (c, d) = transition_matrix(biggs_substitution()).matrix
+    return (lambda x: x * x - (a + d) * x + (a * d - b * c)), Fraction(a + d, 2)
+
+
+def brackets_perron_root(lam) -> bool:
+    """f(lam - EPS) < 0 < f(lam + EPS) right of the vertex, where f
+    increases: the interval holds the larger root of f, and only it."""
+    f, vertex = char_poly()
+    lam = Fraction(lam)
+    return vertex < lam - EPS and f(lam - EPS) < 0 < f(lam + EPS)
+
+
+def brackets_sqrt2(w) -> bool:
+    w = Fraction(w)
+    return 0 < w - EPS and (w - EPS) ** 2 < 2 < (w + EPS) ** 2
+
+
+def test_char_poly_is_read_off_the_substitution():
+    f, vertex = char_poly()
+    assert (f(0), f(1), vertex) == (1, -4, 3)  # x^2 - 6x + 1
+
+
+def test_printed_dilatation_is_certified_exactly(capsys):
+    assert cli_main(["dilatation"]) == 0
+    # the printed decimals themselves, not their nearest floats
+    printed = json.loads(capsys.readouterr().out, parse_float=Fraction)
+    assert brackets_perron_root(printed["lambda"])
+    assert brackets_sqrt2(printed["w"])
+    assert printed["z"] == 1
+
+
+def test_unrounded_weight_squares_to_two():
+    w = Fraction(eigen_report()["w"])
+    assert abs(w * w - 2) < Fraction(1, 10 ** 14)
+
+
+@pytest.mark.parametrize("shift", [1e-12, -1e-12])
+def test_certificate_rejects_a_shifted_value(shift):
+    lam = eigen_report()["lambda"]
+    assert brackets_perron_root(lam)
+    assert not brackets_perron_root(Fraction(lam) + Fraction(shift))
+    assert not brackets_sqrt2(Fraction(math.sqrt(2)) + Fraction(shift))
