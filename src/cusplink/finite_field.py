@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 
+from ._value import Value, int_tuple
+
 DEFAULT_MAX_ORDER = 64
 
 _setattr = object.__setattr__
@@ -106,10 +108,10 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class FieldSpec:
+class FieldSpec(Value):
     """A concrete model of GF(p^k): the prime, the exponent, and the
     monic irreducible modulus (length k+1 coefficient vector).
-    Immutable, and equal and hashed by (p, k, modulus)."""
+    An immutable Value with fields (p, k, modulus)."""
 
     __slots__ = ("p", "k", "modulus")
 
@@ -118,7 +120,7 @@ class FieldSpec:
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("exponent k must be >= 1")
-        mod = tuple(modulus)
+        mod = int_tuple(modulus, "modulus coefficient")
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         if any(not 0 <= c < p for c in mod):
@@ -128,27 +130,6 @@ class FieldSpec:
         _setattr(self, "p", p)
         _setattr(self, "k", k)
         _setattr(self, "modulus", mod)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not FieldSpec:
-            return NotImplemented
-        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p!r}, k={self.k!r}, modulus={self.modulus!r})"
-
-    def __reduce__(self):
-        return FieldSpec, (self.p, self.k, self.modulus)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"FieldSpec is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -169,7 +150,7 @@ class FieldSpec:
                 coeffs.append(v % self.p)
                 v //= self.p
             return FieldElement(self, tuple(coeffs))
-        coeffs = tuple(int(c) % self.p for c in value)
+        coeffs = tuple(c % self.p for c in int_tuple(value, "coefficient"))
         if len(coeffs) > self.k:
             raise ValueError("coefficient vector longer than k")
         coeffs = coeffs + (0,) * (self.k - len(coeffs))
@@ -193,8 +174,8 @@ class FieldSpec:
         return _primitive(self)
 
 
-class FieldElement:
-    """Canonical polynomial residue; immutable, and equal and hashed by
+class FieldElement(Value):
+    """Canonical polynomial residue; an immutable Value with fields
     (spec, coeffs)."""
 
     __slots__ = ("spec", "coeffs")
@@ -207,25 +188,6 @@ class FieldElement:
             raise ValueError("coefficients must be reduced mod p")
         _setattr(self, "spec", spec)
         _setattr(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not FieldElement:
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.spec == other.spec
-
-    def __hash__(self):
-        return hash((self.spec, self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElement(spec={self.spec!r}, coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return FieldElement, (self.spec, self.coeffs)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"FieldElement is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     @property
     def index(self) -> int:

@@ -19,6 +19,7 @@ symmetry invariants.
 
 from __future__ import annotations
 
+from ._value import Value, int_tuple
 from .finite_field import FieldSpec
 from .perm_action import (
     PermGroup,
@@ -168,41 +169,22 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
 # braids and cyclic closures
 
 
-class BraidWord:
+class BraidWord(Value):
     """A braid as a word in the standard generators: entry +i (1-based)
     is a right-handed crossing of strands i-1 and i, negative entries
-    are the inverses.  Immutable, and equal and hashed by (strands, word)."""
+    are the inverses.  An immutable Value with fields (strands, word)."""
 
     __slots__ = ("strands", "word")
 
     def __init__(self, strands: int, word: tuple[int, ...]):
         if strands < 1:
             raise ValueError("strand count must be positive")
-        word = tuple(int(g) for g in word)
+        word = int_tuple(word, "generator")
         for g in word:
             if g == 0 or not 1 <= abs(g) <= strands - 1:
                 raise ValueError(f"generator index {g} out of range for {strands} strands")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "word", word)
-
-    def __eq__(self, other):
-        if other.__class__ is not BraidWord:
-            return NotImplemented
-        return self.strands == other.strands and self.word == other.word
-
-    def __hash__(self):
-        return hash((self.strands, self.word))
-
-    def __repr__(self):
-        return f"BraidWord(strands={self.strands!r}, word={self.word!r})"
-
-    def __reduce__(self):
-        return BraidWord, (self.strands, self.word)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"BraidWord is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     def __mul__(self, repeats: int) -> BraidWord:
         return BraidWord(self.strands, self.word * repeats)

@@ -34,6 +34,8 @@ from collections import Counter
 from functools import cached_property
 from math import lcm, prod
 
+from ._value import Value, int_tuple
+
 DEFAULT_MAX_GROUP = 10 ** 6
 _ENV_MAX_GROUP = "CSL_MAX_GROUP"
 
@@ -79,17 +81,14 @@ def _bijection_error(images: tuple) -> ValueError:
     return ValueError(f"not a bijection of 0..{len(images) - 1} (degree {len(images)}): {defect}")
 
 
-class Permutation:
-    """A bijection of {0, ..., d-1} stored as its image tuple; immutable,
-    and equal and hashed by its images."""
+class Permutation(Value):
+    """A bijection of {0, ..., d-1} stored as its image tuple; an
+    immutable Value with the one field images."""
 
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
-        images = tuple(images)
-        if set(map(type, images)) - {int}:  # a bool or a float can pass the sort below
-            x, y = next((x, y) for x, y in enumerate(images) if type(y) is not int)
-            raise TypeError(f"image {y!r} at position {x} is not an int")
+        images = int_tuple(images, "image")  # a bool or a float can pass the sort below
         if sorted(images) != list(range(len(images))):
             raise _bijection_error(images)
         object.__setattr__(self, "images", images)
@@ -100,25 +99,6 @@ class Permutation:
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm
-
-    def __eq__(self, other):
-        if other.__class__ is not Permutation:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash((self.images,))
-
-    def __repr__(self):
-        return f"Permutation(images={self.images!r})"
-
-    def __reduce__(self):
-        return Permutation, (self.images,)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Permutation is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:

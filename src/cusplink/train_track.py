@@ -235,62 +235,44 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
 
 
 class MeasureSystem:
-    """Positive weights per branch class with the eigenvalue they solve.
+    """Positive weights per branch class, normalized z = 1, with the
+    eigenvalue they solve."""
 
-    kind is "transverse" (weights, normalized z = 1) or "tangential"
-    (edge lengths, normalized the same way)."""
+    __slots__ = ("weights", "lam")
 
-    __slots__ = ("kind", "weights", "lam")
-
-    def __init__(self, kind: str, weights: dict[str, float], lam: float):
-        if kind not in ("transverse", "tangential"):
-            raise ValueError("kind must be 'transverse' or 'tangential'")
+    def __init__(self, weights: dict[str, float], lam: float):
         if any(value <= 0 for value in weights.values()):
             raise ValueError("weights must be strictly positive")
-        self.kind = kind
         self.weights = weights
         self.lam = lam
-
-
-def dilatation(tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """The stretch factor of the monodromy and its reciprocal,
-    (3 + 2*sqrt(2), 3 - 2*sqrt(2)), computed by the eigen-solver on the
-    substitution's transition matrix (never hardcoded).  The reduced
-    track is the same for every field order, so no n enters."""
-    lam = tangential_weights(tol=tol).lam
-    return lam, 1.0 / lam
 
 
 def transverse_weights(tol: float = DEFAULT_TOL) -> MeasureSystem:
     """Solve the transverse system with z = 1, yielding w = sqrt(2)."""
     tangential = transition_matrix(biggs_substitution())
     lam, vec = perron_eigen(tangential.transpose(), tol=tol)
-    return MeasureSystem("transverse", {"w": float(vec[0]), "z": float(vec[1])}, lam)
+    return MeasureSystem({"w": float(vec[0]), "z": float(vec[1])}, lam)
 
 
 def tangential_weights(tol: float = DEFAULT_TOL) -> MeasureSystem:
     """Edge lengths of the reduced track, normalized z = 1; entrywise
     reciprocal (up to scale) of the transverse weights."""
     lam, vec = perron_eigen(transition_matrix(biggs_substitution()), tol=tol)
-    return MeasureSystem("tangential", {"w": float(vec[0]), "z": float(vec[1])}, lam)
+    return MeasureSystem({"w": float(vec[0]), "z": float(vec[1])}, lam)
 
 
 class ArcCrossing:
     """Crossing record of one transverse arc: how many branches of each
-    primitive weight class it meets.  branch_count, when recorded, is
-    the raw number of branches crossed (composite branches count once
-    but contribute their composite weight)."""
+    primitive weight class it meets."""
 
-    __slots__ = ("label", "counts", "branch_count")
+    __slots__ = ("label", "counts")
 
-    def __init__(self, label: str, counts: dict[str, int] | None = None,
-                 branch_count: int | None = None):
+    def __init__(self, label: str, counts: dict[str, int] | None = None):
         counts = {} if counts is None else counts
         if any(value < 0 for value in counts.values()):
             raise ValueError("crossing counts must be nonnegative")
         self.label = label
         self.counts = counts
-        self.branch_count = branch_count
 
 
 def reference_arcs() -> dict[str, ArcCrossing]:
@@ -298,7 +280,7 @@ def reference_arcs() -> dict[str, ArcCrossing]:
     under the monodromy and DF maps to EF, so both measure ratios equal
     the stretch factor."""
     return {
-        "AB": ArcCrossing("AB", {"w": 10, "z": 14}, branch_count=17),
+        "AB": ArcCrossing("AB", {"w": 10, "z": 14}),
         "CD": ArcCrossing("CD", {"w": 2, "z": 2}),
         "DF": ArcCrossing("DF", {"w": 2, "z": 3}),
         "EF": ArcCrossing("EF", {"w": 0, "z": 1}),

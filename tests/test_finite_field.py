@@ -1,10 +1,12 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
+    FieldSpec,
     field_of_order,
     is_prime,
     make_field,
@@ -154,6 +156,21 @@ def test_powers_of_primitive_cover_nonzero_elements():
 def test_serialization_roundtrip():
     spec = make_field(3, 2)
     assert str(spec.element([2, 1])) == "2,1"
+
+
+@pytest.mark.parametrize("coeffs, shown", [([1.5, 2.9], "1.5 at position 0"),
+                                           (["2", True], "'2' at position 0"),
+                                           ([2, True], "True at position 1"),
+                                           ((1, 2.0), "2.0 at position 1")])
+def test_element_refuses_non_int_coefficients(coeffs, shown):
+    # int() would truncate these: [1.5, 2.9] read 1,2 and ["2", True] read 2,1
+    with pytest.raises(TypeError, match=rf"^coefficient {re.escape(shown)} is not an int$"):
+        make_field(3, 2).element(coeffs)
+
+
+def test_field_spec_refuses_a_non_int_modulus():
+    with pytest.raises(TypeError, match=r"^modulus coefficient 1\.0 at position 2 is not an int$"):
+        FieldSpec(3, 2, (1, 0, 1.0))
 
 
 def test_mismatched_fields_error():

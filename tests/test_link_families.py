@@ -186,6 +186,13 @@ def test_braid_word_validation():
         BraidWord(3, (3,))
     with pytest.raises(ValueError):
         BraidWord(0, ())
+    # int() would truncate or convert each of these to a valid generator
+    with pytest.raises(TypeError, match=r"^generator 1\.5 at position 0 is not an int$"):
+        BraidWord(3, (1.5,))
+    with pytest.raises(TypeError, match=r"^generator '2' at position 1 is not an int$"):
+        BraidWord(3, (1, "2"))
+    with pytest.raises(TypeError, match=r"^generator True at position 0 is not an int$"):
+        BraidWord(3, (True,))
 
 
 def test_example_braid_permutation():

@@ -12,8 +12,9 @@ import reference_checks
 MODULES = ["cusplink", "cusplink.perm_action", "cusplink.regular_map", "cusplink.train_track"]
 MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits",
          "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios"]
-# Second routes that dilatation never ran, gone without a same-named reference.
-REMOVED = ["anosov_check", "AnosovReport", "word_lengths"]
+# Second routes that dilatation never ran, and the test-only dilatation(),
+# gone without a same-named reference.
+REMOVED = ["anosov_check", "AnosovReport", "word_lengths", "dilatation"]
 
 
 def test_every_exported_name_resolves():
@@ -36,8 +37,9 @@ def test_removed_train_track_routes_are_gone(module):
     for name in REMOVED:
         assert not hasattr(shipped, name), f"{module}.{name}"
         assert name not in cusplink.__all__
-    for name in ("semicircular_weight", "short_branch_weight"):
+    for name in ("semicircular_weight", "short_branch_weight", "kind"):
         assert not hasattr(cusplink.MeasureSystem, name)
+    assert not hasattr(cusplink.ArcCrossing, "branch_count")
 
 
 def test_perm_group_has_no_orbit_methods():
@@ -67,6 +69,30 @@ def test_value_types_compare_by_value_and_stay_fixed(build, shown, name):
     with pytest.raises(AttributeError):
         delattr(value, name)
     assert getattr(value, name) == getattr(twin, name)
+
+
+# The field tuple of each value in VALUE_TYPES, in the same order.
+FIELD_TUPLES = [
+    (3, 2, (1, 0, 1)),
+    (cusplink.make_field(3, 2), (1, 1)),
+    ((1, 2, 0),),
+    (3, (1, -2)),
+]
+
+
+@pytest.mark.parametrize("build, fields",
+                         [(build, fields) for (build, _, _), fields in zip(VALUE_TYPES, FIELD_TUPLES)])
+def test_value_types_hash_as_their_field_tuple(build, fields):
+    value = build()
+    assert hash(value) == hash(fields)
+    assert value != fields and fields != value
+    assert all(value != field for field in fields)
+
+
+def test_values_of_different_types_are_never_equal():
+    values = [build() for build, _, _ in VALUE_TYPES]
+    for i, value in enumerate(values):
+        assert [value == other for other in values] == [j == i for j in range(len(values))]
 
 
 def test_equal_field_specs_share_one_cached_primitive():
