@@ -9,6 +9,11 @@ and GF(4) reads 0, 1, x, x+1.
 Everything here targets tiny fields (order <= 64 by default), so
 inverses are found by search and irreducibility is decided by trial
 division; at this scale that is both fast enough and easy to audit.
+
+The one bulk operation, FieldSpec.affine_images, gives the index of
+s*x + t for every x at once.  A prime field's index is its residue, so
+there it computes on ints mod p; only an extension field (k > 1) goes
+through FieldElement arithmetic.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ class FieldSpec(Value):
     __slots__ = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        p, k = int_tuple((p, k), "FieldSpec (p, k) entry")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
@@ -142,7 +148,7 @@ class FieldSpec(Value):
             if value.spec != self:
                 raise ValueError("element belongs to a different field")
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             if not 0 <= value < self.n:
                 raise ValueError(f"index {value} out of range for order {self.n}")
             coeffs, v = [], value
@@ -150,6 +156,8 @@ class FieldSpec(Value):
                 coeffs.append(v % self.p)
                 v //= self.p
             return FieldElement(self, tuple(coeffs))
+        if isinstance(value, int):  # a bool, which would read as 0 or 1
+            raise TypeError(f"element index {value!r} is not an int")
         coeffs = tuple(c % self.p for c in int_tuple(value, "coefficient"))
         if len(coeffs) > self.k:
             raise ValueError("coefficient vector longer than k")
@@ -164,9 +172,21 @@ class FieldSpec(Value):
     def one(self) -> FieldElement:
         return self.element(1)
 
-    def elements(self) -> list[FieldElement]:
-        """All n elements in canonical (base-p) order."""
-        return [self.element(i) for i in range(self.n)]
+    def elements(self) -> tuple[FieldElement, ...]:
+        """All n elements in canonical (base-p) order, built once per field."""
+        return _elements(self)
+
+    def affine_images(self, s, t) -> tuple[int, ...]:
+        """The index of s*x + t for each x in canonical order; s and t
+        are read by element() and s must be nonzero."""
+        s = self.element(s)
+        t = self.element(t)
+        if s.is_zero():
+            raise ValueError("scale factor s must be nonzero")
+        if self.k == 1:
+            p, s, t = self.p, s.coeffs[0], t.coeffs[0]
+            return tuple([(s * x + t) % p for x in range(p)])
+        return tuple([(s * x + t).index for x in self.elements()])
 
     def primitive(self) -> FieldElement:
         """Least element (canonical order) generating the multiplicative
@@ -294,6 +314,11 @@ def field_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     if decomposition is None:
         raise ValueError(f"{n} is not a prime power")
     return make_field(*decomposition, max_order=max_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _elements(spec: FieldSpec) -> tuple[FieldElement, ...]:
+    return tuple(spec.element(i) for i in range(spec.n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -177,6 +177,7 @@ class BraidWord(Value):
     __slots__ = ("strands", "word")
 
     def __init__(self, strands: int, word: tuple[int, ...]):
+        (strands,) = int_tuple((strands,), "BraidWord strand count")
         if strands < 1:
             raise ValueError("strand count must be positive")
         word = int_tuple(word, "generator")

@@ -368,11 +368,7 @@ def transitivity_degree(group: PermGroup) -> int:
 def affine_permutation(spec, s, t) -> Permutation:
     """The map x -> s*x + t as a permutation of the canonical element
     order of the field; s must be nonzero."""
-    s = spec.element(s)
-    t = spec.element(t)
-    if s.is_zero():
-        raise ValueError("scale factor s must be nonzero")
-    return Permutation(tuple((s * e + t).index for e in spec.elements()))
+    return Permutation(spec.affine_images(s, t))
 
 
 def affine_group(spec) -> PermGroup:

@@ -19,10 +19,12 @@ a multiplicative generator,
   phi(a, b)   = (a, a + omega*(b - a)),
 
 so the edges around face a visit the neighbors a + omega^i in
-multiplicative order.  The resulting map has n faces, each an
-(n-1)-gon, every pair of faces sharing exactly one edge, and its genus
-matches genus_formula(n): 1 + n(n-7)/4 when n = 3 mod 4, else
-1 + n(n-5)/4.
+multiplicative order.  Face a's rotation is the affine map
+x -> omega*x + (1 - omega)*a, so phi is filled from one affine row per
+face, FieldSpec.affine_images (plain residues mod p in a prime field).
+The resulting map has n faces, each an (n-1)-gon, every pair of faces
+sharing exactly one edge, and its genus matches genus_formula(n):
+1 + n(n-7)/4 when n = 3 mod 4, else 1 + n(n-5)/4.
 
 Every RotationMap is validated when built; the one graph export is the
 face-adjacency DOT that the map subcommand prints.
@@ -119,13 +121,11 @@ class BiggsMap(RotationMap):
             raise ValueError("field order must exceed 3")
         self.spec = spec
         self.omega = omega = spec.primitive()
-        elements = spec.elements()
-
-        def successor(a, b):
-            return a, (elements[a] + omega * (elements[b] - elements[a])).index
-
+        shift = spec.one - omega
+        # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a
+        rows = [spec.affine_images(omega, shift * a) for a in spec.elements()]
         super().__init__(_dart_permutation(spec.n, lambda a, b: (b, a)),
-                         _dart_permutation(spec.n, successor))
+                         _dart_permutation(spec.n, lambda a, b: (a, rows[a][b])))
 
 
 def biggs_map(spec: FieldSpec) -> BiggsMap:

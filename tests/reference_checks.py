@@ -9,6 +9,7 @@ from itertools import permutations as distinct_tuples
 
 import numpy as np
 
+from cusplink.perm_action import Permutation
 from cusplink.train_track import transition_matrix
 
 
@@ -63,6 +64,27 @@ def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     """The dart permutation commutes with alpha and with phi."""
     alpha, phi = rotation_map.alpha, rotation_map.phi
     return dart_map * alpha == alpha * dart_map and dart_map * phi == phi * dart_map
+
+
+def affine_images_by_elements(spec, s, t) -> tuple[int, ...]:
+    """The index of s*x + t for each x, by FieldElement arithmetic on
+    every field, prime or not."""
+    s, t = spec.element(s), spec.element(t)
+    return tuple((s * x + t).index for x in spec.elements())
+
+
+def per_dart_phi(spec):
+    """The face rotation of the order-n map, one dart at a time:
+    phi(a, b) = (a, a + omega*(b - a)) in FieldElement arithmetic, with
+    dart (a, b) numbered a*(n-1) + b - (b > a)."""
+    n, omega, elements = spec.n, spec.primitive(), spec.elements()
+    images = []
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                c = (elements[a] + omega * (elements[b] - elements[a])).index
+                images.append(a * (n - 1) + c - (c > a))
+    return Permutation(tuple(images))
 
 
 def expand_word(rules, word, iterations: int = 1) -> tuple[str, ...]:

@@ -3,6 +3,7 @@ import re
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
@@ -12,8 +13,11 @@ from cusplink.finite_field import (
     make_field,
     prime_power,
 )
+from cusplink.perm_action import affine_permutation
+from reference_checks import affine_images_by_elements
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
+PRIME_POWERS_TO_CAP = [n for n in range(2, DEFAULT_MAX_ORDER + 1) if prime_power(n)]
 
 
 def test_prime_power_decomposition():
@@ -110,7 +114,14 @@ def test_enumeration_order():
     assert [e.index for e in make_field(5, 1).elements()] == [0, 1, 2, 3, 4]
     gf4 = make_field(2, 2)
     assert [e.coeffs for e in gf4.elements()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert len(make_field(3, 2).elements()) == 9
+    gf9 = make_field(3, 2)
+    elements = gf9.elements()
+    assert [e.index for e in elements] == list(range(9))
+    # one immutable tuple per field, returned again for an equal spec built anew
+    assert type(elements) is tuple
+    assert make_field(3, 2).elements() is elements
+    with pytest.raises(TypeError):
+        elements[0] = elements[1]
 
 
 @pytest.mark.parametrize("n", SMALL_ORDERS)
@@ -192,3 +203,57 @@ def test_zero_division_and_negative_powers():
     two = spec.element(2)
     assert two ** -1 == two.inverse()
     assert two ** 0 == spec.one
+
+
+def test_field_spec_refuses_non_int_p_and_k():
+    # FieldSpec(3, 2.0, ...) used to equal make_field(3, 2) with n == 9.0
+    with pytest.raises(TypeError, match=r"^FieldSpec \(p, k\) entry 2\.0 at position 1 is not an int$"):
+        FieldSpec(3, 2.0, (1, 0, 1))
+    with pytest.raises(TypeError, match=r"^FieldSpec \(p, k\) entry 3\.0 at position 0 is not an int$"):
+        FieldSpec(3.0, 2, (1, 0, 1))
+    with pytest.raises(TypeError, match=r"^FieldSpec \(p, k\) entry True at position 1 is not an int$"):
+        FieldSpec(3, True, (0, 1))
+    assert type(make_field(3, 2).n) is int
+
+
+@pytest.mark.parametrize("index", [True, False])
+def test_element_refuses_a_bool_index(index):
+    # True used to read as the index 1 and False as 0
+    with pytest.raises(TypeError, match=rf"^element index {index} is not an int$"):
+        make_field(3, 2).element(index)
+    with pytest.raises(TypeError, match=rf"^element index {index} is not an int$"):
+        make_field(5, 1).element(index)
+
+
+def test_affine_permutation_refuses_bool_arguments():
+    # (True, False) used to give the identity
+    with pytest.raises(TypeError, match=r"^element index True is not an int$"):
+        affine_permutation(make_field(5, 1), True, False)
+
+
+@pytest.mark.parametrize("n", [n for n in SMALL_ORDERS if n <= 13])
+def test_affine_images_match_field_arithmetic_for_every_pair(n):
+    # covers the residue route (k = 1) and the FieldElement route (4, 8, 9)
+    spec = field_of_order(n)
+    for s, t in product(spec.elements()[1:], spec.elements()):
+        assert spec.affine_images(s, t) == affine_images_by_elements(spec, s, t)
+        assert spec.affine_images(s.index, t.index) == affine_images_by_elements(spec, s, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PRIME_POWERS_TO_CAP), st.data())
+def test_affine_images_match_field_arithmetic_sampled(n, data):
+    spec = field_of_order(n)
+    s = data.draw(st.integers(1, n - 1), label="s")
+    t = data.draw(st.integers(0, n - 1), label="t")
+    images = spec.affine_images(s, t)
+    assert images == affine_images_by_elements(spec, s, t)
+    assert type(images) is tuple and sorted(images) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_affine_images_refuse_a_zero_scale(n):
+    spec = field_of_order(n)
+    for zero in (0, spec.zero, [0]):
+        with pytest.raises(ValueError, match=r"^scale factor s must be nonzero$"):
+            spec.affine_images(zero, 1)

@@ -193,6 +193,11 @@ def test_braid_word_validation():
         BraidWord(3, (1, "2"))
     with pytest.raises(TypeError, match=r"^generator True at position 0 is not an int$"):
         BraidWord(3, (True,))
+    # a non-int strand count used to fail later with a raw TypeError
+    with pytest.raises(TypeError, match=r"^BraidWord strand count 2\.5 at position 0 is not an int$"):
+        BraidWord(2.5, (1,))
+    with pytest.raises(TypeError, match=r"^BraidWord strand count True at position 0 is not an int$"):
+        BraidWord(True, ())
 
 
 def test_example_braid_permutation():

@@ -14,7 +14,7 @@ from cusplink.regular_map import (
     induced_face_permutation,
     map_summary,
 )
-from reference_checks import dart_automorphism_is_valid
+from reference_checks import dart_automorphism_is_valid, per_dart_phi
 
 PRIME_POWERS = [4, 5, 7, 8, 9, 11, 13]
 PRIME_POWERS_TO_64 = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -171,6 +171,14 @@ def test_every_affine_pair_is_a_dart_automorphism(n):
         auto = affine_map_automorphism(surface, s, t)
         assert dart_automorphism_is_valid(surface, auto)
         assert induced_face_permutation(surface, auto) == affine_permutation(spec, s, t)
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_64)
+def test_phi_equals_the_per_dart_route(n):
+    # one affine row per face against a + omega*(b - a) dart by dart,
+    # on the 16 prime and 9 extension fields up to 64
+    spec = field_of_order(n)
+    assert biggs_map(spec).phi == per_dart_phi(spec)
 
 
 def test_incomplete_fixture():
