@@ -1,5 +1,5 @@
-"""The value protocol of the immutable types FieldSpec, FieldElement,
-Permutation and BraidWord, derived once from each type's __slots__."""
+"""The value protocol of the immutable types FieldSpec, Permutation and
+BraidWord, derived once from each type's __slots__."""
 
 from __future__ import annotations
 

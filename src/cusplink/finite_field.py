@@ -1,20 +1,20 @@
 """Exact arithmetic in small finite fields GF(p^k).
 
-An element of GF(p^k) is a polynomial residue modulo a fixed monic
-irreducible polynomial, stored as the coefficient vector
-(c0, ..., c_{k-1}) with c0 the constant term.  Elements are enumerated
-in base-p order (c0 + c1*p + ...), so prime fields read 0, 1, ..., p-1
-and GF(4) reads 0, 1, x, x+1.
+Outside this module an element of GF(p^k) is only an index 0..n-1.
+The index of the polynomial residue c0 + c1*x + ... + c_{k-1}*x^(k-1)
+modulo a fixed monic irreducible polynomial is its base-p value
+c0 + c1*p + ..., so prime fields read 0, 1, ..., p-1 and GF(4) reads
+0, 1, x, x+1.  FieldSpec.label(i) gives the text "c0,c1,..." of index i.
 
 Everything here targets tiny fields (order <= 64 by default), so
-inverses are found by search and irreducibility is decided by trial
-division; at this scale that is both fast enough and easy to audit.
+irreducibility is decided by trial division and the primitive element
+by walking its scaling row; at this scale that is both fast enough and
+easy to audit.
 
 The one bulk operation, FieldSpec.affine_images, gives the index of
 s*x + t for every x at once.  A prime field's index is its residue, so
-there it computes on ints mod p; only an extension field (k > 1) goes
-through FieldElement arithmetic.
-"""
+there it computes on ints mod p; only an extension field (k > 1)
+multiplies coefficient vectors and reduces them by the modulus."""
 
 from __future__ import annotations
 
@@ -89,6 +89,14 @@ def _poly_rem(a: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int
     return _poly_trim(tuple(rem))
 
 
+def _poly_index(coeffs, p: int) -> int:
+    """The canonical index of a coefficient vector, each entry read mod p."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v * p + c % p
+    return v
+
+
 def _monic_polys(degree: int, p: int):
     """Yield all monic polynomials of the given degree over Z/p."""
     for m in range(p ** degree):
@@ -116,7 +124,8 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 class FieldSpec(Value):
     """A concrete model of GF(p^k): the prime, the exponent, and the
     monic irreducible modulus (length k+1 coefficient vector).
-    An immutable Value with fields (p, k, modulus)."""
+    An immutable Value with fields (p, k, modulus).  Its elements are
+    the indices 0..n-1 of the canonical order."""
 
     __slots__ = ("p", "k", "modulus")
 
@@ -141,143 +150,40 @@ class FieldSpec(Value):
     def n(self) -> int:
         return self.p ** self.k
 
-    def element(self, value) -> FieldElement:
-        """Build an element from an enumeration index or a coefficient
-        iterable (short vectors are zero-padded)."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if type(value) is int:
-            if not 0 <= value < self.n:
-                raise ValueError(f"index {value} out of range for order {self.n}")
-            coeffs, v = [], value
-            for _ in range(self.k):
-                coeffs.append(v % self.p)
-                v //= self.p
-            return FieldElement(self, tuple(coeffs))
-        if isinstance(value, int):  # a bool, which would read as 0 or 1
+    def _index(self, value: int) -> int:
+        """value, checked to be an element index of this field."""
+        if type(value) is not int:  # a bool or a coefficient list included
             raise TypeError(f"element index {value!r} is not an int")
-        coeffs = tuple(c % self.p for c in int_tuple(value, "coefficient"))
-        if len(coeffs) > self.k:
-            raise ValueError("coefficient vector longer than k")
-        coeffs = coeffs + (0,) * (self.k - len(coeffs))
-        return FieldElement(self, coeffs)
+        if not 0 <= value < self.n:
+            raise ValueError(f"index {value} out of range for order {self.n}")
+        return value
 
-    @property
-    def zero(self) -> FieldElement:
-        return self.element(0)
+    def label(self, i: int) -> str:
+        """The coefficients c0,c1,... of element i, comma-separated."""
+        return ",".join(map(str, _coefficients(self)[self._index(i)]))
 
-    @property
-    def one(self) -> FieldElement:
-        return self.element(1)
-
-    def elements(self) -> tuple[FieldElement, ...]:
-        """All n elements in canonical (base-p) order, built once per field."""
-        return _elements(self)
-
-    def affine_images(self, s, t) -> tuple[int, ...]:
-        """The index of s*x + t for each x in canonical order; s and t
-        are read by element() and s must be nonzero."""
-        s = self.element(s)
-        t = self.element(t)
-        if s.is_zero():
+    def affine_images(self, s: int, t: int) -> tuple[int, ...]:
+        """The index of s*x + t for each x in canonical order; s must be
+        nonzero."""
+        s, t = self._index(s), self._index(t)
+        if s == 0:
             raise ValueError("scale factor s must be nonzero")
+        p = self.p
         if self.k == 1:
-            p, s, t = self.p, s.coeffs[0], t.coeffs[0]
             return tuple([(s * x + t) % p for x in range(p)])
-        return tuple([(s * x + t).index for x in self.elements()])
+        coefficients = _coefficients(self)
+        s, t = coefficients[s], coefficients[t]
+        row = []
+        for x in coefficients:
+            sx = _poly_rem(_poly_mul(s, x, p), self.modulus, p) + (0,) * self.k
+            row.append(_poly_index([a + b for a, b in zip(sx, t)], p))
+        return tuple(row)
 
-    def primitive(self) -> FieldElement:
-        """Least element (canonical order) generating the multiplicative
-        group; its powers run through all n-1 nonzero elements."""
+    def primitive(self) -> int:
+        """Index of the least element (canonical order) generating the
+        multiplicative group; its powers run through all n-1 nonzero
+        elements."""
         return _primitive(self)
-
-
-class FieldElement(Value):
-    """Canonical polynomial residue; an immutable Value with fields
-    (spec, coeffs)."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
-        if len(coeffs) != spec.k:
-            raise ValueError("coefficient vector must have length k")
-        # k >= 1, so coeffs is not empty
-        if not 0 <= min(coeffs) <= max(coeffs) < spec.p:
-            raise ValueError("coefficients must be reduced mod p")
-        _setattr(self, "spec", spec)
-        _setattr(self, "coeffs", coeffs)
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical enumeration (base-p value)."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.spec.p + c
-        return v
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _coerce(self, other: FieldElement) -> FieldElement:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        # `is not` first: != on FieldSpec runs __eq__ through object.__ne__
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise ValueError("elements belong to different fields")
-        return other
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        other = self._coerce(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> FieldElement:
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        other = self._coerce(other)
-        prod = _poly_mul(self.coeffs, other.coeffs, self.spec.p)
-        rem = _poly_rem(prod, self.spec.modulus, self.spec.p)
-        return self.spec.element(rem)
-
-    def inverse(self) -> FieldElement:
-        """Multiplicative inverse by exhaustive search (tiny fields)."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        one = self.spec.one
-        for cand in self.spec.elements():
-            if (self * cand) == one:
-                return cand
-        raise AssertionError("no inverse found; field is corrupt")
-
-    def __pow__(self, exponent: int) -> FieldElement:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result, base, e = self.spec.one, self, exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero has no multiplicative order")
-        power, order = self, 1
-        while power != self.spec.one:
-            power = power * self
-            order += 1
-        return order
-
-    def __str__(self):
-        return ",".join(str(c) for c in self.coeffs)
 
 
 def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
@@ -285,10 +191,12 @@ def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     irreducible modulus of degree k (so prime fields reduce to plain
     mod-p arithmetic with modulus x).
 
-    Raises ValueError for non-prime p, k < 1, or order beyond max_order.
-    The cap is checked first, by a product that stops once past it, so a
-    huge p or k is refused at once.
+    Raises TypeError for a p or k that is not an int, and ValueError for
+    non-prime p, k < 1, or order beyond max_order.  The cap is checked
+    first, by a product that stops once past it, so a huge p or k is
+    refused at once.
     """
+    p, k = int_tuple((p, k), "make_field (p, k) entry")
     if k < 1:
         raise ValueError("exponent k must be >= 1")
     order = 1
@@ -308,6 +216,7 @@ def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
 def field_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     """make_field for a prime-power order given directly; an order over
     the cap is refused before it is factored."""
+    (n,) = int_tuple((n,), "field order")
     if n > max_order:
         raise ValueError(f"order {n} exceeds the cap {max_order}")
     decomposition = prime_power(n)
@@ -317,14 +226,20 @@ def field_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _elements(spec: FieldSpec) -> tuple[FieldElement, ...]:
-    return tuple(spec.element(i) for i in range(spec.n))
+def _coefficients(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """The coefficient vector (c0, ..., c_{k-1}) of every index."""
+    p, k = spec.p, spec.k
+    return tuple(tuple(i // p ** j % p for j in range(k)) for i in range(spec.n))
 
 
 @functools.lru_cache(maxsize=None)
-def _primitive(spec: FieldSpec) -> FieldElement:
+def _primitive(spec: FieldSpec) -> int:
     target = spec.n - 1
-    for candidate in spec.elements():
-        if not candidate.is_zero() and candidate.multiplicative_order() == target:
+    for candidate in range(1, spec.n):
+        row = spec.affine_images(candidate, 0)
+        x, length = row[1], 1
+        while x != 1:
+            x, length = row[x], length + 1
+        if length == target:
             return candidate
     raise AssertionError("multiplicative group has no generator; unreachable")

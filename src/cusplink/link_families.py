@@ -419,7 +419,7 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
     return LinkBlueprint(
         family="helical",
         ambient="SxS1",
-        components=tuple(f"face_{element}" for element in spec.elements()),
+        components=tuple(f"face_{spec.label(i)}" for i in range(n)),
         linking_matrix=None,
         symmetry=affine_group(spec),
         hyperbolicity=Hyperbolicity(

@@ -377,5 +377,5 @@ def affine_group(spec) -> PermGroup:
     a generator w of the multiplicative group: conjugating x + 1 by the
     powers of the scaling gives every translation x + w^i.  Its order is
     n*(n-1) and the action is sharply 2-transitive."""
-    return group_closure([affine_permutation(spec, spec.one, spec.one),
-                          affine_permutation(spec, spec.primitive(), spec.zero)])
+    return group_closure([affine_permutation(spec, 1, 1),
+                          affine_permutation(spec, spec.primitive(), 0)])

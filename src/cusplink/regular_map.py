@@ -121,9 +121,11 @@ class BiggsMap(RotationMap):
             raise ValueError("field order must exceed 3")
         self.spec = spec
         self.omega = omega = spec.primitive()
-        shift = spec.one - omega
+        # -1 has index p - 1, so this is 1 - omega
+        shift = spec.affine_images(spec.p - 1, 1)[omega]
+        shifts = spec.affine_images(shift, 0)
         # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a
-        rows = [spec.affine_images(omega, shift * a) for a in spec.elements()]
+        rows = [spec.affine_images(omega, shifts[a]) for a in range(spec.n)]
         super().__init__(_dart_permutation(spec.n, lambda a, b: (b, a)),
                          _dart_permutation(spec.n, lambda a, b: (a, rows[a][b])))
 

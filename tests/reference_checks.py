@@ -1,13 +1,16 @@
 """Reference implementations the tests compare the program against;
 the program itself never calls them.  The group and map references
 follow a definition verbatim and are exponential or linear in the
-object they check, so they run on small inputs only.  The train-track
-references run on installed oracles instead: numpy's eigenvalues and
-exact integer matrix powers."""
+object they check, so they run on small inputs only.  The field and
+train-track references run on installed oracles instead: sympy's
+galoistools polynomial arithmetic, numpy's eigenvalues and exact
+integer matrix powers."""
 
 from itertools import permutations as distinct_tuples
 
 import numpy as np
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip, gf_sub
 
 from cusplink.perm_action import Permutation
 from cusplink.train_track import transition_matrix
@@ -66,23 +69,57 @@ def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     return dart_map * alpha == alpha * dart_map and dart_map * phi == phi * dart_map
 
 
-def affine_images_by_elements(spec, s, t) -> tuple[int, ...]:
-    """The index of s*x + t for each x, by FieldElement arithmetic on
-    every field, prime or not."""
-    s, t = spec.element(s), spec.element(t)
-    return tuple((s * x + t).index for x in spec.elements())
+def _gf_poly(spec, index):
+    """The galoistools polynomial (highest degree first, no leading
+    zeros) whose base-p coefficient digits spell the index."""
+    digits = []
+    for _ in range(spec.k):
+        index, c = divmod(index, spec.p)
+        digits.append(c)
+    return gf_strip(digits[::-1])
+
+
+def _gf_index(poly, p) -> int:
+    index = 0
+    for c in poly:
+        index = index * p + int(c)
+    return index
+
+
+def gf_multiply(spec, a: int, b: int) -> int:
+    """The index of a*b, by sympy's galoistools."""
+    product = gf_mul(_gf_poly(spec, a), _gf_poly(spec, b), spec.p, ZZ)
+    return _gf_index(gf_rem(product, list(reversed(spec.modulus)), spec.p, ZZ), spec.p)
+
+
+def gf_multiplicative_order(spec, a: int) -> int:
+    """The least m >= 1 with a^m = 1, for a nonzero index a."""
+    power, order = a, 1
+    while power != 1:
+        power, order = gf_multiply(spec, power, a), order + 1
+    return order
+
+
+def affine_images_by_elements(spec, s: int, t: int) -> tuple[int, ...]:
+    """The index of s*x + t for each x, by sympy's galoistools on every
+    field, prime or not; it reads only p, k and modulus from the spec."""
+    p, shift = spec.p, _gf_poly(spec, t)
+    return tuple(_gf_index(gf_add(_gf_poly(spec, gf_multiply(spec, s, x)), shift, p, ZZ), p)
+                 for x in range(spec.n))
 
 
 def per_dart_phi(spec):
     """The face rotation of the order-n map, one dart at a time:
-    phi(a, b) = (a, a + omega*(b - a)) in FieldElement arithmetic, with
+    phi(a, b) = (a, a + omega*(b - a)) in galoistools arithmetic, with
     dart (a, b) numbered a*(n-1) + b - (b > a)."""
-    n, omega, elements = spec.n, spec.primitive(), spec.elements()
+    n, p, omega = spec.n, spec.p, spec.primitive()
+    polys = [_gf_poly(spec, x) for x in range(n)]
     images = []
     for a in range(n):
         for b in range(n):
             if a != b:
-                c = (elements[a] + omega * (elements[b] - elements[a])).index
+                step = gf_multiply(spec, omega, _gf_index(gf_sub(polys[b], polys[a], p, ZZ), p))
+                c = _gf_index(gf_add(polys[a], polys[step], p, ZZ), p)
                 images.append(a * (n - 1) + c - (c > a))
     return Permutation(tuple(images))
 

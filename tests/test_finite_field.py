@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
@@ -14,7 +16,7 @@ from cusplink.finite_field import (
     prime_power,
 )
 from cusplink.perm_action import affine_permutation
-from reference_checks import affine_images_by_elements
+from reference_checks import affine_images_by_elements, gf_multiplicative_order
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
 PRIME_POWERS_TO_CAP = [n for n in range(2, DEFAULT_MAX_ORDER + 1) if prime_power(n)]
@@ -37,8 +39,8 @@ def test_prime_field_modulus_is_x():
     # degree-1 modulus x reduces everything to plain mod-p arithmetic
     gf5 = make_field(5, 1)
     assert gf5.modulus == (0, 1)
-    assert (gf5.element(2) + gf5.element(4)).index == 1
-    assert (gf5.element(2) * gf5.element(3)).index == 1
+    assert gf5.affine_images(1, 4)[2] == 1  # 2 + 4
+    assert gf5.affine_images(2, 0)[3] == 1  # 2 * 3
 
 
 def _monic_quadratics_over_gf2():
@@ -56,6 +58,25 @@ def test_gf4_modulus_is_the_unique_irreducible_quadratic():
     assert make_field(2, 2).modulus == (1, 1, 1)
 
 
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_CAP)
+def test_modulus_is_the_least_irreducible_by_sympy(n):
+    spec = field_of_order(n)
+    assert gf_irreducible_p(list(reversed(spec.modulus)), spec.p, ZZ)
+    # every monic polynomial of degree k before it in base-p order factors
+    p, k = spec.p, spec.k
+    for m in range(sum(c * p ** i for i, c in enumerate(spec.modulus[:-1]))):
+        smaller = [1] + [m // p ** i % p for i in reversed(range(k))]
+        assert not gf_irreducible_p(smaller, p, ZZ), smaller
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_CAP)
+def test_primitive_is_the_least_generator_by_sympy(n):
+    spec = field_of_order(n)
+    omega = spec.primitive()
+    assert gf_multiplicative_order(spec, omega) == n - 1
+    assert all(gf_multiplicative_order(spec, a) < n - 1 for a in range(1, omega))
+
+
 def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(4, 1)
@@ -64,6 +85,21 @@ def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(2, 7)  # 128 > default cap
     assert make_field(2, 7, max_order=128).n == 128
+
+
+@pytest.mark.parametrize("p, k, shown", [(3, 2.0, "2.0 at position 1"),
+                                         (3.0, 2, "3.0 at position 0"),
+                                         (3, True, "True at position 1")])
+def test_make_field_refuses_non_int_p_and_k(p, k, shown):
+    # make_field(3, 2.0) used to fail inside range() with a raw TypeError
+    with pytest.raises(TypeError, match=rf"^make_field \(p, k\) entry {re.escape(shown)} is not an int$"):
+        make_field(p, k)
+
+
+def test_field_of_order_refuses_a_non_int_order():
+    # field_of_order(9.0) used to return GF(9)
+    with pytest.raises(TypeError, match=r"^field order 9\.0 at position 0 is not an int$"):
+        field_of_order(9.0)
 
 
 @pytest.mark.parametrize("p, k, shown", [(3, 30000000, "3^30000000"),
@@ -86,87 +122,85 @@ def test_make_field_refuses_over_the_cap_before_factoring(monkeypatch, p, k, sho
 
 def test_gf4_multiplication():
     gf4 = make_field(2, 2)
-    x = gf4.element([0, 1])
-    assert (x * x).coeffs == (1, 1)
-
-
-def _brute_force_order(element):
-    power, order = element, 1
-    while power != element.spec.one:
-        power = power * element
-        order += 1
-        assert order <= element.spec.n
-    return order
+    # x * x = x + 1, and x has index 2
+    assert gf4.affine_images(2, 0)[2] == 3
+    assert gf4.label(3) == "1,1"
 
 
 @pytest.mark.parametrize("p,expected", [(5, 2), (7, 3), (2, 1)])
 def test_primitive_prime_fields(p, expected):
     spec = make_field(p, 1)
-    primitive = spec.primitive()
-    assert primitive.index == expected
-    assert _brute_force_order(primitive) == spec.n - 1
+    assert spec.primitive() == expected
+    assert gf_multiplicative_order(spec, expected) == spec.n - 1
     # and no earlier element generates
     for i in range(1, expected):
-        assert _brute_force_order(spec.element(i)) < spec.n - 1
+        assert gf_multiplicative_order(spec, i) < spec.n - 1
 
 
 def test_enumeration_order():
-    assert [e.index for e in make_field(5, 1).elements()] == [0, 1, 2, 3, 4]
+    gf5 = make_field(5, 1)
+    assert [gf5.label(i) for i in range(5)] == ["0", "1", "2", "3", "4"]
     gf4 = make_field(2, 2)
-    assert [e.coeffs for e in gf4.elements()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [gf4.label(i) for i in range(4)] == ["0,0", "1,0", "0,1", "1,1"]
     gf9 = make_field(3, 2)
-    elements = gf9.elements()
-    assert [e.index for e in elements] == list(range(9))
-    # one immutable tuple per field, returned again for an equal spec built anew
-    assert type(elements) is tuple
-    assert make_field(3, 2).elements() is elements
-    with pytest.raises(TypeError):
-        elements[0] = elements[1]
+    assert [gf9.label(i) for i in range(9)] == ["0,0", "1,0", "2,0", "0,1", "1,1",
+                                                "2,1", "0,2", "1,2", "2,2"]
+
+
+def _operation_rows(spec):
+    """add[b][a] = a + b and mul[a][b] = a * b, read from affine rows."""
+    n = spec.n
+    add = [spec.affine_images(1, b) for b in range(n)]
+    mul = [(0,) * n] + [spec.affine_images(a, 0) for a in range(1, n)]
+    return add, mul
 
 
 @pytest.mark.parametrize("n", SMALL_ORDERS)
 def test_field_axioms(n):
     spec = field_of_order(n, max_order=DEFAULT_MAX_ORDER)
-    elements = spec.elements()
-    assert len(set(elements)) == n
+    add, mul = _operation_rows(spec)
+    assert all(sorted(row) == list(range(n)) for row in add + mul[1:])
 
-    pairs = list(product(elements, repeat=2))
-    for a, b in pairs:
-        assert a + b == b + a
-        assert a * b == b * a
+    for a, b in product(range(n), repeat=2):
+        assert add[b][a] == add[a][b]
+        assert mul[a][b] == mul[b][a]
 
     if n <= 16:
-        triples = list(product(elements, repeat=3))
+        triples = list(product(range(n), repeat=3))
     else:
         rng = random.Random(n)
-        triples = [tuple(rng.choice(elements) for _ in range(3)) for _ in range(2000)]
+        triples = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(2000)]
     for a, b, c in triples:
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert add[c][add[b][a]] == add[add[c][b]][a]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[c][b]] == add[mul[a][c]][mul[a][b]]
 
 
 @pytest.mark.parametrize("n", SMALL_ORDERS)
 def test_inverses_and_primitive_order(n):
     spec = field_of_order(n)
-    one = spec.one
-    for e in spec.elements():
-        if e.is_zero():
-            continue
-        assert e * e.inverse() == one
-    assert spec.primitive().multiplicative_order() == n - 1
+    _, mul = _operation_rows(spec)
+    for e in range(1, n):
+        inverse = mul[e].index(1)
+        assert mul[inverse][e] == 1
+    assert gf_multiplicative_order(spec, spec.primitive()) == n - 1
 
 
 def test_powers_of_primitive_cover_nonzero_elements():
     spec = make_field(3, 2)
-    omega = spec.primitive()
-    powers = {(omega ** i) for i in range(spec.n - 1)}
-    assert powers == {e for e in spec.elements() if not e.is_zero()}
+    row = spec.affine_images(spec.primitive(), 0)
+    powers, x = set(), 1
+    for _ in range(spec.n - 1):
+        powers.add(x)
+        x = row[x]
+    assert powers == set(range(1, spec.n))
 
 
 def test_serialization_roundtrip():
     spec = make_field(3, 2)
-    assert str(spec.element([2, 1])) == "2,1"
+    assert spec.label(5) == "2,1"
+    for i in range(spec.n):
+        assert sum(int(c) * spec.p ** j for j, c in enumerate(spec.label(i).split(","))) == i
 
 
 @pytest.mark.parametrize("coeffs, shown", [([1.5, 2.9], "1.5 at position 0"),
@@ -174,9 +208,13 @@ def test_serialization_roundtrip():
                                            ([2, True], "True at position 1"),
                                            ((1, 2.0), "2.0 at position 1")])
 def test_element_refuses_non_int_coefficients(coeffs, shown):
-    # int() would truncate these: [1.5, 2.9] read 1,2 and ["2", True] read 2,1
-    with pytest.raises(TypeError, match=rf"^coefficient {re.escape(shown)} is not an int$"):
-        make_field(3, 2).element(coeffs)
+    # An element is an index, so a coefficient vector is refused; where
+    # coefficients are still read, in the modulus, each entry must be an
+    # int (int() would truncate [1.5, 2.9] to 1,2 and read ["2", True] as 2,1).
+    with pytest.raises(TypeError, match=rf"^element index {re.escape(repr(coeffs))} is not an int$"):
+        make_field(3, 2).affine_images(coeffs, 0)
+    with pytest.raises(TypeError, match=rf"^modulus coefficient {re.escape(shown)} is not an int$"):
+        FieldSpec(3, 1, coeffs)
 
 
 def test_field_spec_refuses_a_non_int_modulus():
@@ -185,24 +223,25 @@ def test_field_spec_refuses_a_non_int_modulus():
 
 
 def test_mismatched_fields_error():
-    a = make_field(2, 2).element(2)
-    b = make_field(3, 2).element(2)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-    # equal specs built twice interoperate
-    c = make_field(2, 2).element(3)
-    assert (a + c).spec == a.spec
+    # an index of GF(9) past the end of GF(4) is refused as s and as t
+    gf4 = make_field(2, 2)
+    with pytest.raises(ValueError, match=r"^index 8 out of range for order 4$"):
+        gf4.affine_images(1, 8)
+    with pytest.raises(ValueError, match=r"^index 8 out of range for order 4$"):
+        gf4.affine_images(8, 0)
+    # equal specs built twice give the same rows
+    assert make_field(2, 2).affine_images(3, 1) == gf4.affine_images(3, 1)
 
 
 def test_zero_division_and_negative_powers():
     spec = make_field(5, 1)
-    with pytest.raises(ZeroDivisionError):
-        spec.zero.inverse()
-    two = spec.element(2)
-    assert two ** -1 == two.inverse()
-    assert two ** 0 == spec.one
+    # zero has no inverse, so it scales nothing
+    with pytest.raises(ValueError, match=r"^scale factor s must be nonzero$"):
+        spec.affine_images(0, 0)
+    # 2 ** -1 = 3: scaling by 2 and then by 3 is the identity
+    double, third = spec.affine_images(2, 0), spec.affine_images(3, 0)
+    assert double[3] == 1
+    assert [third[double[x]] for x in range(5)] == list(range(5))
 
 
 def test_field_spec_refuses_non_int_p_and_k():
@@ -219,10 +258,11 @@ def test_field_spec_refuses_non_int_p_and_k():
 @pytest.mark.parametrize("index", [True, False])
 def test_element_refuses_a_bool_index(index):
     # True used to read as the index 1 and False as 0
-    with pytest.raises(TypeError, match=rf"^element index {index} is not an int$"):
-        make_field(3, 2).element(index)
-    with pytest.raises(TypeError, match=rf"^element index {index} is not an int$"):
-        make_field(5, 1).element(index)
+    for spec in (make_field(3, 2), make_field(5, 1)):
+        for call in (lambda: spec.affine_images(1, index), lambda: spec.affine_images(index, 1),
+                     lambda: spec.label(index)):
+            with pytest.raises(TypeError, match=rf"^element index {index} is not an int$"):
+                call()
 
 
 def test_affine_permutation_refuses_bool_arguments():
@@ -233,11 +273,10 @@ def test_affine_permutation_refuses_bool_arguments():
 
 @pytest.mark.parametrize("n", [n for n in SMALL_ORDERS if n <= 13])
 def test_affine_images_match_field_arithmetic_for_every_pair(n):
-    # covers the residue route (k = 1) and the FieldElement route (4, 8, 9)
+    # covers the residue route (k = 1) and the polynomial route (4, 8, 9)
     spec = field_of_order(n)
-    for s, t in product(spec.elements()[1:], spec.elements()):
+    for s, t in product(range(1, n), range(n)):
         assert spec.affine_images(s, t) == affine_images_by_elements(spec, s, t)
-        assert spec.affine_images(s.index, t.index) == affine_images_by_elements(spec, s, t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,6 +293,8 @@ def test_affine_images_match_field_arithmetic_sampled(n, data):
 @pytest.mark.parametrize("n", [5, 9])
 def test_affine_images_refuse_a_zero_scale(n):
     spec = field_of_order(n)
-    for zero in (0, spec.zero, [0]):
-        with pytest.raises(ValueError, match=r"^scale factor s must be nonzero$"):
-            spec.affine_images(zero, 1)
+    with pytest.raises(ValueError, match=r"^scale factor s must be nonzero$"):
+        spec.affine_images(0, 1)
+    # the zero coefficient vector is not an index
+    with pytest.raises(TypeError, match=r"^element index \[0\] is not an int$"):
+        spec.affine_images([0], 1)

@@ -325,8 +325,16 @@ def test_helical_families(n):
 
 
 def test_helical_components_carry_field_labels():
-    blueprint = helical_link(field_of_order(4))
-    assert blueprint.components == ("face_0,0", "face_1,0", "face_0,1", "face_1,1")
+    # the coefficients c0,c1,... of each face's element, in index order;
+    # GF(9) is an extension of odd characteristic
+    labels = {
+        4: "0,0 1,0 0,1 1,1",
+        8: "0,0,0 1,0,0 0,1,0 1,1,0 0,0,1 1,0,1 0,1,1 1,1,1",
+        9: "0,0 1,0 2,0 0,1 1,1 2,1 0,2 1,2 2,2",
+    }
+    for n, shown in labels.items():
+        blueprint = helical_link(field_of_order(n))
+        assert blueprint.components == tuple(f"face_{label}" for label in shown.split())
 
 
 def test_helical_rejects_tiny_orders():

@@ -47,11 +47,11 @@ def test_perm_group_has_no_orbit_methods():
     assert not hasattr(cusplink.PermGroup, "orbits")
 
 
-# Each value type, built twice from scratch, with its repr and one field.
+# Each value type, built twice from scratch, with its repr and one field;
+# FieldSpec appears as an extension field and as a prime field.
 VALUE_TYPES = [
     (lambda: cusplink.make_field(3, 2), "FieldSpec(p=3, k=2, modulus=(1, 0, 1))", "modulus"),
-    (lambda: cusplink.make_field(3, 2).element(4),
-     "FieldElement(spec=FieldSpec(p=3, k=2, modulus=(1, 0, 1)), coeffs=(1, 1))", "coeffs"),
+    (lambda: cusplink.make_field(5, 1), "FieldSpec(p=5, k=1, modulus=(0, 1))", "p"),
     (lambda: cusplink.Permutation((1, 2, 0)), "Permutation(images=(1, 2, 0))", "images"),
     (lambda: cusplink.BraidWord(3, (1, -2)), "BraidWord(strands=3, word=(1, -2))", "word"),
 ]
@@ -74,7 +74,7 @@ def test_value_types_compare_by_value_and_stay_fixed(build, shown, name):
 # The field tuple of each value in VALUE_TYPES, in the same order.
 FIELD_TUPLES = [
     (3, 2, (1, 0, 1)),
-    (cusplink.make_field(3, 2), (1, 1)),
+    (5, 1, (0, 1)),
     ((1, 2, 0),),
     (3, (1, -2)),
 ]
@@ -96,4 +96,18 @@ def test_values_of_different_types_are_never_equal():
 
 
 def test_equal_field_specs_share_one_cached_primitive():
-    assert cusplink.make_field(2, 5).primitive() is cusplink.make_field(2, 5).primitive()
+    from cusplink.finite_field import _primitive
+
+    first = cusplink.make_field(2, 5).primitive()
+    hits = _primitive.cache_info().hits
+    assert cusplink.make_field(2, 5).primitive() == first
+    assert _primitive.cache_info().hits == hits + 1
+
+
+def test_field_elements_are_indices_only():
+    from cusplink import finite_field
+
+    assert not hasattr(cusplink, "FieldElement") and "FieldElement" not in cusplink.__all__
+    assert not hasattr(finite_field, "FieldElement")
+    for name in ("element", "elements", "zero", "one"):
+        assert not hasattr(cusplink.FieldSpec, name), name

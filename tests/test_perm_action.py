@@ -183,8 +183,8 @@ def test_two_generators_give_the_whole_affine_group(n):
     assert group.order == n * (n - 1)
     assert transitivity_degree(group) == 2
     for i in range(spec.k):
-        assert affine_permutation(spec, spec.one, spec.element([0] * i + [1])) in group
-    assert affine_permutation(spec, spec.primitive(), spec.zero) in group
+        assert affine_permutation(spec, 1, spec.p ** i) in group  # t = x^i
+    assert affine_permutation(spec, spec.primitive(), 0) in group
 
 
 def test_affine_permutation_translation_is_shift():

@@ -14,7 +14,12 @@ from cusplink.regular_map import (
     induced_face_permutation,
     map_summary,
 )
-from reference_checks import dart_automorphism_is_valid, per_dart_phi
+from reference_checks import (
+    dart_automorphism_is_valid,
+    gf_multiplicative_order,
+    gf_multiply,
+    per_dart_phi,
+)
 
 PRIME_POWERS = [4, 5, 7, 8, 9, 11, 13]
 PRIME_POWERS_TO_64 = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -116,7 +121,9 @@ def test_vertex_cycles_share_the_order_of_minus_omega(n):
     surface = biggs_map(field_of_order(n))
     lengths = {len(v) for v in surface.vertices}
     assert len(lengths) == 1
-    expected = (-surface.omega).multiplicative_order()
+    spec = surface.spec
+    minus_omega = gf_multiply(spec, spec.p - 1, surface.omega)
+    expected = gf_multiplicative_order(spec, minus_omega)
     assert lengths.pop() == expected
 
 
@@ -166,8 +173,7 @@ def test_scale_zero_rejected():
 def test_every_affine_pair_is_a_dart_automorphism(n):
     spec = field_of_order(n)
     surface = biggs_map(spec)
-    elements = spec.elements()
-    for s, t in product(elements[1:], elements):
+    for s, t in product(range(1, n), range(n)):
         auto = affine_map_automorphism(surface, s, t)
         assert dart_automorphism_is_valid(surface, auto)
         assert induced_face_permutation(surface, auto) == affine_permutation(spec, s, t)
