@@ -7,14 +7,17 @@ c0 + c1*p + ..., so prime fields read 0, 1, ..., p-1 and GF(4) reads
 0, 1, x, x+1.  FieldSpec.label(i) gives the text "c0,c1,..." of index i.
 
 Everything here targets tiny fields (order <= 64 by default), so
-irreducibility is decided by trial division and the primitive element
-by walking its scaling row; at this scale that is both fast enough and
-easy to audit.
+irreducibility is decided by trial division; at this scale that is both
+fast enough and easy to audit.  Polynomial arithmetic on coefficient
+vectors only finds the modulus and fills, once per field, the exp, log
+and Zech tables of the least primitive element g (Lidl-Niederreiter,
+Finite Fields; Huber, IEEE TIT 1990).
 
 The one bulk operation, FieldSpec.affine_images, gives the index of
 s*x + t for every x at once.  A prime field's index is its residue, so
-there it computes on ints mod p; only an extension field (k > 1)
-multiplies coefficient vectors and reduces them by the modulus."""
+there it computes on ints mod p; an extension field (k > 1) reads the
+row from its tables: s*x = g^(log s + log x), and s*x + t =
+t*(1 + s*x/t), where Zech's logarithm gives log(1 + g^m)."""
 
 from __future__ import annotations
 
@@ -168,22 +171,25 @@ class FieldSpec(Value):
         s, t = self._index(s), self._index(t)
         if s == 0:
             raise ValueError("scale factor s must be nonzero")
-        p = self.p
         if self.k == 1:
+            p = self.p
             return tuple([(s * x + t) % p for x in range(p)])
-        coefficients = _coefficients(self)
-        s, t = coefficients[s], coefficients[t]
-        row = []
-        for x in coefficients:
-            sx = _poly_rem(_poly_mul(s, x, p), self.modulus, p) + (0,) * self.k
-            row.append(_poly_index([a + b for a, b in zip(sx, t)], p))
-        return tuple(row)
+        exp, log, zech = _tables(self)
+        q, logs = self.n - 1, log[1:]
+        if t == 0:
+            scale = log[s]
+            return (0,) + tuple([exp[(scale + m) % q] for m in logs])
+        # s*x + t = t * (1 + s*x/t) = g^(log t + Z(log s + log x - log t))
+        shift, base = log[s] - log[t], log[t]
+        return (t,) + tuple([0 if z is None else exp[(base + z) % q]
+                             for z in [zech[(shift + m) % q] for m in logs]])
 
     def primitive(self) -> int:
         """Index of the least element (canonical order) generating the
         multiplicative group; its powers run through all n-1 nonzero
         elements."""
-        return _primitive(self)
+        exp = _tables(self)[0]
+        return exp[1 % len(exp)]  # in GF(2), g = 1 = exp[0]
 
 
 def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
@@ -191,12 +197,13 @@ def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     irreducible modulus of degree k (so prime fields reduce to plain
     mod-p arithmetic with modulus x).
 
-    Raises TypeError for a p or k that is not an int, and ValueError for
-    non-prime p, k < 1, or order beyond max_order.  The cap is checked
-    first, by a product that stops once past it, so a huge p or k is
-    refused at once.
+    Raises TypeError for a p, k or max_order that is not an int, and
+    ValueError for non-prime p, k < 1, or order beyond max_order.  The
+    cap is checked first, by a product that stops once past it, so a
+    huge p or k is refused at once.
     """
     p, k = int_tuple((p, k), "make_field (p, k) entry")
+    (max_order,) = int_tuple((max_order,), "make_field max_order")
     if k < 1:
         raise ValueError("exponent k must be >= 1")
     order = 1
@@ -217,6 +224,7 @@ def field_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     """make_field for a prime-power order given directly; an order over
     the cap is refused before it is factored."""
     (n,) = int_tuple((n,), "field order")
+    (max_order,) = int_tuple((max_order,), "field_of_order max_order")
     if n > max_order:
         raise ValueError(f"order {n} exceeds the cap {max_order}")
     decomposition = prime_power(n)
@@ -233,13 +241,24 @@ def _coefficients(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _primitive(spec: FieldSpec) -> int:
-    target = spec.n - 1
-    for candidate in range(1, spec.n):
-        row = spec.affine_images(candidate, 0)
-        x, length = row[1], 1
-        while x != 1:
-            x, length = row[x], length + 1
-        if length == target:
-            return candidate
-    raise AssertionError("multiplicative group has no generator; unreachable")
+def _tables(spec: FieldSpec) -> tuple[tuple[int, ...], tuple, tuple]:
+    """(exp, log, zech) of the least primitive index g: exp[m] is the
+    index of g^m for 0 <= m < n-1, log[exp[m]] = m (log[0] is None), and
+    zech[m] = log(g^m + 1), None where g^m + 1 = 0."""
+    p, q = spec.p, spec.n - 1
+    coefficients = _coefficients(spec)
+    for g in range(1, spec.n):
+        exp, x = [1], coefficients[g]
+        while (i := _poly_index(x, p)) != 1:
+            exp.append(i)
+            x = _poly_rem(_poly_mul(x, coefficients[g], p), spec.modulus, p)
+        if len(exp) == q:
+            break
+    else:
+        raise AssertionError("multiplicative group has no generator; unreachable")
+    log = [None] * spec.n
+    for m, i in enumerate(exp):
+        log[i] = m
+    # adding 1 only bumps the constant base-p digit of an index
+    zech = tuple([log[i - i % p + (i + 1) % p] for i in exp])
+    return tuple(exp), tuple(log), zech

@@ -409,8 +409,9 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
     center, inside the product of the map's surface with a circle.
     Because every pair of faces shares an edge and each strand runs at a
     radius between the face polygon's inradius and circumradius, so
-    reaches onto the neighboring faces, every pair of components links.  The affine symmetry of the face labels carries
-    the components 2-transitively."""
+    reaches onto the neighboring faces, every pair of components links.
+    The affine symmetry of the face labels carries the components
+    2-transitively."""
     n = spec.n
     if n <= 3:
         raise ValueError("field order must exceed 3")

@@ -92,6 +92,11 @@ def gf_multiply(spec, a: int, b: int) -> int:
     return _gf_index(gf_rem(product, list(reversed(spec.modulus)), spec.p, ZZ), spec.p)
 
 
+def gf_sum(spec, a: int, b: int) -> int:
+    """The index of a+b, by sympy's galoistools."""
+    return _gf_index(gf_add(_gf_poly(spec, a), _gf_poly(spec, b), spec.p, ZZ), spec.p)
+
+
 def gf_multiplicative_order(spec, a: int) -> int:
     """The least m >= 1 with a^m = 1, for a nonzero index a."""
     power, order = a, 1
@@ -103,9 +108,7 @@ def gf_multiplicative_order(spec, a: int) -> int:
 def affine_images_by_elements(spec, s: int, t: int) -> tuple[int, ...]:
     """The index of s*x + t for each x, by sympy's galoistools on every
     field, prime or not; it reads only p, k and modulus from the spec."""
-    p, shift = spec.p, _gf_poly(spec, t)
-    return tuple(_gf_index(gf_add(_gf_poly(spec, gf_multiply(spec, s, x)), shift, p, ZZ), p)
-                 for x in range(spec.n))
+    return tuple(gf_sum(spec, gf_multiply(spec, s, x), t) for x in range(spec.n))
 
 
 def per_dart_phi(spec):

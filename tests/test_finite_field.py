@@ -10,16 +10,18 @@ from sympy.polys.galoistools import gf_irreducible_p
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
     FieldSpec,
+    _tables,
     field_of_order,
     is_prime,
     make_field,
     prime_power,
 )
 from cusplink.perm_action import affine_permutation
-from reference_checks import affine_images_by_elements, gf_multiplicative_order
+from reference_checks import affine_images_by_elements, gf_multiplicative_order, gf_sum
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
 PRIME_POWERS_TO_CAP = [n for n in range(2, DEFAULT_MAX_ORDER + 1) if prime_power(n)]
+EXTENSION_ORDERS_TO_CAP = [n for n in PRIME_POWERS_TO_CAP if prime_power(n)[1] > 1]
 
 
 def test_prime_power_decomposition():
@@ -100,6 +102,14 @@ def test_field_of_order_refuses_a_non_int_order():
     # field_of_order(9.0) used to return GF(9)
     with pytest.raises(TypeError, match=r"^field order 9\.0 at position 0 is not an int$"):
         field_of_order(9.0)
+
+
+def test_field_constructors_refuse_a_non_int_cap():
+    # both used to end in a raw "'>' not supported" TypeError
+    with pytest.raises(TypeError, match=r"^field_of_order max_order '64' at position 0 is not an int$"):
+        field_of_order(9, max_order="64")
+    with pytest.raises(TypeError, match=r"^make_field max_order None at position 0 is not an int$"):
+        make_field(3, 2, max_order=None)
 
 
 @pytest.mark.parametrize("p, k, shown", [(3, 30000000, "3^30000000"),
@@ -273,10 +283,30 @@ def test_affine_permutation_refuses_bool_arguments():
 
 @pytest.mark.parametrize("n", [n for n in SMALL_ORDERS if n <= 13])
 def test_affine_images_match_field_arithmetic_for_every_pair(n):
-    # covers the residue route (k = 1) and the polynomial route (4, 8, 9)
+    # covers the residue route (k = 1) and the table route (4, 8, 9)
     spec = field_of_order(n)
     for s, t in product(range(1, n), range(n)):
         assert spec.affine_images(s, t) == affine_images_by_elements(spec, s, t)
+
+
+@pytest.mark.parametrize("n", EXTENSION_ORDERS_TO_CAP)
+def test_tables_match_galoistools(n):
+    spec = field_of_order(n)
+    exp, log, zech = _tables(spec)
+    assert sorted(exp) == list(range(1, n))
+    assert log[0] is None and [exp[log[i]] for i in range(1, n)] == list(range(1, n))
+    assert exp[1] == spec.primitive()
+    for m, z in enumerate(zech):
+        one_more = gf_sum(spec, exp[m], 1)
+        assert z == (None if one_more == 0 else log[one_more]), m
+
+
+@pytest.mark.parametrize("n", EXTENSION_ORDERS_TO_CAP)
+def test_affine_images_match_field_arithmetic_for_every_scale(n):
+    # the t = 0 (pure log) and t != 0 (Zech) routes, at every s
+    spec = field_of_order(n)
+    for s, t in product(range(1, n), (0, 1, n - 1)):
+        assert spec.affine_images(s, t) == affine_images_by_elements(spec, s, t), (s, t)
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from cusplink.finite_field import field_of_order
+from cusplink.finite_field import field_of_order, make_field
 from cusplink.perm_action import Permutation, affine_permutation
 from cusplink.regular_map import (
     RotationMap,
@@ -90,6 +90,14 @@ def test_biggs_map_counts(n, V, E, g):
 def test_genus_matches_formula(n):
     surface = biggs_map(field_of_order(n))
     assert surface.genus == genus_formula(n)
+
+
+@pytest.mark.parametrize("p, k", [(2, 7), (3, 5), (2, 8)])
+def test_genus_matches_formula_above_the_cap(p, k):
+    # the library builds fields over the CLI's cap when asked to
+    spec = make_field(p, k, max_order=p ** k)
+    assert biggs_map(spec).genus == genus_formula(spec.n)
+    assert gf_multiplicative_order(spec, spec.primitive()) == spec.n - 1
 
 
 @pytest.mark.parametrize("n", PRIME_POWERS)
