@@ -10,14 +10,12 @@ without --family, which builds every family at its defaults, and --tol
 under `dilatation --format dot`); an invalid n; a census --n-max above
 the field-order cap; a census range that holds no prime power above 3
 (--n-min 10 --n-max 5, or --n-max 3); a dilatation tolerance outside
-its bounds; an invalid CSL_MAX_GROUP, which every subcommand checks;
-and an --out path that cannot be written, reported as "error: cannot
-write --out PATH: <reason>".  A violated internal invariant is a check
-failure too: it exits 1 with "error: invariant violated: ..." instead
-of a traceback.
+its bounds; and an --out path that cannot be written, reported as
+"error: cannot write --out PATH: <reason>".  A violated internal
+invariant is a check failure too: it exits 1 with "error: invariant
+violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
-floats carry 15 significant digits.  The group-order cap is set only
-by the CSL_MAX_GROUP environment variable.
+floats carry 15 significant digits.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import argparse
 import json
 import sys
 
-from . import link_families, perm_action, train_track
+from . import link_families, train_track
 from .finite_field import DEFAULT_MAX_ORDER, field_of_order, prime_power
 from .link_families import (
     EXAMPLE_BRAID,
@@ -293,7 +291,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        perm_action._group_cap()  # refuse a bad CSL_MAX_GROUP even where no group is built
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,6 +134,8 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
     half-twists.  Cyclic symmetry; neighbor-only linking; hyperbolic for
     every t once n >= 5 (Neumann-Reid), with finitely many unresolved
     low-twist exceptions for shorter chains."""
+    (n,) = int_tuple((n,), "chain_link n")
+    (t,) = int_tuple((t,), "chain_link t")
     if n < 2:
         raise ValueError("a chain needs at least 2 loops")
     if n > MAX_CHAIN_LOOPS:
@@ -239,11 +241,12 @@ def _closure_linking(braid: BraidWord) -> list[list[int]]:
 
 def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
     """Close braid**(n*m) for a braid whose permutation is a single
-    n-cycle on its n strands.  The closure has exactly n components
-    (verified by direct cycle count), carried cyclically into each other
-    by shifting the diagram one block.  After n repeats every strand is
-    back in place, so the linking of the whole power is m times that of
-    one period, and the cost does not grow with m."""
+    n-cycle on its n strands.  The closure has exactly n components,
+    one per strand, carried cyclically into each other by shifting the
+    diagram one block.  After n repeats every strand is back in place
+    (_closure_linking checks this), so the linking of the whole power is
+    m times that of one period, and the cost does not grow with m."""
+    (m,) = int_tuple((m,), "cyclic_braid_closure m")
     if m < 1:
         raise ValueError("power m must be >= 1")
     n = braid.strands
@@ -251,11 +254,6 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
     cycles = perm.cycles(include_fixed=True)
     if len(cycles) != 1 or len(cycles[0]) != n:
         raise ValueError("braid permutation must be a single n-cycle on n strands")
-    repeats = n * m
-    total = perm ** repeats
-    components = len(total.cycles(include_fixed=True))
-    if components != n:
-        raise AssertionError("closure component count disagrees with cycle count")
     matrix = [[m * x for x in row] for row in _closure_linking(braid)]
     return LinkBlueprint(
         family="braid_closure",
@@ -267,7 +265,7 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
             "conditional",
             "closure of the (n*m)-th power; the 2-pi theorem (Gromov-Thurston) "
             "gives hyperbolicity for sufficiently large m"),
-        params={"strands": n, "word": list(braid.word), "m": m, "power": repeats},
+        params={"strands": n, "word": list(braid.word), "m": m, "power": n * m},
     )
 
 

@@ -13,50 +13,29 @@ under G_i, with one coset representative per orbit point.  The chain
 gives:
 
 - the order, as the product of the basic-orbit lengths;
-- membership, by sifting a permutation down the levels;
 - k-transitivity, by the base-prefix criterion: G is k-transitive
   exactly when the basic orbits of 0..k-1 have lengths d, d-1, ...,
   d-k+1, because G is k-transitive when it is transitive and G_0 is
   (k-1)-transitive on the remaining points.
 
 The product of the basic-orbit lengths found so far is a lower bound on
-the order, so a group larger than the cap (default 10**6, set only by
-the CSL_MAX_GROUP environment variable) is refused while its chain is
-still being built.  The breadth-first element list stays only for the
-benchmark's traced element counter, until ROADMAP item 1 has it count
-the order instead.
+the order, so a group larger than MAX_GROUP_ORDER is refused while its
+chain is still being built.  The breadth-first element list stays only
+for the benchmark's traced element counter, until ROADMAP item 1 has it
+count the order instead.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 
 from ._value import Value, int_tuple
 
-DEFAULT_MAX_GROUP = 10 ** 6
-_ENV_MAX_GROUP = "CSL_MAX_GROUP"
-
-
-def _group_cap() -> tuple[int, str]:
-    """The group-order cap and the name of the setting it came from."""
-    if _ENV_MAX_GROUP not in os.environ:
-        return DEFAULT_MAX_GROUP, "the default"
-    value = os.environ[_ENV_MAX_GROUP]
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{_ENV_MAX_GROUP} must be a positive integer, got {value!r}")
-    return cap, _ENV_MAX_GROUP
-
-
-def _cap_exceeded(cap: int, source: str, bound: int) -> RuntimeError:
-    return RuntimeError(
-        f"group order cap {cap} (from {source}) exceeded: the order is at least {bound}")
+# A library caller's bound on group_closure; the largest group a command
+# builds is AGL(1, 64), of order 4032.
+MAX_GROUP_ORDER = 10 ** 6
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -125,26 +104,6 @@ class Permutation(Value):
             raise ValueError(f"degree mismatch in composition: {self.degree} and {other.degree}")
         return Permutation._unchecked(_compose(self.images, other.images))
 
-    def inverse(self) -> Permutation:
-        return Permutation._unchecked(_invert(self.images))
-
-    def __pow__(self, exponent: int) -> Permutation:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result, base, e = Permutation.identity(self.degree), self, exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
-
-    def order(self) -> int:
-        return lcm(*map(len, self.cycles(include_fixed=True)))
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, sorted."""
         seen, out = set(), []
@@ -184,10 +143,8 @@ class StabilizerChain:
     orbit, so the base stays a prefix of 0, 1, 2, ....
     """
 
-    def __init__(self, generators, degree: int, cap: int, cap_source: str):
+    def __init__(self, generators, degree: int):
         self._identity = tuple(range(degree))
-        self._cap = cap
-        self._cap_source = cap_source
         self._generators: list[list[tuple[int, ...]]] = []
         self._transversals: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
         for g in generators:
@@ -210,9 +167,6 @@ class StabilizerChain:
     @property
     def order(self) -> int:
         return prod(self.orbit_lengths)
-
-    def contains(self, images: tuple[int, ...]) -> bool:
-        return self._sift(images, 0)[0] == self._identity
 
     def _sift(self, h, start: int):
         """Strip h by coset representatives from level start down; return
@@ -240,8 +194,9 @@ class StabilizerChain:
         for level in range(start, j + 1):
             self._generators[level].append(h)
             self._grow_orbit(level)
-        if self.order > self._cap:
-            raise _cap_exceeded(self._cap, self._cap_source, self.order)
+        if self.order > MAX_GROUP_ORDER:
+            raise RuntimeError(f"group order cap {MAX_GROUP_ORDER} exceeded: "
+                               f"the order is at least {self.order}")
         return j
 
     def _grow_orbit(self, level: int) -> None:
@@ -282,10 +237,10 @@ class StabilizerChain:
 class PermGroup:
     """The group generated by a nonempty list of same-degree permutations.
 
-    Order, membership and transitivity come from the stabilizer chain,
-    built on first use.  The element set is listed only when asked for,
-    by breadth-first products of the generators.  Both refuse a group
-    whose order exceeds the cap (default 10**6, or CSL_MAX_GROUP).
+    Order and transitivity come from the stabilizer chain, built on
+    first use, which refuses a group of order over MAX_GROUP_ORDER.  The
+    element set is listed only when asked for, by breadth-first products
+    of the generators, once the chain has bounded the order.
     """
 
     def __init__(self, generators):
@@ -297,17 +252,16 @@ class PermGroup:
             raise ValueError("generators must share one degree")
         self.degree = degree
         self.generators = generators
-        self._cap, self._cap_source = _group_cap()
 
     @cached_property
     def chain(self) -> StabilizerChain:
-        return StabilizerChain((g.images for g in self.generators), self.degree,
-                               self._cap, self._cap_source)
+        return StabilizerChain((g.images for g in self.generators), self.degree)
 
     @cached_property
     def elements(self) -> frozenset[Permutation]:
         """Every element, by breadth-first products of the generators; read
         only by the benchmark's traced counter and the tests' cross-checks."""
+        self.chain  # noqa: B018  (refuse a group over the cap before listing it)
         generators = [g.images for g in self.generators]
         identity = tuple(range(self.degree))
         seen = {identity}
@@ -320,17 +274,12 @@ class PermGroup:
                     if product not in seen:
                         seen.add(product)
                         new.append(product)
-                        if len(seen) > self._cap:
-                            raise _cap_exceeded(self._cap, self._cap_source, len(seen))
             frontier = new
         return frozenset(map(Permutation._unchecked, seen))
 
     @property
     def order(self) -> int:
         return self.chain.order
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm.degree == self.degree and self.chain.contains(perm.images)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -342,14 +291,6 @@ def group_closure(generators) -> PermGroup:
     group = PermGroup(generators)
     group.chain  # noqa: B018  (build the chain now)
     return group
-
-
-def is_k_transitive(group: PermGroup, k: int) -> bool:
-    """Can the group map every ordered k-tuple of distinct points onto
-    every other?"""
-    if not 1 <= k <= group.degree:
-        raise ValueError(f"k must satisfy 1 <= k <= degree, got {k}")
-    return transitivity_degree(group) >= k
 
 
 def transitivity_degree(group: PermGroup) -> int:

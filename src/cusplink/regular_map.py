@@ -36,7 +36,7 @@ from collections import Counter
 from functools import cached_property
 
 from .finite_field import FieldSpec, prime_power
-from .perm_action import Permutation, affine_permutation
+from .perm_action import Permutation
 
 
 class RotationMap:
@@ -197,31 +197,6 @@ def map_summary(rotation_map: RotationMap) -> MapSummary:
         formula_genus=formula,
         vertex_degree=degrees.pop() if len(degrees) == 1 else None,
     )
-
-
-def affine_map_automorphism(rotation_map: BiggsMap, s, t) -> Permutation:
-    """The dart permutation (a, b) -> (s*a + t, s*b + t) for a nonzero
-    scale s.  It commutes with alpha and with phi, so it permutes faces,
-    edges, and vertices; the induced face permutation is the affine
-    permutation of the labels."""
-    image = affine_permutation(rotation_map.spec, s, t)
-    return _dart_permutation(rotation_map.spec.n, lambda a, b: (image(a), image(b)))
-
-
-def induced_face_permutation(rotation_map: RotationMap, dart_map: Permutation) -> Permutation:
-    """Project a dart permutation to the faces, checking along the way
-    that it is actually well defined on phi-cycles."""
-    if dart_map.degree != len(rotation_map.darts):
-        raise ValueError(f"dart map has degree {dart_map.degree} "
-                         f"but the map has {len(rotation_map.darts)} darts")
-    face_index = rotation_map.face_index
-    images = []
-    for i, face in enumerate(rotation_map.faces):
-        targets = sorted({face_index[dart_map(d)] for d in face})
-        if len(targets) != 1:
-            raise ValueError(f"dart map sends the darts of face {i} into faces {targets}")
-        images.append(targets[0])
-    return Permutation(tuple(images))
 
 
 def face_adjacency_complete(rotation_map: RotationMap) -> bool:

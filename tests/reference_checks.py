@@ -12,8 +12,21 @@ import numpy as np
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip, gf_sub
 
-from cusplink.perm_action import Permutation
+from cusplink.perm_action import Permutation, affine_permutation, group_closure
 from cusplink.train_track import transition_matrix
+
+
+def inverse(perm):
+    """The inverse permutation: the points listed in the order of their
+    images."""
+    return Permutation(tuple(sorted(range(perm.degree), key=perm)))
+
+
+def is_member(group, perm) -> bool:
+    """perm lies in the group exactly when adding it to the generators
+    leaves the order unchanged."""
+    return (perm.degree == group.degree
+            and group_closure(group.generators + (perm,)).order == group.order)
 
 
 def is_k_transitive_literal(group, k: int) -> bool:
@@ -67,6 +80,34 @@ def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     """The dart permutation commutes with alpha and with phi."""
     alpha, phi = rotation_map.alpha, rotation_map.phi
     return dart_map * alpha == alpha * dart_map and dart_map * phi == phi * dart_map
+
+
+def affine_map_automorphism(rotation_map, s: int, t: int):
+    """The dart permutation (a, b) -> (s*a + t, s*b + t) of the order-n
+    map, for a nonzero scale s, with dart (a, b) numbered
+    a*(n-1) + b - (b > a).  It commutes with alpha and with phi, so it
+    permutes faces, edges and vertices; the induced face permutation is
+    the affine permutation of the labels."""
+    n = rotation_map.spec.n
+    image = affine_permutation(rotation_map.spec, s, t)
+    darts = ((image(a), image(b)) for a in range(n) for b in range(n) if a != b)
+    return Permutation(tuple(x * (n - 1) + y - (y > x) for x, y in darts))
+
+
+def induced_face_permutation(rotation_map, dart_map):
+    """Project a dart permutation to the faces, checking along the way
+    that it is actually well defined on phi-cycles."""
+    if dart_map.degree != len(rotation_map.darts):
+        raise ValueError(f"dart map has degree {dart_map.degree} "
+                         f"but the map has {len(rotation_map.darts)} darts")
+    face_index = rotation_map.face_index
+    images = []
+    for i, face in enumerate(rotation_map.faces):
+        targets = sorted({face_index[dart_map(d)] for d in face})
+        if len(targets) != 1:
+            raise ValueError(f"dart map sends the darts of face {i} into faces {targets}")
+        images.append(targets[0])
+    return Permutation(tuple(images))
 
 
 def _gf_poly(spec, index):

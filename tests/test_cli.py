@@ -229,28 +229,23 @@ def test_census_reports_check_failures(monkeypatch, capsys):
 
 
 def test_group_cap_failure_maps_to_exit_1(monkeypatch, capsys):
-    monkeypatch.setenv("CSL_MAX_GROUP", "2")
-    code, _, err = run(capsys, "transitivity", "cube")
-    assert code == 1
-    assert "cap" in err
+    from cusplink import perm_action
 
-
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_invalid_cap_env_is_a_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("CSL_MAX_GROUP", value)
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 2)
     code, out, err = run(capsys, "transitivity", "cube")
-    assert code == 2 and out == ""
-    assert "CSL_MAX_GROUP" in err and repr(value) in err
-    assert "invalid literal" not in err
-
-
-def test_group_cap_message_names_cap_source_and_bound(monkeypatch, capsys):
-    monkeypatch.setenv("CSL_MAX_GROUP", "2")
-    code, _, err = run(capsys, "transitivity", "cube")
-    assert code == 1
+    assert code == 1 and out == ""
     # the cube group's first basic orbit already has 4 points
-    assert err == "error: group order cap 2 (from CSL_MAX_GROUP) exceeded: " \
-                  "the order is at least 4\n"
+    assert err == "error: group order cap 2 exceeded: the order is at least 4\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2"])
+def test_cap_env_variable_is_not_read(monkeypatch, capsys, value):
+    # the group-order cap is a constant; no environment variable sets it
+    commands = [("transitivity", "cube"), ("census",)]
+    unset = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in unset] == [0, 0]
+    monkeypatch.setenv("CSL_MAX_GROUP", value)
+    assert [run(capsys, *argv) for argv in commands] == unset
 
 
 def test_violated_invariant_maps_to_exit_1(monkeypatch, capsys):
@@ -274,15 +269,6 @@ def test_census_refuses_over_cap_before_building_links(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err == "error: order 67 exceeds the cap 64\n"
     assert built == []
-
-
-@pytest.mark.parametrize("argv", [("map", "--n", "5"), ("dilatation", "--format", "dot"),
-                                  ("dilatation",), ("links",), ("census", "--n-max", "3")])
-def test_invalid_cap_env_is_refused_by_every_subcommand(monkeypatch, capsys, argv):
-    monkeypatch.setenv("CSL_MAX_GROUP", "abc")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == "error: CSL_MAX_GROUP must be a positive integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("tol, bound", [("1e-300", "at least the rounding floor 6.22e-15"),

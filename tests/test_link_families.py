@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cusplink.finite_field import field_of_order
@@ -17,7 +19,8 @@ from cusplink.link_families import (
     icosahedral_link,
     polygon_geometry,
 )
-from cusplink.perm_action import Permutation, group_closure, is_k_transitive
+from cusplink.perm_action import Permutation, group_closure
+from reference_checks import is_k_transitive_literal
 
 
 def all_blueprints():
@@ -159,8 +162,8 @@ def test_chain_neighbor_matrix():
 def test_chain_cyclic_action_is_exactly_one_transitive(n):
     bp = chain_link(n, 0)
     group = group_closure(bp.symmetry_generators)
-    assert is_k_transitive(group, 1)
-    assert not is_k_transitive(group, 2)
+    assert is_k_transitive_literal(group, 1)
+    assert not is_k_transitive_literal(group, 2)
     assert bp.transitivity_degree == 1
 
 
@@ -173,6 +176,20 @@ def test_chain_loop_count_is_bounded():
     assert chain_link(MAX_CHAIN_LOOPS, 0).symmetry_order == MAX_CHAIN_LOOPS
     with pytest.raises(ValueError, match=f"at most MAX_CHAIN_LOOPS = {MAX_CHAIN_LOOPS} loops"):
         chain_link(MAX_CHAIN_LOOPS + 1, 0)
+
+
+# int() would truncate or convert each of these; a bool is an int subclass
+@pytest.mark.parametrize("build, shown", [
+    (lambda: chain_link(6, 0.5), "chain_link t 0.5"),
+    (lambda: chain_link(6, True), "chain_link t True"),
+    (lambda: chain_link(True, 0), "chain_link n True"),
+    (lambda: cyclic_braid_closure(EXAMPLE_BRAID, True), "cyclic_braid_closure m True"),
+    (lambda: cyclic_braid_closure(EXAMPLE_BRAID, 1.5), "cyclic_braid_closure m 1.5"),
+], ids=["chain-t-float", "chain-t-bool", "chain-n-bool", "braid-m-bool", "braid-m-float"])
+def test_family_arguments_must_be_ints(build, shown):
+    with pytest.raises(TypeError) as refusal:
+        build()
+    assert str(refusal.value) == f"{shown} at position 0 is not an int"
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +225,7 @@ def test_example_braid_permutation():
 
 
 def test_braid_permutation_trivia():
-    assert braid_permutation(BraidWord(4, ())).is_identity()
+    assert braid_permutation(BraidWord(4, ())) == Permutation.identity(4)
     assert braid_permutation(BraidWord(2, (1,))).images == (1, 0)
     # signs do not change the underlying permutation
     assert braid_permutation(BraidWord(2, (-1,))).images == (1, 0)
@@ -254,6 +271,33 @@ def test_huge_power_answers_at_once():
     assert cyclic_braid_closure(BraidWord(3, (1, 2)), 10 ** 9).linking_matrix[0][1] == 10 ** 9
 
 
+def test_closure_linking_refuses_a_nontrivial_total_permutation():
+    # a transposition on 3 strands, cubed, is still a transposition
+    with pytest.raises(ValueError, match="^total permutation is not trivial; "
+                                         "components would merge$"):
+        _closure_linking(BraidWord(3, (1,)))
+
+
+def test_n_cycle_braid_power_returns_every_strand():
+    # the n-th power of an n-cycle is the identity, so the closure of any
+    # power n*m of such a braid has one component per strand
+    rng = random.Random(5)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(2, 6)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                     for _ in range(rng.randint(n - 1, 12)))
+        braid = BraidWord(n, word)
+        cycles = braid_permutation(braid).cycles()
+        if [len(c) for c in cycles] != [n]:
+            continue
+        assert braid_permutation(braid * n) == Permutation.identity(n)
+        m = rng.randint(1, 3)
+        assert [list(row) for row in cyclic_braid_closure(braid, m).linking_matrix] == \
+            _closure_linking(braid * m)
+        checked += 1
+
+
 def test_closure_requires_single_cycle():
     with pytest.raises(ValueError):
         cyclic_braid_closure(BraidWord(3, (1,)), 1)  # permutation is a transposition
@@ -292,7 +336,7 @@ def test_icosahedral_link():
     assert bp.transitivity_degree == 2
     group = group_closure(bp.symmetry_generators)
     # order 60 < 6*5*4 = 120 rules out 3-transitivity
-    assert not is_k_transitive(group, 3)
+    assert not is_k_transitive_literal(group, 3)
     assert bp.params["crossings"] == 30
 
 

@@ -11,7 +11,8 @@ import reference_checks
 
 MODULES = ["cusplink", "cusplink.perm_action", "cusplink.regular_map", "cusplink.train_track"]
 MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits",
-         "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios"]
+         "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios",
+         "affine_map_automorphism", "induced_face_permutation"]
 # Second routes that dilatation never ran, and the test-only dilatation(),
 # gone without a same-named reference.
 REMOVED = ["anosov_check", "AnosovReport", "word_lengths", "dilatation"]
@@ -45,6 +46,23 @@ def test_removed_train_track_routes_are_gone(module):
 def test_perm_group_has_no_orbit_methods():
     assert not hasattr(cusplink.PermGroup, "orbit")
     assert not hasattr(cusplink.PermGroup, "orbits")
+
+
+def test_test_only_group_api_is_gone():
+    # callers write transitivity_degree(g) >= k; the group-order cap is
+    # the constant MAX_GROUP_ORDER, read from no environment variable
+    from cusplink import perm_action
+
+    gone = [(cusplink, ["is_k_transitive"]),
+            (perm_action, ["is_k_transitive", "_group_cap", "_cap_exceeded"]),
+            (perm_action.Permutation, ["inverse", "__pow__", "order", "is_identity"]),
+            (perm_action.PermGroup, ["__contains__"]),
+            (perm_action.StabilizerChain, ["contains"])]
+    for owner, names in gone:
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert "is_k_transitive" not in cusplink.__all__
+    assert perm_action.MAX_GROUP_ORDER == 10 ** 6
 
 
 # Each value type, built twice from scratch, with its repr and one field;

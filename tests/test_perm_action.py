@@ -3,16 +3,21 @@ from math import factorial
 
 import pytest
 
+from cusplink import perm_action
 from cusplink.finite_field import field_of_order, make_field, prime_power
 from cusplink.perm_action import (
     Permutation,
     affine_group,
     affine_permutation,
     group_closure,
-    is_k_transitive,
     transitivity_degree,
 )
-from reference_checks import is_k_transitive_literal, orbit_sizes_divide_order
+from reference_checks import (
+    inverse,
+    is_k_transitive_literal,
+    is_member,
+    orbit_sizes_divide_order,
+)
 
 
 def cyclic(n):
@@ -56,16 +61,6 @@ def test_composition_convention():
     assert (q * p)(0) == q(p(0)) == 0
 
 
-def test_inverse_and_power():
-    g = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
-    assert (g * g.inverse()).is_identity()
-    assert g ** 5 == Permutation.identity(5)
-    assert g ** -2 == (g.inverse()) ** 2
-    assert g.order() == 5
-    assert Permutation.from_cycles(5, [(0, 1), (2, 3, 4)]).order() == 6
-    assert Permutation.identity(4).order() == 1
-
-
 def test_cycle_string():
     g = Permutation.from_cycles(5, [(0, 2), (1, 3)])
     assert g.cycle_string() == "(0 2)(1 3)"
@@ -83,33 +78,35 @@ def test_closure_degree_mismatch_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         group_closure([cyclic(4), cyclic(5)])
     gens = [Permutation.from_cycles(4, [(0, 1)]), cyclic(4)]
-    monkeypatch.setenv("CSL_MAX_GROUP", "10")
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 10)
     with pytest.raises(RuntimeError):
         group_closure(gens)
 
 
 def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("CSL_MAX_GROUP", "3")
+    # S4 has order 24: refused just under the cap's bound, built at it
     gens = [Permutation.from_cycles(4, [(0, 1)]), cyclic(4)]
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 23)
+    with pytest.raises(RuntimeError, match=r"^group order cap 23 exceeded: "
+                                           r"the order is at least 24$"):
         group_closure(gens)
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 24)
+    assert group_closure(gens).order == 24
+    assert len(perm_action.PermGroup(gens).elements) == 24
 
 
 def test_k_transitivity_cyclic():
     c5 = group_closure([cyclic(5)])
-    assert is_k_transitive(c5, 1)
-    assert not is_k_transitive(c5, 2)
-    with pytest.raises(ValueError):
-        is_k_transitive(c5, 0)
-    with pytest.raises(ValueError):
-        is_k_transitive(c5, 6)
+    assert transitivity_degree(c5) == 1
+    assert is_k_transitive_literal(c5, 1)
+    assert not is_k_transitive_literal(c5, 2)
 
 
 def test_k_transitivity_affine():
     a5 = affine_group(make_field(5, 1))
-    assert is_k_transitive(a5, 2)
+    assert transitivity_degree(a5) == 2
     # order 20 < 5*4*3 = 60, so no triple orbit can be full
-    assert not is_k_transitive(a5, 3)
+    assert not is_k_transitive_literal(a5, 3)
 
 
 def _sample_groups():
@@ -128,7 +125,7 @@ def _sample_groups():
 def test_single_orbit_check_matches_literal_definition():
     for group in _sample_groups():
         for k in range(1, min(3, group.degree) + 1):
-            assert is_k_transitive(group, k) == is_k_transitive_literal(group, k)
+            assert (transitivity_degree(group) >= k) == is_k_transitive_literal(group, k)
 
 
 def test_transitivity_degree_examples():
@@ -141,7 +138,7 @@ def test_transitivity_degree_examples():
 
 def test_inclusive_hierarchy():
     for group in _sample_groups():
-        flags = [is_k_transitive(group, k) for k in range(1, group.degree + 1)]
+        flags = [is_k_transitive_literal(group, k) for k in range(1, group.degree + 1)]
         # once false, never true again
         seen_false = False
         for flag in flags:
@@ -183,8 +180,8 @@ def test_two_generators_give_the_whole_affine_group(n):
     assert group.order == n * (n - 1)
     assert transitivity_degree(group) == 2
     for i in range(spec.k):
-        assert affine_permutation(spec, 1, spec.p ** i) in group  # t = x^i
-    assert affine_permutation(spec, spec.primitive(), 0) in group
+        assert is_member(group, affine_permutation(spec, 1, spec.p ** i))  # t = x^i
+    assert is_member(group, affine_permutation(spec, spec.primitive(), 0))
 
 
 def test_affine_permutation_translation_is_shift():
@@ -201,7 +198,7 @@ def test_group_elements_form_group():
         elements = group.elements
         assert Permutation.identity(group.degree) in elements
         for g in elements:
-            assert g.inverse() in elements
+            assert inverse(g) in elements
         pool = sorted(elements, key=lambda p: p.images)
         for _ in range(20):
             g, h = rng.choice(pool), rng.choice(pool)
@@ -211,19 +208,15 @@ def test_group_elements_form_group():
 def test_oversized_group_is_refused_while_the_chain_is_built(monkeypatch):
     # S_12 has order 479001600; listing it would take minutes
     gens = [Permutation.from_cycles(12, [(0, 1)]), cyclic(12)]
-    with pytest.raises(RuntimeError, match=r"cap 1000000 \(from the default\) exceeded"):
+    with pytest.raises(RuntimeError, match=r"^group order cap 1000000 exceeded: "
+                                           r"the order is at least 6652800$"):
         group_closure(gens)
-    monkeypatch.setenv("CSL_MAX_GROUP", "100")
-    with pytest.raises(RuntimeError, match=r"cap 100 \(from CSL_MAX_GROUP\) exceeded: "
-                                           r"the order is at least 132"):
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 100)
+    with pytest.raises(RuntimeError, match=r"^group order cap 100 exceeded: "
+                                           r"the order is at least 132$"):
         group_closure(gens)
-
-
-def test_invalid_caps_are_refused(monkeypatch):
-    for bad in ("0", "-5"):
-        monkeypatch.setenv("CSL_MAX_GROUP", bad)
-        with pytest.raises(ValueError, match="CSL_MAX_GROUP must be a positive integer"):
-            group_closure([cyclic(3)])
+    with pytest.raises(RuntimeError, match=r"^group order cap 100 exceeded"):
+        perm_action.PermGroup(gens).elements  # noqa: B018
 
 
 def test_membership_by_sifting():
@@ -231,9 +224,9 @@ def test_membership_by_sifting():
     a4 = group_closure([Permutation.from_cycles(4, [(0, 1, 2)]),
                         Permutation.from_cycles(4, [(1, 2, 3)])])
     odd = Permutation.from_cycles(4, [(2, 3)])
-    assert odd in s4 and odd not in a4
-    assert Permutation.from_cycles(4, [(0, 1), (2, 3)]) in a4
-    assert cyclic(5) not in s4
+    assert is_member(s4, odd) and not is_member(a4, odd)
+    assert is_member(a4, Permutation.from_cycles(4, [(0, 1), (2, 3)]))
+    assert not is_member(s4, cyclic(5))
 
 
 def test_chain_base_is_a_prefix_with_trivial_levels_kept():

@@ -6,18 +6,18 @@ from cusplink.finite_field import field_of_order, make_field
 from cusplink.perm_action import Permutation, affine_permutation
 from cusplink.regular_map import (
     RotationMap,
-    affine_map_automorphism,
     biggs_map,
     face_adjacency_complete,
     face_adjacency_dot,
     genus_formula,
-    induced_face_permutation,
     map_summary,
 )
 from reference_checks import (
+    affine_map_automorphism,
     dart_automorphism_is_valid,
     gf_multiplicative_order,
     gf_multiply,
+    induced_face_permutation,
     per_dart_phi,
 )
 
