@@ -234,6 +234,17 @@ def test_group_cap_failure_maps_to_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 2)
     code, out, err = run(capsys, "transitivity", "cube")
     assert code == 1 and out == ""
+    assert "cap" in err
+
+
+def test_group_cap_message_names_cap_source_and_bound(monkeypatch, capsys):
+    # the cap has one source, perm_action.MAX_GROUP_ORDER, so the message
+    # names the cap and the bound it was exceeded by
+    from cusplink import perm_action
+
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 2)
+    code, _, err = run(capsys, "transitivity", "cube")
+    assert code == 1
     # the cube group's first basic orbit already has 4 points
     assert err == "error: group order cap 2 exceeded: the order is at least 4\n"
 
