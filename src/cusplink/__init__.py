@@ -40,20 +40,7 @@ from .regular_map import (
     genus_formula,
     map_summary,
 )
-from .train_track import (
-    ArcCrossing,
-    MeasureSystem,
-    SubstitutionRules,
-    TransitionMatrix,
-    biggs_substitution,
-    crossing_measure,
-    eigen_report,
-    perron_eigen,
-    reference_arcs,
-    tangential_weights,
-    transition_matrix,
-    transverse_weights,
-)
+from .train_track import eigen_report, perron_eigen, transition_matrix
 
 __version__ = "0.1.0"
 
@@ -89,17 +76,8 @@ __all__ = [
     "face_adjacency_complete",
     "genus_formula",
     "map_summary",
-    "ArcCrossing",
-    "MeasureSystem",
-    "SubstitutionRules",
-    "TransitionMatrix",
-    "biggs_substitution",
-    "crossing_measure",
     "eigen_report",
     "perron_eigen",
-    "reference_arcs",
-    "tangential_weights",
     "transition_matrix",
-    "transverse_weights",
     "__version__",
 ]

@@ -3,17 +3,19 @@ subcommand with JSON, DOT, or table output.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
 2 on a usage error, with nothing on stdout.  The usage errors are: a
-bad flag or family; a flag that is not read where it is given, reported
-as "error: <reader> does not read --<flag>" (a family flag --n, --t or
---m that the chosen family does not read, any of them for `links`
-without --family, which builds every family at its defaults, and --tol
-under `dilatation --format dot`); an invalid n; a census --n-max above
-the field-order cap; a census range that holds no prime power above 3
-(--n-min 10 --n-max 5, or --n-max 3); a dilatation tolerance outside
-its bounds; and an --out path that cannot be written, reported as
-"error: cannot write --out PATH: <reason>".  A violated internal
-invariant is a check failure too: it exits 1 with "error: invariant
-violated: ..." instead of a traceback.
+bad or removed flag (such as --tol) or family; a family flag that is
+not read where it is given, reported as "error: <reader> does not read
+--<flag>" (a family flag --n, --t or --m that the chosen family does
+not read, or any of them for `links` without --family, which builds
+every family at its defaults); an invalid n; a census --n-max above the
+field-order cap; a census range that holds no prime power above 3
+(--n-min 10 --n-max 5, or --n-max 3); and an --out path that cannot be
+written, reported as "error: cannot write --out PATH: <reason>".  A
+failed check names itself on stderr: the first census row that fails
+as "error: census n=<n>: <invariant> (<values>)", and a dilatation
+residual over train_track.RESIDUAL_BOUND by name and value.  A violated
+internal invariant is a check failure too: it exits 1 with "error:
+invariant violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.
 """
@@ -24,7 +26,7 @@ import argparse
 import json
 import sys
 
-from . import link_families, train_track
+from . import link_families
 from .finite_field import DEFAULT_MAX_ORDER, field_of_order, prime_power
 from .link_families import (
     EXAMPLE_BRAID,
@@ -36,7 +38,7 @@ from .link_families import (
     icosahedral_link,
 )
 from .regular_map import biggs_map, face_adjacency_dot, map_summary
-from .train_track import biggs_substitution, eigen_report, substitution_dot
+from .train_track import RESIDUAL_BOUND, eigen_report, substitution_dot
 
 
 def _round_floats(value):
@@ -182,14 +184,29 @@ def _links_row(blueprint: link_families.LinkBlueprint) -> dict:
 
 def cmd_dilatation(args) -> int:
     if args.format == "dot":
-        _refuse_unread(args, "dilatation --format dot", ("tol",))
-        _emit(substitution_dot(biggs_substitution()), args)
+        _emit(substitution_dot(), args)
         return 0
-    tol = train_track.DEFAULT_TOL if args.tol is None else args.tol
-    report = eigen_report(tol=tol)
+    report = eigen_report()
     _emit_report(args, report, [report], ["lambda", "lambda_inverse", "w", "z"])
-    threshold = max(1000.0 * tol, 1e-12)
-    return 0 if all(value <= threshold for value in report["residuals"].values()) else 1
+    for name, value in report["residuals"].items():
+        if not value <= RESIDUAL_BOUND:
+            print(f"error: dilatation residual {name} = {value!r} exceeds "
+                  f"RESIDUAL_BOUND = {RESIDUAL_BOUND!r}", file=sys.stderr)
+            return 1
+    return 0
+
+
+def _census_failure(row: dict) -> str | None:
+    """The first invariant the census row violates, with its values."""
+    n = row["n"]
+    if row["cusps"] != n:
+        return f"census n={n}: cusps != n (cusps={row['cusps']}, n={n})"
+    if row["transitivity_degree"] != 2:
+        return (f"census n={n}: transitivity degree != 2 "
+                f"(transitivity_degree={row['transitivity_degree']})")
+    if row["linking"] != "complete":
+        return f"census n={n}: linking not complete (linking={row['linking']})"
+    return None
 
 
 def cmd_census(args) -> int:
@@ -197,7 +214,7 @@ def cmd_census(args) -> int:
     if args.n_max > DEFAULT_MAX_ORDER:
         raise ValueError(f"order {args.n_max} exceeds the cap {DEFAULT_MAX_ORDER}")
     rows = []
-    passed = True
+    failure = None
     for n in range(max(args.n_min, 4), args.n_max + 1):
         if prime_power(n) is None:
             continue
@@ -211,15 +228,16 @@ def cmd_census(args) -> int:
             "linking": "complete" if blueprint.linking_complete else "partial",
         }
         rows.append(row)
-        passed = passed and (row["cusps"] == spec.n
-                             and row["transitivity_degree"] == 2
-                             and blueprint.linking_complete)
+        failure = failure or _census_failure(row)
     if not rows:  # nothing to check is not a pass
         raise ValueError(f"census range --n-min {args.n_min} --n-max {args.n_max} "
                          "holds no prime power above 3")
     _emit_report(args, {"rows": rows}, rows,
                  ["n", "cusps", "symmetry_order", "transitivity_degree", "linking"])
-    return 0 if passed else 1
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("dilatation",
                                 help="stretch factor and weights of the monodromy")
-    sub.add_argument("--tol", type=float, default=None,
-                     help=f"power-iteration tolerance (default {train_track.DEFAULT_TOL:g}); "
-                          "not read by --format dot")
     add_common(sub, formats=("json", "table", "dot"))
     sub.set_defaults(func=cmd_dilatation)
 

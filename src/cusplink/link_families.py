@@ -144,9 +144,8 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
     matrix = [[0] * n for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
-        if i != j:
-            matrix[i][j] = sign
-            matrix[j][i] = sign
+        matrix[i][j] = sign
+        matrix[j][i] = sign
     shift = Permutation(tuple((i + 1) % n for i in range(n)))
     if n >= 5:
         hyperbolic = Hyperbolicity(

@@ -1,6 +1,6 @@
 """Measured train track of the point-pushing monodromy over the
-field-labeled maps: substitution rules, transition matrices, and the
-dilatation.
+field-labeled maps: its one substitution, the transition matrix, and
+the dilatation.
 
 The reduced track has just two branch classes, labeled w and z, and is
 the same for every field order (the construction never uses that the
@@ -18,10 +18,9 @@ quotient stopping rule, bounded by MAX_ITERATIONS and cross-checked on
 
 The eigen functions work on rows of plain Python floats; the package
 has no numpy dependency, and the tests use numpy only as an oracle.
-perron_eigen accepts any sequence of rows (lists, tuples, a
-TransitionMatrix, an ndarray) and returns the eigenvector as a Vector:
-a tuple that a number scales, so lam * vec is a vector, not a
-repetition.
+perron_eigen accepts any sequence of rows (lists, tuples, an ndarray)
+and returns the eigenvector as a Vector: a tuple that a number scales,
+so lam * vec is a vector, not a repetition.
 """
 
 from __future__ import annotations
@@ -42,60 +41,26 @@ ROUNDING_EPSILONS = 4
 CONTRACTION_WINDOW = 1000
 
 
-class SubstitutionRules:
-    """Map from branch-class labels to their image words."""
+# The one substitution of the reduced track, independent of the field
+# order (Bestvina and Handel, "Train-tracks for surface homeomorphisms",
+# Topology 1995): each label's image word.
+SUBSTITUTION = {"w": "wzwzw", "z": "wzwzwzw"}
 
-    __slots__ = ("labels", "rules")
+# The (w, z) crossing counts of the four arcs that pin the dilatation:
+# AB maps to CD under the monodromy and DF maps to EF, so both measure
+# ratios equal the stretch factor.
+ARC_CROSSINGS = {"AB": (10, 14), "CD": (2, 2), "DF": (2, 3), "EF": (0, 1)}
 
-    def __init__(self, labels: tuple[str, ...], rules: dict[str, tuple[str, ...]]):
-        known = set(labels)
-        if len(known) != len(labels):
-            raise ValueError("duplicate labels")
-        if set(rules) != known:
-            raise ValueError("rules must cover exactly the label set")
-        for label, word in rules.items():
-            if not word:
-                raise ValueError(f"rule for {label!r} is empty")
-            if any(letter not in known for letter in word):
-                raise ValueError(f"rule for {label!r} uses unknown letters")
-        self.labels = labels
-        self.rules = rules
+# The dilatation subcommand exits 1 when a residual exceeds this bound.
+RESIDUAL_BOUND = 1000 * DEFAULT_TOL
 
 
-def biggs_substitution() -> SubstitutionRules:
-    """The two-class substitution of the reduced track, independent of
-    the field order: w -> w z w z w, z -> w z w z w z w."""
-    return SubstitutionRules(
-        labels=("w", "z"),
-        rules={
-            "w": ("w", "z", "w", "z", "w"),
-            "z": ("w", "z", "w", "z", "w", "z", "w"),
-        },
-    )
-
-
-class TransitionMatrix:
-    """Letter-count matrix of a substitution: row i counts the letters
+def transition_matrix() -> tuple[tuple[int, ...], ...]:
+    """Letter-count matrix of the substitution: row i counts the letters
     in the image of label i (the tangential, edge-length convention).
-    The transpose carries the transverse weights."""
-
-    __slots__ = ("labels", "matrix")
-
-    def __init__(self, labels: tuple[str, ...], matrix: tuple[tuple[int, ...], ...]):
-        self.labels = labels
-        self.matrix = matrix
-
-    def transpose(self) -> TransitionMatrix:
-        return TransitionMatrix(self.labels, tuple(zip(*self.matrix)))
-
-
-def transition_matrix(rules: SubstitutionRules) -> TransitionMatrix:
-    rows = []
-    for label in rules.labels:
-        word = rules.rules[label]
-        rows.append(tuple(sum(1 for letter in word if letter == other)
-                          for other in rules.labels))
-    return TransitionMatrix(rules.labels, tuple(rows))
+    Its transpose carries the transverse weights."""
+    return tuple(tuple(word.count(other) for other in SUBSTITUTION)
+                 for word in SUBSTITUTION.values())
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +91,9 @@ def _dot(a, b) -> float:
 
 def _as_matrix(matrix) -> tuple[tuple[float, ...], ...]:
     """The rows of a nonempty, square, finite, nonnegative matrix as
-    float tuples; matrix is a TransitionMatrix or any sequence of rows."""
+    float tuples; matrix is any sequence of rows."""
     try:
-        rows = tuple(tuple(float(x) for x in row) for row in
-                     (matrix.matrix if isinstance(matrix, TransitionMatrix) else matrix))
+        rows = tuple(tuple(float(x) for x in row) for row in matrix)
     except TypeError:  # a flat sequence, or entries that are not numbers
         rows = ((),)
     if any(len(row) != len(rows) for row in rows):
@@ -231,89 +195,27 @@ def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
 
 
 # ---------------------------------------------------------------------------
-# measures and the dilatation
-
-
-class MeasureSystem:
-    """Positive weights per branch class, normalized z = 1, with the
-    eigenvalue they solve."""
-
-    __slots__ = ("weights", "lam")
-
-    def __init__(self, weights: dict[str, float], lam: float):
-        if any(value <= 0 for value in weights.values()):
-            raise ValueError("weights must be strictly positive")
-        self.weights = weights
-        self.lam = lam
-
-
-def transverse_weights(tol: float = DEFAULT_TOL) -> MeasureSystem:
-    """Solve the transverse system with z = 1, yielding w = sqrt(2)."""
-    tangential = transition_matrix(biggs_substitution())
-    lam, vec = perron_eigen(tangential.transpose(), tol=tol)
-    return MeasureSystem({"w": float(vec[0]), "z": float(vec[1])}, lam)
-
-
-def tangential_weights(tol: float = DEFAULT_TOL) -> MeasureSystem:
-    """Edge lengths of the reduced track, normalized z = 1; entrywise
-    reciprocal (up to scale) of the transverse weights."""
-    lam, vec = perron_eigen(transition_matrix(biggs_substitution()), tol=tol)
-    return MeasureSystem({"w": float(vec[0]), "z": float(vec[1])}, lam)
-
-
-class ArcCrossing:
-    """Crossing record of one transverse arc: how many branches of each
-    primitive weight class it meets."""
-
-    __slots__ = ("label", "counts")
-
-    def __init__(self, label: str, counts: dict[str, int] | None = None):
-        counts = {} if counts is None else counts
-        if any(value < 0 for value in counts.values()):
-            raise ValueError("crossing counts must be nonnegative")
-        self.label = label
-        self.counts = counts
-
-
-def reference_arcs() -> dict[str, ArcCrossing]:
-    """The four arc fixtures used to pin the dilatation: AB maps to CD
-    under the monodromy and DF maps to EF, so both measure ratios equal
-    the stretch factor."""
-    return {
-        "AB": ArcCrossing("AB", {"w": 10, "z": 14}),
-        "CD": ArcCrossing("CD", {"w": 2, "z": 2}),
-        "DF": ArcCrossing("DF", {"w": 2, "z": 3}),
-        "EF": ArcCrossing("EF", {"w": 0, "z": 1}),
-    }
-
-
-def crossing_measure(arc: ArcCrossing, measures: MeasureSystem) -> float:
-    """Total weight the arc crosses: the count-weighted sum."""
-    total = 0.0
-    for label, count in arc.counts.items():
-        if label not in measures.weights:
-            raise ValueError(f"measure system has no class {label!r}")
-        total += count * measures.weights[label]
-    return total
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 
-def eigen_report(tol: float = DEFAULT_TOL) -> dict:
+def _crossing(arc: str, w: float, z: float) -> float:
+    """Total weight the arc crosses: the count-weighted sum."""
+    count_w, count_z = ARC_CROSSINGS[arc]
+    return count_w * w + count_z * z
+
+
+def eigen_report() -> dict:
     """Everything the dilatation subcommand prints: lam, its inverse,
     the transverse weights at z = 1, and the residuals of the defining
     identities."""
-    transverse = transverse_weights(tol=tol)
-    tangential = tangential_weights(tol=tol)
-    lam = transverse.lam
-    w, z = transverse.weights["w"], transverse.weights["z"]
-    arcs = reference_arcs()
-    long_pair = abs(crossing_measure(arcs["AB"], transverse)
-                    - lam * crossing_measure(arcs["CD"], transverse))
-    short_pair = abs(crossing_measure(arcs["DF"], transverse)
-                     - lam * crossing_measure(arcs["EF"], transverse))
+    tangential = transition_matrix()
+    lam, (w, z) = perron_eigen(tuple(zip(*tangential)))
+    lam_t, lengths = perron_eigen(tangential)
+    if not all(value > 0 for value in (w, z, *lengths)):
+        raise AssertionError(f"weights must be strictly positive, got {(w, z)!r} "
+                             f"and lengths {tuple(lengths)!r}")
+    long_pair = abs(_crossing("AB", w, z) - lam * _crossing("CD", w, z))
+    short_pair = abs(_crossing("DF", w, z) - lam * _crossing("EF", w, z))
     combined = abs(3.0 * w + 4.0 * z - lam * w)
     return {
         "lambda": lam,
@@ -326,19 +228,17 @@ def eigen_report(tol: float = DEFAULT_TOL) -> dict:
             "combined_row": combined,
             "char_poly": abs(lam * lam - 6.0 * lam + 1.0),
             "inverse_product": abs(lam * (1.0 / lam) - 1.0),
-            "transpose_gap": abs(transverse.lam - tangential.lam),
+            "transpose_gap": abs(lam - lam_t),
         },
     }
 
 
-def substitution_dot(rules: SubstitutionRules) -> str:
+def substitution_dot() -> str:
     """DOT digraph of the substitution: one arrow per letter occurrence,
     annotated with its multiplicity."""
-    counts = transition_matrix(rules)
     lines = ["digraph substitution {"]
-    for i, source in enumerate(rules.labels):
-        for j, target in enumerate(rules.labels):
-            multiplicity = counts.matrix[i][j]
+    for source, row in zip(SUBSTITUTION, transition_matrix()):
+        for target, multiplicity in zip(SUBSTITUTION, row):
             if multiplicity:
                 lines.append(f'  {source} -> {target} [label="{multiplicity}"];')
     lines.append("}")

@@ -13,7 +13,6 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip, gf_sub
 
 from cusplink.perm_action import Permutation, affine_permutation, group_closure
-from cusplink.train_track import transition_matrix
 
 
 def inverse(perm):
@@ -168,29 +167,32 @@ def per_dart_phi(spec):
     return Permutation(tuple(images))
 
 
-def expand_word(rules, word, iterations: int = 1) -> tuple[str, ...]:
-    """Literal expansion of a word under a substitution."""
+def expand_word(rules: dict[str, str], word, iterations: int = 1) -> tuple[str, ...]:
+    """Literal expansion of a word under a substitution, given as a
+    {label: image word} dict."""
     current = tuple(word)
     for _ in range(iterations):
         out = []
         for letter in current:
-            if letter not in rules.rules:
+            if letter not in rules:
                 raise ValueError(f"unknown letter {letter!r}")
-            out.extend(rules.rules[letter])
+            out.extend(rules[letter])
         current = tuple(out)
     return current
 
 
-def letter_counts(rules, seed: str, iterations: int) -> dict[str, int]:
+def letter_counts(rules: dict[str, str], seed: str, iterations: int) -> dict[str, int]:
     """Letter counts of the seed letter's image after `iterations`
-    substitutions: the seed's row of that power of the transition
+    substitutions: the seed's row of that power of the letter-count
     matrix, in exact integers."""
-    matrix = np.array(transition_matrix(rules).matrix, dtype=object)
-    row = np.linalg.matrix_power(matrix, iterations)[rules.labels.index(seed)]
-    return dict(zip(rules.labels, map(int, row)))
+    labels = list(rules)
+    matrix = np.array([[rules[label].count(other) for other in labels] for label in labels],
+                      dtype=object)
+    row = np.linalg.matrix_power(matrix, iterations)[labels.index(seed)]
+    return dict(zip(labels, map(int, row)))
 
 
-def growth_ratios(rules, seed: str, iterations: int) -> list[float]:
+def growth_ratios(rules: dict[str, str], seed: str, iterations: int) -> list[float]:
     """Successive length ratios of the iterated seed word; they converge
     to the dominant eigenvalue."""
     lengths = [sum(letter_counts(rules, seed, k).values()) for k in range(iterations + 1)]

@@ -29,11 +29,7 @@ from cusplink.perm_action import (
     transitivity_degree,
 )
 from cusplink.regular_map import biggs_map, genus_formula
-from cusplink.train_track import (
-    biggs_substitution,
-    is_primitive,
-    perron_eigen,
-)
+from cusplink.train_track import SUBSTITUTION, is_primitive, perron_eigen
 from reference_checks import (
     affine_map_automorphism,
     dart_automorphism_is_valid,
@@ -117,7 +113,7 @@ def test_criterion_3_dilatation():
 
 def test_criterion_4_substitution_growth():
     with criterion(4, "substitution growth rate") as record:
-        ratios = growth_ratios(biggs_substitution(), "w", 12)
+        ratios = growth_ratios(SUBSTITUTION, "w", 12)
         record.check(len(ratios) == 12, "expected 12 ratios")
         record.check(abs(ratios[-1] - LAMBDA) < 1e-6,
                      f"ratio after 12 iterations off by {abs(ratios[-1] - LAMBDA):.3e}")

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,10 +127,16 @@ def test_dilatation_stdout_is_pinned(capsys, fmt):
     assert (code, out, err) == (0, DILATATION_STDOUT[fmt], "")
 
 
-def test_dilatation_coarse_tolerance(capsys):
-    code, out, _ = run(capsys, "dilatation", "--tol", "1e-6")
-    assert code == 0
-    assert abs(json.loads(out)["lambda"] - (3 + 2 * math.sqrt(2))) < 1e-6
+@pytest.mark.parametrize("argv", [("--tol", "1e-6"), ("--tol", "1e-300"),
+                                  ("--format", "dot", "--tol", "1")],
+                         ids=["coarse", "floor", "dot"])
+def test_dilatation_tol_is_a_removed_flag(capsys, argv):
+    # the dilatation has one input and no tolerance to set
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dilatation", *argv])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
 
 
 def test_dilatation_dot(capsys):
@@ -282,14 +289,51 @@ def test_census_refuses_over_cap_before_building_links(monkeypatch, capsys):
     assert built == []
 
 
-@pytest.mark.parametrize("tol, bound", [("1e-300", "at least the rounding floor 6.22e-15"),
-                                        ("1", "at most the ceiling 1e-06"),
-                                        ("nan", "at most the ceiling 1e-06")],
-                         ids=["floor", "ceiling", "nan"])
-def test_dilatation_tolerance_out_of_bounds_is_a_usage_error(capsys, tol, bound):
-    code, out, err = run(capsys, "dilatation", "--tol", tol)
-    assert code == 2 and out == ""
-    assert bound in err and f"got {float(tol)!r}" in err
+def test_nonpositive_weight_maps_to_exit_1(monkeypatch, capsys):
+    from cusplink import train_track
+
+    monkeypatch.setattr(train_track, "perron_eigen", lambda matrix: (1.0, (-1.0, 1.0)))
+    code, out, err = run(capsys, "dilatation")
+    assert code == 1 and out == ""
+    assert err.startswith("error: invariant violated: weights must be strictly positive")
+
+
+def test_dilatation_failure_names_the_residual(monkeypatch, capsys):
+    from cusplink import train_track
+
+    report = train_track.eigen_report()
+    report["residuals"]["char_poly"] = 2e-10
+    monkeypatch.setattr(cli, "eigen_report", lambda: report)
+    code, out, err = run(capsys, "dilatation")
+    assert code == 1 and json.loads(out)["residuals"]["char_poly"] == 2e-10
+    assert err == f"error: dilatation residual char_poly = 2e-10 exceeds RESIDUAL_BOUND = " \
+                  f"{train_track.RESIDUAL_BOUND!r}\n"
+    assert train_track.RESIDUAL_BOUND == 1000 * train_track.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("fault, shown", [
+    ({"n_components": 6}, "error: census n=7: cusps != n (cusps=6, n=7)\n"),
+    ({"transitivity_degree": 3},
+     "error: census n=7: transitivity degree != 2 (transitivity_degree=3)\n"),
+    ({"linking_complete": False}, "error: census n=7: linking not complete (linking=partial)\n"),
+], ids=["cusps", "transitivity", "linking"])
+def test_census_failure_names_the_first_failing_row(monkeypatch, capsys, fault, shown):
+    helical_link = cli.helical_link
+
+    def faulty(spec):
+        blueprint = helical_link(spec)
+        if spec.n not in (7, 8):  # 8 fails too, but only the first row is named
+            return blueprint
+        return SimpleNamespace(**{"n_components": blueprint.n_components,
+                                  "symmetry_order": blueprint.symmetry_order,
+                                  "transitivity_degree": blueprint.transitivity_degree,
+                                  "linking_complete": blueprint.linking_complete, **fault})
+
+    monkeypatch.setattr(cli, "helical_link", faulty)
+    code, out, err = run(capsys, "census")
+    assert (code, err) == (1, shown)
+    # stdout still lists every row, the failing ones included
+    assert [row["n"] for row in json.loads(out)["rows"]] == [4, 5, 7, 8, 9, 11, 13]
 
 
 @pytest.mark.parametrize("argv, shown", [
@@ -407,8 +451,3 @@ def test_removed_field_flags_are_refused(capsys, argv):
     assert "unrecognized arguments: --" in captured.err
 
 
-@pytest.mark.parametrize("tol", ["1", "nan", "1e-13"])
-def test_dilatation_dot_reads_no_tolerance(capsys, tol):
-    code, out, err = run(capsys, "dilatation", "--format", "dot", "--tol", tol)
-    assert code == 2 and out == ""
-    assert err == "error: dilatation --format dot does not read --tol\n"

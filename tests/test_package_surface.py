@@ -13,9 +13,13 @@ MODULES = ["cusplink", "cusplink.perm_action", "cusplink.regular_map", "cusplink
 MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits",
          "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios",
          "affine_map_automorphism", "induced_face_permutation"]
-# Second routes that dilatation never ran, and the test-only dilatation(),
-# gone without a same-named reference.
-REMOVED = ["anosov_check", "AnosovReport", "word_lengths", "dilatation"]
+# Second routes that dilatation never ran, the test-only dilatation(),
+# and the wrappers of the one substitution, gone without a same-named
+# reference: the substitution and its arc counts are module constants.
+REMOVED = ["anosov_check", "AnosovReport", "word_lengths", "dilatation",
+           "ArcCrossing", "MeasureSystem", "SubstitutionRules", "TransitionMatrix",
+           "biggs_substitution", "crossing_measure", "reference_arcs",
+           "tangential_weights", "transverse_weights"]
 
 
 def test_every_exported_name_resolves():
@@ -38,9 +42,6 @@ def test_removed_train_track_routes_are_gone(module):
     for name in REMOVED:
         assert not hasattr(shipped, name), f"{module}.{name}"
         assert name not in cusplink.__all__
-    for name in ("semicircular_weight", "short_branch_weight", "kind"):
-        assert not hasattr(cusplink.MeasureSystem, name)
-    assert not hasattr(cusplink.ArcCrossing, "branch_count")
 
 
 def test_perm_group_has_no_orbit_methods():

@@ -7,19 +7,14 @@ import numpy as np
 import pytest
 
 from cusplink.train_track import (
-    ArcCrossing,
-    SubstitutionRules,
-    biggs_substitution,
-    crossing_measure,
+    ARC_CROSSINGS,
+    SUBSTITUTION,
     eigen_report,
     eigenvalues_2x2,
     is_primitive,
     perron_eigen,
-    reference_arcs,
     substitution_dot,
-    tangential_weights,
     transition_matrix,
-    transverse_weights,
 )
 from cusplink.cli import main as cli_main
 from reference_checks import (
@@ -31,36 +26,44 @@ from reference_checks import (
 )
 
 LAMBDA = 3.0 + 2.0 * math.sqrt(2.0)
+FIBONACCI = {"a": "ab", "b": "a"}
+
+
+def crossing(arc, w, z):
+    """The weight an arc of ARC_CROSSINGS crosses."""
+    count_w, count_z = ARC_CROSSINGS[arc]
+    return count_w * w + count_z * z
 
 
 def test_substitution_rules():
-    rules = biggs_substitution()
-    assert rules.labels == ("w", "z")
-    assert len(rules.rules["w"]) == 5
-    assert len(rules.rules["z"]) == 7
-    assert rules.rules["w"] == ("w", "z", "w", "z", "w")
-    assert rules.rules["z"] == ("w", "z", "w", "z", "w", "z", "w")
+    assert tuple(SUBSTITUTION) == ("w", "z")
+    assert len(SUBSTITUTION["w"]) == 5
+    assert len(SUBSTITUTION["z"]) == 7
+    assert SUBSTITUTION["w"] == "wzwzw"
+    assert SUBSTITUTION["z"] == "wzwzwzw"
 
 
 def test_substitution_validation():
-    with pytest.raises(ValueError):
-        SubstitutionRules(("a",), {"a": ()})
-    with pytest.raises(ValueError):
-        SubstitutionRules(("a",), {"a": ("b",)})
-    with pytest.raises(ValueError):
-        SubstitutionRules(("a", "b"), {"a": ("a",)})
+    # every image word is nonempty and spelled in the labels alone
+    for word in SUBSTITUTION.values():
+        assert word and set(word) <= set(SUBSTITUTION)
+    assert set(ARC_CROSSINGS) == {"AB", "CD", "DF", "EF"}
+    assert all(count >= 0 for counts in ARC_CROSSINGS.values() for count in counts)
 
 
 def test_transition_matrices():
-    assert transition_matrix(biggs_substitution()).matrix == ((3, 2), (4, 3))
-    assert transition_matrix(SubstitutionRules(("a",), {"a": ("a",)})).matrix == ((1,),)
-    fib = SubstitutionRules(("a", "b"), {"a": ("a", "b"), "b": ("a",)})
-    assert transition_matrix(fib).matrix == ((1, 1), (1, 0))
+    matrix = transition_matrix()
+    assert matrix == ((3, 2), (4, 3))
+    assert all(type(count) is int for row in matrix for count in row)
+    # the reference counts the same rows from any substitution
+    assert [letter_counts(SUBSTITUTION, label, 1) for label in "wz"] == \
+        [{"w": 3, "z": 2}, {"w": 4, "z": 3}]
+    assert [letter_counts(FIBONACCI, label, 1) for label in "ab"] == \
+        [{"a": 1, "b": 1}, {"a": 1, "b": 0}]
 
 
 def test_transpose_is_the_weight_system():
-    tangential = transition_matrix(biggs_substitution())
-    assert tangential.transpose().matrix == ((3, 4), (2, 3))
+    assert tuple(zip(*transition_matrix())) == ((3, 4), (2, 3))
 
 
 def test_primitivity():
@@ -151,10 +154,10 @@ def test_dilatation_values():
 
 
 def test_transverse_weights():
-    measures = transverse_weights()
-    assert measures.weights["z"] == 1.0
-    assert measures.weights["w"] == pytest.approx(math.sqrt(2), abs=1e-12)
-    w, z, lam = measures.weights["w"], measures.weights["z"], measures.lam
+    report = eigen_report()
+    assert report["z"] == 1.0
+    assert report["w"] == pytest.approx(math.sqrt(2), abs=1e-12)
+    w, z, lam = report["w"], report["z"], report["lambda"]
     assert abs(10 * w + 14 * z - lam * (2 * w + 2 * z)) < 1e-12
     assert abs(2 * w + 3 * z - lam * z) < 1e-12
     assert abs(3 * w + 4 * z - lam * w) < 1e-12
@@ -162,43 +165,30 @@ def test_transverse_weights():
 
 def test_composite_branch_weights_match_numpy():
     semicircular, short_branch = composite_weights(((3, 4), (2, 3)))
-    measures = transverse_weights()
-    assert crossing_measure(ArcCrossing("semi", {"w": 1, "z": 2}), measures) == \
-        pytest.approx(semicircular, abs=1e-12)
+    report = eigen_report()
+    w, z = report["w"], report["z"]
+    assert w + 2 * z == pytest.approx(semicircular, abs=1e-12)
     # the arc CD crosses exactly one short branch
-    assert crossing_measure(reference_arcs()["CD"], measures) == \
-        pytest.approx(short_branch, abs=1e-12)
+    assert crossing("CD", w, z) == pytest.approx(short_branch, abs=1e-12)
 
 
 def test_tangential_weights_are_reciprocal():
-    transverse = transverse_weights()
-    tangential = tangential_weights()
+    report = eigen_report()
+    lam_t, lengths = perron_eigen(transition_matrix())
     # entrywise reciprocal up to scale; z = 1 on both sides fixes the scale
-    assert tangential.weights["w"] == pytest.approx(1.0 / transverse.weights["w"], abs=1e-12)
-    assert tangential.weights["z"] == pytest.approx(1.0, abs=1e-15)
-    assert abs(tangential.lam - transverse.lam) <= 2e-13
+    assert lengths[0] == pytest.approx(1.0 / report["w"], abs=1e-12)
+    assert lengths[1] == pytest.approx(1.0, abs=1e-15)
+    assert abs(lam_t - report["lambda"]) <= 2e-13
 
 
 def test_crossing_measures():
-    arcs = reference_arcs()
-    measures = transverse_weights()
-    lam = measures.lam
-    ab = crossing_measure(arcs["AB"], measures)
-    cd = crossing_measure(arcs["CD"], measures)
-    df = crossing_measure(arcs["DF"], measures)
-    ef = crossing_measure(arcs["EF"], measures)
+    report = eigen_report()
+    w, z, lam = report["w"], report["z"], report["lambda"]
+    ab, cd, df, ef = (crossing(arc, w, z) for arc in ("AB", "CD", "DF", "EF"))
     assert ab == pytest.approx(10 * math.sqrt(2) + 14, abs=1e-10)
     assert ab == pytest.approx(28.142135, abs=1e-6)
     assert ab / cd == pytest.approx(lam, abs=1e-12)
     assert df / ef == pytest.approx(lam, abs=1e-12)
-
-
-def test_crossing_measure_rejects_unknown_class():
-    measures = transverse_weights()
-    with pytest.raises(ValueError):
-        crossing_measure(ArcCrossing("bad", {"q": 1}), measures)
-    with pytest.raises(ValueError):
-        ArcCrossing("bad", {"w": -1})
 
 
 def test_anosov_reports():
@@ -230,19 +220,18 @@ def test_eigenvalues_2x2_requires_square():
 
 
 def test_word_lengths_start_as_pell_like_sequence():
-    lengths = [sum(letter_counts(biggs_substitution(), "w", k).values()) for k in range(5)]
+    lengths = [sum(letter_counts(SUBSTITUTION, "w", k).values()) for k in range(5)]
     assert lengths == [1, 5, 29, 169, 985]
 
 
 def test_letter_counts_match_literal_expansion():
-    rules = biggs_substitution()
     for k in range(5):
-        word = expand_word(rules, ("w",), k)
-        assert letter_counts(rules, "w", k) == {label: word.count(label) for label in "wz"}
+        word = expand_word(SUBSTITUTION, ("w",), k)
+        assert letter_counts(SUBSTITUTION, "w", k) == {label: word.count(label) for label in "wz"}
 
 
 def test_growth_ratios_converge_to_lambda():
-    ratios = growth_ratios(biggs_substitution(), "w", 12)
+    ratios = growth_ratios(SUBSTITUTION, "w", 12)
     assert len(ratios) == 12
     assert abs(ratios[-1] - LAMBDA) < 1e-6
     errors = [abs(r - LAMBDA) for r in ratios]
@@ -250,8 +239,7 @@ def test_growth_ratios_converge_to_lambda():
 
 
 def test_growth_of_fibonacci_substitution():
-    fib = SubstitutionRules(("a", "b"), {"a": ("a", "b"), "b": ("a",)})
-    ratios = growth_ratios(fib, "a", 30)
+    ratios = growth_ratios(FIBONACCI, "a", 30)
     assert ratios[-1] == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-6)
 
 
@@ -264,7 +252,7 @@ def test_eigen_report_contents():
 
 
 def test_substitution_dot():
-    text = substitution_dot(biggs_substitution())
+    text = substitution_dot()
     assert 'w -> z [label="2"]' in text
     assert 'z -> w [label="4"]' in text
 
@@ -278,7 +266,7 @@ EPS = Fraction(1, 10 ** 13)
 def char_poly():
     """x^2 - tr x + det of the substitution's integer transition matrix,
     evaluated exactly, and the abscissa tr / 2 of its vertex."""
-    (a, b), (c, d) = transition_matrix(biggs_substitution()).matrix
+    (a, b), (c, d) = transition_matrix()
     return (lambda x: x * x - (a + d) * x + (a * d - b * c)), Fraction(a + d, 2)
 
 
