@@ -2,12 +2,13 @@
 subcommand with JSON, DOT, or table output.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure,
-2 on a usage error, with nothing on stdout.  The usage errors are: a
-bad or removed flag (such as --tol) or family; a family flag that is
-not read where it is given, reported as "error: <reader> does not read
---<flag>" (a family flag --n, --t or --m that the chosen family does
-not read, or any of them for `links` without --family, which builds
-every family at its defaults); an invalid n; a census --n-max above the
+2 on a usage error, with nothing on stdout and stderr opening with
+"error: ".  The usage errors are: a bad or removed flag (such as
+--tol) or family, with the usage line after the error; a family flag
+not read where it is given, as "error: <reader> does not read --<flag>"
+(a family flag --n, --t or --m that the chosen family does not read,
+or any of them for `links` without --family, which builds every
+family at its defaults); an invalid n; a census --n-max above the
 field-order cap; a census range that holds no prime power above 3
 (--n-min 10 --n-max 5, or --n-max 3); and an --out path that cannot be
 written, reported as "error: cannot write --out PATH: <reason>".  A
@@ -243,8 +244,15 @@ def cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad flag with "error: <message>", then the usage line; exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cusplink",
         description="Regular maps over finite fields, link-family symmetries, "
                     "and the monodromy dilatation.")

@@ -106,17 +106,17 @@ class Permutation(Value):
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, sorted."""
-        seen, out = set(), []
-        for start in range(self.degree):
-            if start in seen:
+        images = self.images
+        seen, out = bytearray(len(images)), []
+        for start in range(len(images)):
+            if seen[start]:
                 continue
-            cycle = [start]
-            seen.add(start)
-            point = self.images[start]
+            cycle = [start]  # start itself is never looked up again
+            point = images[start]
             while point != start:
                 cycle.append(point)
-                seen.add(point)
-                point = self.images[point]
+                seen[point] = 1
+                point = images[point]
             if len(cycle) > 1 or include_fixed:
                 out.append(tuple(cycle))
         return out

@@ -26,14 +26,17 @@ The resulting map has n faces, each an (n-1)-gon, every pair of faces
 sharing exactly one edge, and its genus matches genus_formula(n):
 1 + n(n-7)/4 when n = 3 mod 4, else 1 + n(n-5)/4.
 
-Every RotationMap is validated when built; the one graph export is the
-face-adjacency DOT that the map subcommand prints.
+RotationMap checks alpha in bulk.  BiggsMap fills alpha and phi as flat
+arrays over the dart ids, checks phi face row by face row, and passes
+both on unchecked, so no dart is scanned twice.  The one graph export
+is the face-adjacency DOT that the map subcommand prints.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from operator import ne
 
 from .finite_field import FieldSpec, prime_power
 from .perm_action import Permutation
@@ -46,14 +49,14 @@ class RotationMap:
     def __init__(self, alpha: Permutation, phi: Permutation):
         if alpha.degree != phi.degree:
             raise ValueError(f"alpha has degree {alpha.degree} but phi has degree {phi.degree}")
-        for d, image in enumerate(alpha.images):
-            if image == d:
-                raise ValueError(f"alpha fixes dart {d}")
-            if alpha(image) != d:
-                raise ValueError(f"alpha(alpha({d})) = {alpha(image)}, not {d}")
+        darts, images = range(alpha.degree), alpha.images
+        if not all(map(ne, images, darts)) or list(map(images.__getitem__, images)) != [*darts]:
+            d = next(d for d, e in enumerate(images) if e == d or images[e] != d)
+            raise ValueError(f"alpha fixes dart {d}" if images[d] == d
+                             else f"alpha(alpha({d})) = {images[images[d]]}, not {d}")
         self.alpha = alpha
         self.phi = phi
-        self.darts = range(alpha.degree)
+        self.darts = darts
 
     @cached_property
     def faces(self) -> list[tuple[int, ...]]:
@@ -65,7 +68,7 @@ class RotationMap:
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
-        return self.alpha.cycles()
+        return [(d, e) for d, e in enumerate(self.alpha.images) if d < e]
 
     @property
     def num_faces(self) -> int:
@@ -102,15 +105,9 @@ class RotationMap:
 
     def face_pair_edge_counts(self) -> Counter:
         """How many edges each pair of faces (i, j), i <= j, shares."""
-        face_index = self.face_index
-        return Counter(tuple(sorted((face_index[d], face_index[e]))) for d, e in self.edges)
-
-
-def _dart_permutation(n: int, image) -> Permutation:
-    """The permutation of the n(n-1) darts of the order-n map that sends
-    dart (a, b) to dart image(a, b); dart (a, b) is a*(n-1) + b - (b > a)."""
-    pairs = (image(a, b) for a in range(n) for b in range(n) if a != b)
-    return Permutation(tuple(x * (n - 1) + y - (y > x) for x, y in pairs))
+        face = self.face_index
+        return Counter([(i, j) if (i := face[d]) <= (j := face[e]) else (j, i)
+                        for d, e in self.edges])
 
 
 class BiggsMap(RotationMap):
@@ -124,10 +121,25 @@ class BiggsMap(RotationMap):
         # -1 has index p - 1, so this is 1 - omega
         shift = spec.affine_images(spec.p - 1, 1)[omega]
         shifts = spec.affine_images(shift, 0)
-        # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a
-        rows = [spec.affine_images(omega, shifts[a]) for a in range(spec.n)]
-        super().__init__(_dart_permutation(spec.n, lambda a, b: (b, a)),
-                         _dart_permutation(spec.n, lambda a, b: (a, rows[a][b])))
+        n, m = spec.n, spec.n - 1
+        alpha, phi = [], []
+        for a, base in zip(range(n), range(0, n * m, m)):  # face a: darts base .. base + m - 1
+            # alpha(a, b) = (b, a): dart b*m + a - 1 for b < a, b*m + a for b > a
+            alpha += range(a - 1, base + a - 1, m)
+            alpha += range(base + m + a, n * m + a, m)
+            # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a,
+            # whose row fixes a; (a, c) is dart base + c - (c > a)
+            row = spec.affine_images(omega, shifts[a])
+            dart = [*range(base, base + a), -1, *range(base + a, base + m)]
+            images = [*map(dart.__getitem__, row[:a]), *map(dart.__getitem__, row[a + 1:])]
+            if sorted(images) != [*range(base, base + m)]:  # name a repeat, or the -1
+                d = next(d for d in images if d < 0 or images.count(d) > 1)
+                raise ValueError(f"phi on face {a} is not a bijection: " + (
+                    f"dart {d} is the image of two darts" if d >= 0
+                    else f"it sends a dart to ({a}, {a})"))
+            phi += images
+        super().__init__(Permutation._unchecked(tuple(alpha)),
+                         Permutation._unchecked(tuple(phi)))
 
 
 def biggs_map(spec: FieldSpec) -> BiggsMap:

@@ -151,6 +151,19 @@ def affine_images_by_elements(spec, s: int, t: int) -> tuple[int, ...]:
     return tuple(gf_sum(spec, gf_multiply(spec, s, x), t) for x in range(spec.n))
 
 
+def per_dart_alpha(spec):
+    """The edge involution of the order-n map, one dart at a time: dart
+    d decodes to (a, b), with d = a*(n-1) + b - (b > a), and goes to the
+    number of (b, a)."""
+    m = spec.n - 1
+    images = []
+    for d in range(spec.n * m):
+        a, j = divmod(d, m)
+        b = j + (j >= a)
+        images.append(b * m + a - (a > b))
+    return Permutation(tuple(images))
+
+
 def per_dart_phi(spec):
     """The face rotation of the order-n map, one dart at a time:
     phi(a, b) = (a, a + omega*(b - a)) in galoistools arithmetic, with

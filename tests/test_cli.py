@@ -6,7 +6,13 @@ import pytest
 
 from cusplink import cli
 from cusplink.cli import main
-from cusplink.finite_field import DEFAULT_MAX_ORDER, field_of_order, make_field, prime_power
+from cusplink.finite_field import (
+    DEFAULT_MAX_ORDER,
+    FieldSpec,
+    field_of_order,
+    make_field,
+    prime_power,
+)
 
 
 def run(capsys, *argv):
@@ -451,3 +457,30 @@ def test_removed_field_flags_are_refused(capsys, argv):
     assert "unrecognized arguments: --" in captured.err
 
 
+@pytest.mark.parametrize("argv", [("dilatation", "--tol", "1e-6"), ("map", "--p", "3"),
+                                  ("transitivity", "moebius"), ("map", "--n", "x"), ()],
+                         ids=["removed-tol", "removed-p", "bad-family", "bad-int", "no-command"])
+def test_argparse_refusals_open_with_error(capsys, argv):
+    # argparse's own refusals read like every other usage error: an
+    # "error: " line first, then the usage line, and exit 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    error, usage = captured.err.splitlines()[:2]
+    assert error.startswith("error: ") and usage.startswith("usage: cusplink")
+
+
+def test_a_face_row_that_repeats_an_image_exits_2(capsys, monkeypatch):
+    # the phi check in BiggsMap raises ValueError, which main maps to 2
+    original = FieldSpec.affine_images
+
+    def affine_images(spec, s, t):
+        row = original(spec, s, t)  # face 3's rotation is the row that fixes 3
+        return (row[0], row[0], *row[2:]) if s == spec.primitive() and row[3] == 3 else row
+
+    monkeypatch.setattr(FieldSpec, "affine_images", affine_images)
+    code, out, err = run(capsys, "map", "--n", "9")
+    assert code == 2 and out == ""
+    assert err.startswith("error: phi on face 3 is not a bijection: dart ")
+    assert err.endswith(" is the image of two darts\n")

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from cusplink.finite_field import field_of_order, make_field
+from cusplink.finite_field import FieldSpec, field_of_order, make_field
 from cusplink.perm_action import Permutation, affine_permutation
 from cusplink.regular_map import (
     RotationMap,
@@ -18,6 +18,7 @@ from reference_checks import (
     gf_multiplicative_order,
     gf_multiply,
     induced_face_permutation,
+    per_dart_alpha,
     per_dart_phi,
 )
 
@@ -193,6 +194,53 @@ def test_phi_equals_the_per_dart_route(n):
     # on the 16 prime and 9 extension fields up to 64
     spec = field_of_order(n)
     assert biggs_map(spec).phi == per_dart_phi(spec)
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_64)
+def test_alpha_equals_the_per_dart_route(n):
+    # two range slices per face row against (a, b) -> (b, a) dart by dart
+    spec = field_of_order(n)
+    assert biggs_map(spec).alpha == per_dart_alpha(spec)
+
+
+@pytest.mark.parametrize("p, k", [(2, 7), (3, 5), (2, 8)])
+def test_alpha_and_phi_equal_the_per_dart_routes_above_the_cap(p, k):
+    spec = make_field(p, k, max_order=256)
+    surface = biggs_map(spec)
+    assert surface.alpha == per_dart_alpha(spec)
+    assert surface.phi == per_dart_phi(spec)
+
+
+def _repeat_in_face_row(monkeypatch, face: int, image_of_face: bool):
+    """Patch FieldSpec.affine_images so that the rotation row of one face
+    (the row of omega*x + t that fixes the face's label) sends position 1
+    where it sends position 0, or, with image_of_face, to the label
+    itself, so that phi sends dart (face, 1) to (face, face), no dart."""
+    original = FieldSpec.affine_images
+
+    def affine_images(spec, s, t):
+        row = original(spec, s, t)
+        if s != spec.primitive() or row[face] != face:
+            return row
+        return (row[0], face if image_of_face else row[0], *row[2:])
+
+    monkeypatch.setattr(FieldSpec, "affine_images", affine_images)
+
+
+def test_a_face_row_that_repeats_an_image_is_named(monkeypatch):
+    spec = field_of_order(9)
+    repeated = biggs_map(spec).phi(3 * 8)  # dart (3, 0), whose image (3, 1) now shares
+    _repeat_in_face_row(monkeypatch, 3, image_of_face=False)
+    with pytest.raises(ValueError, match=rf"^phi on face 3 is not a bijection: "
+                                         rf"dart {repeated} is the image of two darts$"):
+        biggs_map(spec)
+
+
+def test_a_face_row_that_reaches_its_own_label_is_named(monkeypatch):
+    _repeat_in_face_row(monkeypatch, 3, image_of_face=True)
+    with pytest.raises(ValueError, match=r"^phi on face 3 is not a bijection: "
+                                         r"it sends a dart to \(3, 3\)$"):
+        biggs_map(field_of_order(9))
 
 
 def test_incomplete_fixture():

@@ -2,6 +2,7 @@
 an implementation independent of cusplink's."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplink.finite_field import field_of_order, prime_power
 from cusplink.link_families import (
@@ -12,7 +13,7 @@ from cusplink.link_families import (
     cyclic_braid_closure,
     icosahedral_link,
 )
-from cusplink.perm_action import affine_group, group_closure, transitivity_degree
+from cusplink.perm_action import Permutation, affine_group, group_closure, transitivity_degree
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -38,3 +39,15 @@ def test_affine_group_matches_sympy(n):
     cyclic_braid_closure(EXAMPLE_BRAID)], ids=lambda b: b.family)
 def test_family_groups_match_sympy(blueprint):
     assert_matches_sympy(group_closure(blueprint.symmetry_generators))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda d: st.permutations(range(d))))
+def test_cycles_match_sympy(images):
+    # sympy's full cyclic form, each cycle rotated to start at its least
+    # point and the cycles sorted by it, is what cycles() promises
+    oracle = sorted(tuple(c[c.index(min(c)):] + c[:c.index(min(c))])
+                    for c in combinatorics.Permutation(images).full_cyclic_form)
+    perm = Permutation(tuple(images))
+    assert perm.cycles(include_fixed=True) == oracle
+    assert perm.cycles() == [c for c in oracle if len(c) > 1]
