@@ -12,7 +12,6 @@ from .finite_field import (
 from .link_families import (
     EXAMPLE_BRAID,
     BraidWord,
-    Hyperbolicity,
     LinkBlueprint,
     braid_permutation,
     chain_link,
@@ -32,8 +31,6 @@ from .perm_action import (
     transitivity_degree,
 )
 from .regular_map import (
-    BiggsMap,
-    MapSummary,
     RotationMap,
     biggs_map,
     face_adjacency_complete,
@@ -53,7 +50,6 @@ __all__ = [
     "prime_power",
     "EXAMPLE_BRAID",
     "BraidWord",
-    "Hyperbolicity",
     "LinkBlueprint",
     "braid_permutation",
     "chain_link",
@@ -69,8 +65,6 @@ __all__ = [
     "affine_permutation",
     "group_closure",
     "transitivity_degree",
-    "BiggsMap",
-    "MapSummary",
     "RotationMap",
     "biggs_map",
     "face_adjacency_complete",

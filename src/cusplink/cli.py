@@ -137,16 +137,14 @@ def _build_family(name: str, args) -> link_families.LinkBlueprint:
 def cmd_map(args) -> int:
     spec = _field(args.n)
     surface = biggs_map(spec)
-    summary = map_summary(surface)
-    match = summary.genus == summary.formula_genus
+    payload = map_summary(surface)
+    payload["match"] = payload["genus"] == payload["formula_genus"]
     if args.format == "dot":
         _emit(face_adjacency_dot(surface), args)
     else:
-        payload = summary.to_json_dict()
-        payload["match"] = match
         _emit_report(args, payload, [payload], ["n", "V", "E", "F", "genus", "formula_genus",
                                                 "vertex_degree", "match"])
-    return 0 if match else 1
+    return 0 if payload["match"] else 1
 
 
 def cmd_transitivity(args) -> int:
@@ -179,7 +177,7 @@ def _links_row(blueprint: link_families.LinkBlueprint) -> dict:
         "n_components": blueprint.n_components,
         "symmetry_order": blueprint.symmetry_order,
         "transitivity_degree": blueprint.transitivity_degree,
-        "hyperbolicity": blueprint.hyperbolicity.status,
+        "hyperbolicity": blueprint.hyperbolicity["status"],
     }
 
 

@@ -8,8 +8,9 @@ symmetries acting on the components.  Each builder passes only the group
 blueprint reads the order from it and computes the transitivity degree
 once, so both are computed, never asserted, and it checks the linking
 data against the group when built.  The chain's loop count is bounded
-by MAX_CHAIN_LOOPS.  Hyperbolicity is provenance metadata only, it is
-never computed here.
+by MAX_CHAIN_LOOPS.  Hyperbolicity is provenance metadata only, never
+computed here: a dict of a status (asserted_by_paper, conditional or
+unknown) and a note.
 
 Crossing-sign convention: right-handed crossings count +1.  Chain
 neighbor linking numbers are reported as +1 for diagrams with t >= 0
@@ -31,20 +32,6 @@ from .perm_action import (
 from .regular_map import biggs_map
 
 
-class Hyperbolicity:
-    """Status tag plus a provenance note; statuses are
-    asserted_by_paper, conditional, or unknown."""
-
-    __slots__ = ("status", "note")
-
-    def __init__(self, status: str, note: str):
-        self.status = status
-        self.note = note
-
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "note": self.note}
-
-
 class LinkBlueprint:
     """One link family instance, built from its symmetry group.
 
@@ -60,7 +47,7 @@ class LinkBlueprint:
 
     def __init__(self, family: str, ambient: str, components: tuple[str, ...],
                  linking_matrix: tuple[tuple[int, ...], ...] | None, symmetry: PermGroup,
-                 hyperbolicity: Hyperbolicity, params: dict | None = None):
+                 hyperbolicity: dict, params: dict | None = None):
         self.family = family
         self.ambient = ambient
         self.components = components
@@ -116,7 +103,7 @@ class LinkBlueprint:
                         else [list(row) for row in self.linking_matrix]),
             "symmetry_order": self.symmetry_order,
             "transitivity_degree": self.transitivity_degree,
-            "hyperbolicity": self.hyperbolicity.to_json_dict(),
+            "hyperbolicity": dict(self.hyperbolicity),
             "params": dict(self.params),
         }
 
@@ -148,13 +135,13 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
         matrix[j][i] = sign
     shift = Permutation(tuple((i + 1) % n for i in range(n)))
     if n >= 5:
-        hyperbolic = Hyperbolicity(
-            "asserted_by_paper",
-            "hyperbolic for every twist count (Neumann-Reid, arithmetic chain links)")
+        hyperbolic = {
+            "status": "asserted_by_paper",
+            "note": "hyperbolic for every twist count (Neumann-Reid, arithmetic chain links)"}
     else:
-        hyperbolic = Hyperbolicity(
-            "unknown",
-            f"hyperbolic except for {5 - n} low-twist values of t, not enumerated here")
+        hyperbolic = {
+            "status": "unknown",
+            "note": f"hyperbolic except for {5 - n} low-twist values of t, not enumerated here"}
     return LinkBlueprint(
         family="chain",
         ambient="S3",
@@ -260,10 +247,10 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
         components=tuple(f"strand_{i}" for i in range(n)),
         linking_matrix=tuple(tuple(row) for row in matrix),
         symmetry=group_closure([perm]),
-        hyperbolicity=Hyperbolicity(
-            "conditional",
-            "closure of the (n*m)-th power; the 2-pi theorem (Gromov-Thurston) "
-            "gives hyperbolicity for sufficiently large m"),
+        hyperbolicity={
+            "status": "conditional",
+            "note": "closure of the (n*m)-th power; the 2-pi theorem (Gromov-Thurston) "
+                    "gives hyperbolicity for sufficiently large m"},
         params={"strands": n, "word": list(braid.word), "m": m, "power": n * m},
     )
 
@@ -298,10 +285,10 @@ def cube_link() -> LinkBlueprint:
         components=tuple(f"plane({a:+d},{b:+d})" for (a, b) in _CUBE_PLANES),
         linking_matrix=matrix,
         symmetry=group_closure(_cube_diagonal_generators()),
-        hyperbolicity=Hyperbolicity(
-            "asserted_by_paper",
-            "alternating resolution of the four great circles; "
-            "hyperbolicity verified externally with SnapPea"),
+        hyperbolicity={
+            "status": "asserted_by_paper",
+            "note": "alternating resolution of the four great circles; "
+                    "hyperbolicity verified externally with SnapPea"},
         params={"crossings": 12, "alternating": True},
     )
 
@@ -351,9 +338,9 @@ def cube_edge_link() -> LinkBlueprint:
         components=tuple(f"{_vertex_sign_label(u)}|{_vertex_sign_label(v)}" for (u, v) in edges),
         linking_matrix=matrix,
         symmetry=group_closure(generators),
-        hyperbolicity=Hyperbolicity(
-            "asserted_by_paper",
-            "hyperbolicity verified externally with SnapPea"),
+        hyperbolicity={
+            "status": "asserted_by_paper",
+            "note": "hyperbolicity verified externally with SnapPea"},
         params={"vertices": 8, "loops_per_vertex": 3},
     )
 
@@ -376,10 +363,10 @@ def icosahedral_link() -> LinkBlueprint:
         components=labels,
         linking_matrix=matrix,
         symmetry=group_closure([cycle, inversion]),
-        hyperbolicity=Hyperbolicity(
-            "asserted_by_paper",
-            "alternating resolution of the six great circles; "
-            "hyperbolicity verified externally with SnapPea"),
+        hyperbolicity={
+            "status": "asserted_by_paper",
+            "note": "alternating resolution of the six great circles; "
+                    "hyperbolicity verified externally with SnapPea"},
         params={"crossings": 30, "alternating": True},
     )
 
@@ -410,8 +397,6 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
     The affine symmetry of the face labels carries the components
     2-transitively."""
     n = spec.n
-    if n <= 3:
-        raise ValueError("field order must exceed 3")
     surface = biggs_map(spec)
     vertex_degree = len(surface.vertices[0])
     return LinkBlueprint(
@@ -420,10 +405,10 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
         components=tuple(f"face_{spec.label(i)}" for i in range(n)),
         linking_matrix=None,
         symmetry=affine_group(spec),
-        hyperbolicity=Hyperbolicity(
-            "asserted_by_paper",
-            "mapping torus of a point-pushing pseudo-Anosov monodromy "
-            "(stretch factor 3+2*sqrt(2)); hyperbolicity not computed here"),
+        hyperbolicity={
+            "status": "asserted_by_paper",
+            "note": "mapping torus of a point-pushing pseudo-Anosov monodromy "
+                    "(stretch factor 3+2*sqrt(2)); hyperbolicity not computed here"},
         params={
             "n": n,
             "face_polygon": n - 1,

@@ -4,13 +4,13 @@ Points are bare indices 0..d-1; callers bind them to whatever is being
 permuted (field labels, link components, map faces).  Composition is
 function-style: (p * q)(x) = p(q(x)), the right factor acts first.
 
-A group is held as a stabilizer chain along the fixed base 0, 1, 2, ...,
-built by the deterministic Schreier-Sims algorithm (Seress, Permutation
-Group Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 4.4).  Level i of the chain stands for G_i,
-the subgroup fixing each of 0..i-1; its basic orbit is the orbit of i
-under G_i, with one coset representative per orbit point.  The chain
-gives:
+A PermGroup is its stabilizer chain along the fixed base 0, 1, 2, ...,
+built when the group is, by the deterministic Schreier-Sims algorithm
+(Seress, Permutation Group Algorithms, ch. 4; Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 4.4).  Level i of the chain
+stands for G_i, the subgroup fixing each of 0..i-1; its basic orbit is
+the orbit of i under G_i, with one coset representative per orbit
+point.  The chain gives:
 
 - the order, as the product of the basic-orbit lengths;
 - k-transitivity, by the base-prefix criterion: G is k-transitive
@@ -19,9 +19,9 @@ gives:
   (k-1)-transitive on the remaining points.
 
 The product of the basic-orbit lengths found so far is a lower bound on
-the order, so a group larger than MAX_GROUP_ORDER is refused while its
-chain is still being built.  The breadth-first element list stays only
-for the benchmark's traced element counter, until ROADMAP item 1 has it
+the order, so a group larger than MAX_GROUP_ORDER is refused while it
+is still being built.  The breadth-first element list stays only for
+the benchmark's traced element counter, until ROADMAP item 1 has it
 count the order instead.
 """
 
@@ -89,6 +89,9 @@ class Permutation(Value):
         images = list(range(degree))
         for cycle in cycles:
             for i, point in enumerate(cycle):
+                if not 0 <= point < degree:  # a negative index would wrap
+                    raise ValueError(f"cycle point {point} is not in 0..{degree - 1} "
+                                     f"(degree {degree})")
                 images[point] = cycle[(i + 1) % len(cycle)]
         return cls(tuple(images))
 
@@ -131,9 +134,10 @@ class Permutation(Value):
         return self.cycle_string()
 
 
-class StabilizerChain:
-    """The stabilizer chain of the group generated by raw image tuples,
-    along the base 0, 1, ..., m-1.
+class PermGroup:
+    """The group generated by a nonempty list of same-degree permutations,
+    held as its stabilizer chain along the base 0, 1, ..., m-1, which is
+    built here, so a group of order over MAX_GROUP_ORDER is refused here.
 
     Level i keeps the strong generators that fix 0..i-1 and the
     transversal of its basic orbit: for each orbit point p, a group
@@ -143,12 +147,20 @@ class StabilizerChain:
     orbit, so the base stays a prefix of 0, 1, 2, ....
     """
 
-    def __init__(self, generators, degree: int):
+    def __init__(self, generators):
+        generators = tuple(generators)
+        if not generators:
+            raise ValueError("at least one generator is required")
+        degree = generators[0].degree
+        if any(g.degree != degree for g in generators):
+            raise ValueError("generators must share one degree")
+        self.degree = degree
+        self.generators = generators
         self._identity = tuple(range(degree))
-        self._generators: list[list[tuple[int, ...]]] = []
+        self._strong: list[list[tuple[int, ...]]] = []
         self._transversals: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
         for g in generators:
-            self._absorb(g, 0)
+            self._absorb(g.images, 0)
         level = len(self._transversals) - 1
         while level >= 0:
             changed = self._schreier_check(level)
@@ -187,12 +199,12 @@ class StabilizerChain:
         if h == self._identity:
             return None
         while j == len(self._transversals):
-            self._generators.append([])
+            self._strong.append([])
             self._transversals.append({j: (self._identity, self._identity)})
             if h[j] == j:
                 j += 1
         for level in range(start, j + 1):
-            self._generators[level].append(h)
+            self._strong[level].append(h)
             self._grow_orbit(level)
         if self.order > MAX_GROUP_ORDER:
             raise RuntimeError(f"group order cap {MAX_GROUP_ORDER} exceeded: "
@@ -203,7 +215,7 @@ class StabilizerChain:
         """Extend the basic orbit of a level under its strong generators,
         keeping the representatives already chosen."""
         transversal = self._transversals[level]
-        generators = self._generators[level]
+        generators = self._strong[level]
         frontier = list(transversal)
         while frontier:
             new = []
@@ -223,7 +235,7 @@ class StabilizerChain:
         the deepest level it changed is returned; None when all sift."""
         transversal = self._transversals[level]
         for p, (u, _) in transversal.items():
-            for g in self._generators[level]:
+            for g in self._strong[level]:
                 gu = _compose(g, u)
                 v, v_inverse = transversal[g[p]]
                 if gu == v:
@@ -233,39 +245,13 @@ class StabilizerChain:
                     return changed
         return None
 
-
-class PermGroup:
-    """The group generated by a nonempty list of same-degree permutations.
-
-    Order and transitivity come from the stabilizer chain, built on
-    first use, which refuses a group of order over MAX_GROUP_ORDER.  The
-    element set is listed only when asked for, by breadth-first products
-    of the generators, once the chain has bounded the order.
-    """
-
-    def __init__(self, generators):
-        generators = tuple(generators)
-        if not generators:
-            raise ValueError("at least one generator is required")
-        degree = generators[0].degree
-        if any(g.degree != degree for g in generators):
-            raise ValueError("generators must share one degree")
-        self.degree = degree
-        self.generators = generators
-
-    @cached_property
-    def chain(self) -> StabilizerChain:
-        return StabilizerChain((g.images for g in self.generators), self.degree)
-
     @cached_property
     def elements(self) -> frozenset[Permutation]:
         """Every element, by breadth-first products of the generators; read
         only by the benchmark's traced counter and the tests' cross-checks."""
-        self.chain  # noqa: B018  (refuse a group over the cap before listing it)
         generators = [g.images for g in self.generators]
-        identity = tuple(range(self.degree))
-        seen = {identity}
-        frontier = [identity]
+        seen = {self._identity}
+        frontier = [self._identity]
         while frontier:
             new = []
             for g in generators:
@@ -277,20 +263,13 @@ class PermGroup:
             frontier = new
         return frozenset(map(Permutation._unchecked, seen))
 
-    @property
-    def order(self) -> int:
-        return self.chain.order
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 
 
 def group_closure(generators) -> PermGroup:
-    """The PermGroup of a generator list, with its stabilizer chain built
-    now (so a group over the cap is refused here)."""
-    group = PermGroup(generators)
-    group.chain  # noqa: B018  (build the chain now)
-    return group
+    """The PermGroup of a generator list; a group over the cap is refused."""
+    return PermGroup(generators)
 
 
 def transitivity_degree(group: PermGroup) -> int:
@@ -298,8 +277,7 @@ def transitivity_degree(group: PermGroup) -> int:
     transitive): the length of the base prefix whose basic orbits have
     lengths d, d-1, ...."""
     d = group.degree
-    chain = group.chain
-    return next((i for i in range(d) if chain.orbit_length(i) != d - i), d)
+    return next((i for i in range(d) if group.orbit_length(i) != d - i), d)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ The resulting map has n faces, each an (n-1)-gon, every pair of faces
 sharing exactly one edge, and its genus matches genus_formula(n):
 1 + n(n-7)/4 when n = 3 mod 4, else 1 + n(n-5)/4.
 
-RotationMap checks alpha in bulk.  BiggsMap fills alpha and phi as flat
-arrays over the dart ids, checks phi face row by face row, and passes
-both on unchecked, so no dart is scanned twice.  The one graph export
-is the face-adjacency DOT that the map subcommand prints.
+RotationMap checks alpha in bulk.  biggs_map fills alpha and phi as
+flat arrays over the dart ids, checks phi face row by face row, and
+passes both on unchecked, so no dart is scanned twice.  The one graph
+export is the face-adjacency DOT that the map subcommand prints.
 """
 
 from __future__ import annotations
@@ -92,6 +92,19 @@ class RotationMap:
         g = (2 - chi) // 2
         if g < 0:
             raise ValueError(f"negative genus ({counts}); map is disconnected or corrupt")
+        face, alpha, faces = self.face_index, self.alpha.images, self.faces
+        unseen, components = set(range(len(faces))), 0
+        while unseen:  # walk from face to face across alpha, until every face is seen
+            components += 1
+            stack = [unseen.pop()]
+            while stack and unseen:
+                f = stack.pop()
+                reached = unseen.intersection(map(face.__getitem__, map(alpha.__getitem__, faces[f])))
+                unseen -= reached
+                stack += reached
+        if components != 1:
+            raise ValueError(f"map has {components} connected components ({counts}); "
+                             "a genus needs exactly one")
         return g
 
     @cached_property
@@ -110,43 +123,35 @@ class RotationMap:
                         for d, e in self.edges])
 
 
-class BiggsMap(RotationMap):
-    """The field-labeled regular map; faces correspond to field elements."""
-
-    def __init__(self, spec: FieldSpec):
-        if spec.n <= 3:
-            raise ValueError("field order must exceed 3")
-        self.spec = spec
-        self.omega = omega = spec.primitive()
-        # -1 has index p - 1, so this is 1 - omega
-        shift = spec.affine_images(spec.p - 1, 1)[omega]
-        shifts = spec.affine_images(shift, 0)
-        n, m = spec.n, spec.n - 1
-        alpha, phi = [], []
-        for a, base in zip(range(n), range(0, n * m, m)):  # face a: darts base .. base + m - 1
-            # alpha(a, b) = (b, a): dart b*m + a - 1 for b < a, b*m + a for b > a
-            alpha += range(a - 1, base + a - 1, m)
-            alpha += range(base + m + a, n * m + a, m)
-            # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a,
-            # whose row fixes a; (a, c) is dart base + c - (c > a)
-            row = spec.affine_images(omega, shifts[a])
-            dart = [*range(base, base + a), -1, *range(base + a, base + m)]
-            images = [*map(dart.__getitem__, row[:a]), *map(dart.__getitem__, row[a + 1:])]
-            if sorted(images) != [*range(base, base + m)]:  # name a repeat, or the -1
-                d = next(d for d in images if d < 0 or images.count(d) > 1)
-                raise ValueError(f"phi on face {a} is not a bijection: " + (
-                    f"dart {d} is the image of two darts" if d >= 0
-                    else f"it sends a dart to ({a}, {a})"))
-            phi += images
-        super().__init__(Permutation._unchecked(tuple(alpha)),
-                         Permutation._unchecked(tuple(phi)))
-
-
-def biggs_map(spec: FieldSpec) -> BiggsMap:
+def biggs_map(spec: FieldSpec) -> RotationMap:
     """Construct the regular map of the field: n faces, each an
     (n-1)-gon, labeled by the field elements, every two faces sharing
     exactly one edge."""
-    return BiggsMap(spec)
+    if spec.n <= 3:
+        raise ValueError("field order must exceed 3")
+    omega = spec.primitive()
+    # -1 has index p - 1, so this is 1 - omega
+    shift = spec.affine_images(spec.p - 1, 1)[omega]
+    shifts = spec.affine_images(shift, 0)
+    n, m = spec.n, spec.n - 1
+    alpha, phi = [], []
+    for a, base in zip(range(n), range(0, n * m, m)):  # face a: darts base .. base + m - 1
+        # alpha(a, b) = (b, a): dart b*m + a - 1 for b < a, b*m + a for b > a
+        alpha += range(a - 1, base + a - 1, m)
+        alpha += range(base + m + a, n * m + a, m)
+        # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a,
+        # whose row fixes a; (a, c) is dart base + c - (c > a)
+        row = spec.affine_images(omega, shifts[a])
+        dart = [*range(base, base + a), -1, *range(base + a, base + m)]
+        images = [*map(dart.__getitem__, row[:a]), *map(dart.__getitem__, row[a + 1:])]
+        if sorted(images) != [*range(base, base + m)]:  # name a repeat, or the -1
+            d = next(d for d in images if d < 0 or images.count(d) > 1)
+            raise ValueError(f"phi on face {a} is not a bijection: " + (
+                f"dart {d} is the image of two darts" if d >= 0
+                else f"it sends a dart to ({a}, {a})"))
+        phi += images
+    return RotationMap(Permutation._unchecked(tuple(alpha)),
+                       Permutation._unchecked(tuple(phi)))
 
 
 def genus_formula(n: int) -> int:
@@ -162,53 +167,25 @@ def genus_formula(n: int) -> int:
     return 1 + numerator // 4
 
 
-class MapSummary:
-    """Euler-characteristic bookkeeping for one map, with the formula
-    value attached for comparison when it applies."""
-
-    __slots__ = ("n", "vertices", "edges", "faces", "genus", "formula_genus", "vertex_degree")
-
-    def __init__(self, n: int, vertices: int, edges: int, faces: int, genus: int,
-                 formula_genus: int | None, vertex_degree: int | None):
-        self.n = n
-        self.vertices = vertices
-        self.edges = edges
-        self.faces = faces
-        self.genus = genus
-        self.formula_genus = formula_genus
-        self.vertex_degree = vertex_degree
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "V": self.vertices,
-            "E": self.edges,
-            "F": self.faces,
-            "genus": self.genus,
-            "formula_genus": self.formula_genus,
-            "vertex_degree": self.vertex_degree,
-        }
-
-
-def map_summary(rotation_map: RotationMap) -> MapSummary:
-    """Count orbits, compute the genus from the Euler characteristic,
-    and attach the formula genus when the face count is a prime power
-    above 3."""
+def map_summary(rotation_map: RotationMap) -> dict:
+    """The orbit counts and Euler-characteristic genus as the map
+    subcommand prints them, with the formula genus when the face count
+    is a prime power above 3 and the vertex degree when all agree."""
     n = rotation_map.num_faces
     try:
         formula = genus_formula(n)
     except ValueError:
         formula = None
     degrees = {len(v) for v in rotation_map.vertices}
-    return MapSummary(
-        n=n,
-        vertices=rotation_map.num_vertices,
-        edges=rotation_map.num_edges,
-        faces=n,
-        genus=rotation_map.genus,
-        formula_genus=formula,
-        vertex_degree=degrees.pop() if len(degrees) == 1 else None,
-    )
+    return {
+        "n": n,
+        "V": rotation_map.num_vertices,
+        "E": rotation_map.num_edges,
+        "F": n,
+        "genus": rotation_map.genus,
+        "formula_genus": formula,
+        "vertex_degree": degrees.pop() if len(degrees) == 1 else None,
+    }
 
 
 def face_adjacency_complete(rotation_map: RotationMap) -> bool:

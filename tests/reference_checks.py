@@ -81,14 +81,14 @@ def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     return dart_map * alpha == alpha * dart_map and dart_map * phi == phi * dart_map
 
 
-def affine_map_automorphism(rotation_map, s: int, t: int):
+def affine_map_automorphism(spec, s: int, t: int):
     """The dart permutation (a, b) -> (s*a + t, s*b + t) of the order-n
-    map, for a nonzero scale s, with dart (a, b) numbered
-    a*(n-1) + b - (b > a).  It commutes with alpha and with phi, so it
-    permutes faces, edges and vertices; the induced face permutation is
-    the affine permutation of the labels."""
-    n = rotation_map.spec.n
-    image = affine_permutation(rotation_map.spec, s, t)
+    map of the field spec, for a nonzero scale s, with dart (a, b)
+    numbered a*(n-1) + b - (b > a).  It commutes with alpha and with phi,
+    so it permutes faces, edges and vertices; the induced face
+    permutation is the affine permutation of the labels."""
+    n = spec.n
+    image = affine_permutation(spec, s, t)
     darts = ((image(a), image(b)) for a in range(n) for b in range(n) if a != b)
     return Permutation(tuple(x * (n - 1) + y - (y > x) for x, y in darts))
 

@@ -236,7 +236,7 @@ def test_criterion_7_property_suites():
             for _ in range(42):
                 s = rng.randint(1, n - 1)
                 t = rng.randint(0, n - 1)
-                auto = affine_map_automorphism(surface, s, t)
+                auto = affine_map_automorphism(spec, s, t)
                 record.check(dart_automorphism_is_valid(surface, auto),
                              f"n={n}: affine pair is not an automorphism")
                 record.check(induced_face_permutation(surface, auto)

@@ -472,7 +472,7 @@ def test_argparse_refusals_open_with_error(capsys, argv):
 
 
 def test_a_face_row_that_repeats_an_image_exits_2(capsys, monkeypatch):
-    # the phi check in BiggsMap raises ValueError, which main maps to 2
+    # the phi check in biggs_map raises ValueError, which main maps to 2
     original = FieldSpec.affine_images
 
     def affine_images(spec, s, t):

@@ -7,7 +7,6 @@ from cusplink.link_families import (
     EXAMPLE_BRAID,
     MAX_CHAIN_LOOPS,
     BraidWord,
-    Hyperbolicity,
     LinkBlueprint,
     _closure_linking,
     braid_permutation,
@@ -70,7 +69,7 @@ def _blueprint(matrix, generators):
         components=tuple(f"c{i}" for i in range(3)),
         linking_matrix=matrix,
         symmetry=group_closure(generators),
-        hyperbolicity=Hyperbolicity("unknown", "test fixture"),
+        hyperbolicity={"status": "unknown", "note": "test fixture"},
     )
 
 
@@ -135,13 +134,13 @@ def test_chain_basic():
     assert bp.n_components == 6
     assert bp.symmetry_order == 6
     assert bp.transitivity_degree == 1
-    assert bp.hyperbolicity.status == "asserted_by_paper"
+    assert bp.hyperbolicity["status"] == "asserted_by_paper"
 
 
 def test_chain_small_is_unknown():
     for t in (-2, 0, 5):
-        assert chain_link(3, t).hyperbolicity.status == "unknown"
-    assert chain_link(4, 0).hyperbolicity.status == "unknown"
+        assert chain_link(3, t).hyperbolicity["status"] == "unknown"
+    assert chain_link(4, 0).hyperbolicity["status"] == "unknown"
 
 
 def test_chain_neighbor_matrix():
@@ -236,7 +235,7 @@ def test_example_braid_power_closes_to_five_components():
     assert bp.n_components == 5
     assert bp.family == "braid_closure"
     assert bp.params["power"] == 5
-    assert bp.hyperbolicity.status == "conditional"
+    assert bp.hyperbolicity["status"] == "conditional"
     assert bp.transitivity_degree == 1
 
 

@@ -57,13 +57,25 @@ def test_test_only_group_api_is_gone():
     gone = [(cusplink, ["is_k_transitive"]),
             (perm_action, ["is_k_transitive", "_group_cap", "_cap_exceeded"]),
             (perm_action.Permutation, ["inverse", "__pow__", "order", "is_identity"]),
-            (perm_action.PermGroup, ["__contains__"]),
-            (perm_action.StabilizerChain, ["contains"])]
+            (perm_action.PermGroup, ["__contains__", "chain"])]
     for owner, names in gone:
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     assert "is_k_transitive" not in cusplink.__all__
     assert perm_action.MAX_GROUP_ORDER == 10 ** 6
+
+
+def test_pass_through_classes_are_gone():
+    # a group is its stabilizer chain, biggs_map returns a RotationMap,
+    # and the map summary and hyperbolicity tag are plain dicts
+    from cusplink import link_families, perm_action, regular_map
+
+    gone = [(perm_action, "StabilizerChain"), (regular_map, "BiggsMap"),
+            (regular_map, "MapSummary"), (link_families, "Hyperbolicity")]
+    for module, name in gone:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+        assert not hasattr(cusplink, name) and name not in cusplink.__all__, name
+    assert type(cusplink.biggs_map(cusplink.field_of_order(5))) is cusplink.RotationMap
 
 
 # Each value type, built twice from scratch, with its repr and one field;

@@ -39,6 +39,13 @@ def test_permutation_validation():
         Permutation((0, True))
 
 
+@pytest.mark.parametrize("point", [3, -1])
+def test_from_cycles_refuses_a_point_out_of_range(point):
+    # 3 indexed past the end, and -1 wrapped to 2
+    with pytest.raises(ValueError, match=rf"^cycle point {point} is not in 0\.\.2 \(degree 3\)$"):
+        Permutation.from_cycles(3, [(0, point)])
+
+
 def test_bijection_error_stays_short_on_a_large_degree():
     images = list(range(4032))
     images[4000] = 17
@@ -232,7 +239,7 @@ def test_membership_by_sifting():
 def test_chain_base_is_a_prefix_with_trivial_levels_kept():
     # (2 3) fixes 0 and 1, so the base runs 0, 1, 2 with two trivial orbits
     group = group_closure([Permutation.from_cycles(4, [(2, 3)])])
-    assert group.chain.orbit_lengths == [1, 1, 2]
+    assert group.orbit_lengths == [1, 1, 2]
     assert group.order == 2 and transitivity_degree(group) == 0
 
 

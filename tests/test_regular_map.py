@@ -1,7 +1,9 @@
+import json
 from itertools import product
 
 import pytest
 
+from cusplink.cli import main
 from cusplink.finite_field import FieldSpec, field_of_order, make_field
 from cusplink.perm_action import Permutation, affine_permutation
 from cusplink.regular_map import (
@@ -53,6 +55,36 @@ def test_disconnected_map_names_its_counts():
         bubbles.genus  # noqa: B018
 
 
+def two_copies(surface):
+    """The disjoint union of a map with a copy of itself."""
+    shift = len(surface.darts)
+    alpha, phi = surface.alpha.images, surface.phi.images
+    return RotationMap(Permutation(alpha + tuple(d + shift for d in alpha)),
+                       Permutation(phi + tuple(d + shift for d in phi)))
+
+
+@pytest.mark.parametrize("surface, components, counts", [
+    (RotationMap(Permutation(()), Permutation(())), 0, "V=0, E=0, F=0, chi=0"),
+    (two_copies(biggs_map(field_of_order(5))), 2, "V=10, E=20, F=10, chi=0"),
+])
+def test_genus_needs_exactly_one_component(surface, components, counts):
+    # chi = 0 reads as genus 1, but neither is one torus
+    with pytest.raises(ValueError, match=rf"^map has {components} connected components "
+                                         rf"\({counts}\); a genus needs exactly one$"):
+        surface.genus  # noqa: B018
+
+
+def test_genus_walks_a_ring_of_faces():
+    # the sphere with 6 parallel edges between two vertices: face j is the
+    # 2-gon between edges j and j+1, so face 0 reaches face 3 in 3 steps
+    k = 6
+    alpha = Permutation(tuple(d ^ 1 for d in range(2 * k)))
+    phi = Permutation.from_cycles(2 * k, [(2 * j, 2 * ((j + 1) % k) + 1) for j in range(k)])
+    ring = RotationMap(alpha, phi)
+    assert (ring.num_vertices, ring.num_edges, ring.num_faces) == (2, k, k)
+    assert ring.genus == 0
+
+
 def test_genus_formula_values():
     assert genus_formula(5) == 1
     assert genus_formula(7) == 1  # n = 3 mod 4 branch
@@ -82,9 +114,9 @@ def test_genus_formula_rejects_bad_orders():
 ])
 def test_biggs_map_counts(n, V, E, g):
     summary = map_summary(biggs_map(field_of_order(n)))
-    assert (summary.vertices, summary.edges, summary.faces) == (V, E, n)
-    assert summary.genus == g
-    assert summary.formula_genus == g
+    assert (summary["V"], summary["E"], summary["F"]) == (V, E, n)
+    assert summary["genus"] == g
+    assert summary["formula_genus"] == g
 
 
 @pytest.mark.parametrize("n", PRIME_POWERS + [16, 25, 27])
@@ -127,11 +159,11 @@ def test_vertex_count_rule(n):
 
 @pytest.mark.parametrize("n", PRIME_POWERS)
 def test_vertex_cycles_share_the_order_of_minus_omega(n):
-    surface = biggs_map(field_of_order(n))
+    spec = field_of_order(n)
+    surface = biggs_map(spec)
     lengths = {len(v) for v in surface.vertices}
     assert len(lengths) == 1
-    spec = surface.spec
-    minus_omega = gf_multiply(spec, spec.p - 1, surface.omega)
+    minus_omega = gf_multiply(spec, spec.p - 1, spec.primitive())
     expected = gf_multiplicative_order(spec, minus_omega)
     assert lengths.pop() == expected
 
@@ -142,22 +174,25 @@ def test_biggs_map_rejects_tiny_orders():
 
 
 def test_identity_automorphism():
-    surface = biggs_map(field_of_order(5))
-    auto = affine_map_automorphism(surface, 1, 0)
+    spec = field_of_order(5)
+    surface = biggs_map(spec)
+    auto = affine_map_automorphism(spec, 1, 0)
     assert all(auto(d) == d for d in surface.darts)
 
 
 def test_translation_automorphism_cycles_faces():
-    surface = biggs_map(field_of_order(5))
-    auto = affine_map_automorphism(surface, 1, 1)
+    spec = field_of_order(5)
+    surface = biggs_map(spec)
+    auto = affine_map_automorphism(spec, 1, 1)
     assert dart_automorphism_is_valid(surface, auto)
     faces = induced_face_permutation(surface, auto)
     assert faces.images == (1, 2, 3, 4, 0)
 
 
 def test_scaling_automorphism_fixes_zero_face():
-    surface = biggs_map(field_of_order(5))
-    auto = affine_map_automorphism(surface, 2, 0)
+    spec = field_of_order(5)
+    surface = biggs_map(spec)
+    auto = affine_map_automorphism(spec, 2, 0)
     faces = induced_face_permutation(surface, auto)
     assert faces(0) == 0
     assert sorted(len(c) for c in faces.cycles()) == [4]
@@ -173,9 +208,8 @@ def test_dart_map_that_splits_a_face_is_named():
 
 
 def test_scale_zero_rejected():
-    surface = biggs_map(field_of_order(5))
     with pytest.raises(ValueError):
-        affine_map_automorphism(surface, 0, 1)
+        affine_map_automorphism(field_of_order(5), 0, 1)
 
 
 @pytest.mark.parametrize("n", [5, 7, 8])
@@ -183,7 +217,7 @@ def test_every_affine_pair_is_a_dart_automorphism(n):
     spec = field_of_order(n)
     surface = biggs_map(spec)
     for s, t in product(range(1, n), range(n)):
-        auto = affine_map_automorphism(surface, s, t)
+        auto = affine_map_automorphism(spec, s, t)
         assert dart_automorphism_is_valid(surface, auto)
         assert induced_face_permutation(surface, auto) == affine_permutation(spec, s, t)
 
@@ -250,18 +284,23 @@ def test_incomplete_fixture():
     assert bubble.genus == 0
 
 
-def test_map_summary_json():
-    payload = map_summary(biggs_map(field_of_order(5))).to_json_dict()
+def test_map_summary_json(capsys):
+    payload = map_summary(biggs_map(field_of_order(5)))
     assert payload == {
         "n": 5, "V": 5, "E": 10, "F": 5,
         "genus": 1, "formula_genus": 1, "vertex_degree": 4,
     }
+    # the summary is what `cusplink map` prints, less its match flag
+    assert main(["map", "--n", "5"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed.pop("match") is True
+    assert printed == payload
 
 
 def test_summary_of_nonfamily_map_has_no_formula():
     summary = map_summary(two_face_sphere())
-    assert summary.formula_genus is None
-    assert summary.genus == 0
+    assert summary["formula_genus"] is None
+    assert summary["genus"] == 0
 
 
 def test_dot_exports():
