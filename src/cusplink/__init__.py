@@ -26,7 +26,6 @@ from .perm_action import (
     PermGroup,
     Permutation,
     affine_group,
-    affine_permutation,
     group_closure,
     transitivity_degree,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "PermGroup",
     "Permutation",
     "affine_group",
-    "affine_permutation",
     "group_closure",
     "transitivity_degree",
     "RotationMap",

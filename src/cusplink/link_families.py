@@ -69,7 +69,7 @@ class LinkBlueprint:
                 for j in range(i):
                     if matrix[i][j] != matrix[j][i]:
                         raise ValueError(f"linking matrix is not symmetric at ({i}, {j})")
-            for g in self.symmetry_generators:
+            for g in symmetry.generators:
                 if any(matrix[g(i)][g(j)] != matrix[i][j] for i in range(n) for j in range(n)):
                     raise ValueError(f"symmetry generator {g} does not preserve linking")
         self.transitivity_degree = transitivity_degree(symmetry)
@@ -77,10 +77,6 @@ class LinkBlueprint:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    @property
-    def symmetry_generators(self) -> tuple[Permutation, ...]:
-        return self.symmetry.generators
 
     @property
     def symmetry_order(self) -> int:
@@ -175,9 +171,6 @@ class BraidWord(Value):
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "word", word)
 
-    def __mul__(self, repeats: int) -> BraidWord:
-        return BraidWord(self.strands, self.word * repeats)
-
 
 # Bundled 5-strand example: permutation is the 5-cycle (0 2 4 3 1),
 # i.e. strands 1..5 permute as (1 3 5 4 2), and the closure of the
@@ -186,14 +179,17 @@ EXAMPLE_BRAID = BraidWord(strands=5, word=(3, 4, -1, -2))
 
 
 def braid_permutation(braid: BraidWord) -> Permutation:
-    """Underlying strand permutation: the transpositions of the word
-    applied in order, left to right."""
-    perm = Permutation.identity(braid.strands)
+    """Underlying strand permutation: the strand starting at x ends at
+    position perm(x) once the crossings of the word have swapped
+    neighbouring strands in order, left to right."""
+    occupant = list(range(braid.strands))
     for g in braid.word:
         i = abs(g) - 1
-        swap = Permutation.from_cycles(braid.strands, [(i, i + 1)])
-        perm = swap * perm
-    return perm
+        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+    images = [0] * braid.strands
+    for position, strand in enumerate(occupant):
+        images[strand] = position
+    return Permutation(tuple(images))
 
 
 def _closure_linking(braid: BraidWord) -> list[list[int]]:

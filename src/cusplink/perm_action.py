@@ -79,22 +79,6 @@ class Permutation(Value):
         object.__setattr__(perm, "images", images)
         return perm
 
-    @classmethod
-    def identity(cls, degree: int) -> Permutation:
-        return cls(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, degree: int, cycles) -> Permutation:
-        """Build from disjoint cycles of point indices."""
-        images = list(range(degree))
-        for cycle in cycles:
-            for i, point in enumerate(cycle):
-                if not 0 <= point < degree:  # a negative index would wrap
-                    raise ValueError(f"cycle point {point} is not in 0..{degree - 1} "
-                                     f"(degree {degree})")
-                images[point] = cycle[(i + 1) % len(cycle)]
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -124,14 +108,9 @@ class Permutation(Value):
                 out.append(tuple(cycle))
         return out
 
-    def cycle_string(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
-
     def __str__(self):
-        return self.cycle_string()
+        """Cycle notation, such as (0 2)(1 3); the identity is ()."""
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles()) or "()"
 
 
 class PermGroup:
@@ -284,17 +263,11 @@ def transitivity_degree(group: PermGroup) -> int:
 # the affine action x -> s*x + t on a finite field
 
 
-def affine_permutation(spec, s, t) -> Permutation:
-    """The map x -> s*x + t as a permutation of the canonical element
-    order of the field; s must be nonzero."""
-    return Permutation(spec.affine_images(s, t))
-
-
 def affine_group(spec) -> PermGroup:
     """The full affine group AGL(1, n) of the field as a permutation
     group on the n field labels, generated by x -> x + 1 and x -> w*x for
     a generator w of the multiplicative group: conjugating x + 1 by the
     powers of the scaling gives every translation x + w^i.  Its order is
     n*(n-1) and the action is sharply 2-transitive."""
-    return group_closure([affine_permutation(spec, 1, 1),
-                          affine_permutation(spec, spec.primitive(), 0)])
+    return group_closure([Permutation(spec.affine_images(1, 1)),
+                          Permutation(spec.affine_images(spec.primitive(), 0))])

@@ -12,7 +12,34 @@ import numpy as np
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip, gf_sub
 
-from cusplink.perm_action import Permutation, affine_permutation, group_closure
+from cusplink.perm_action import Permutation, group_closure
+
+
+def identity(degree: int):
+    return Permutation(tuple(range(degree)))
+
+
+def from_cycles(degree: int, cycles):
+    """Build a permutation from disjoint cycles of point indices; a
+    point out of range, or met a second time, is refused by name."""
+    images = list(range(degree))
+    seen = set()
+    for cycle in cycles:
+        for i, point in enumerate(cycle):
+            if not 0 <= point < degree:  # a negative index would wrap
+                raise ValueError(f"cycle point {point} is not in 0..{degree - 1} "
+                                 f"(degree {degree})")
+            if point in seen:
+                raise ValueError(f"point {point} repeats in the cycles")
+            seen.add(point)
+            images[point] = cycle[(i + 1) % len(cycle)]
+    return Permutation(tuple(images))
+
+
+def affine_permutation(spec, s, t):
+    """The map x -> s*x + t as a permutation of the canonical element
+    order of the field; s must be nonzero."""
+    return Permutation(spec.affine_images(s, t))
 
 
 def inverse(perm):

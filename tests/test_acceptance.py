@@ -24,7 +24,6 @@ from cusplink.link_families import (
 from cusplink.perm_action import (
     Permutation,
     affine_group,
-    affine_permutation,
     group_closure,
     transitivity_degree,
 )
@@ -32,8 +31,10 @@ from cusplink.regular_map import biggs_map, genus_formula
 from cusplink.train_track import SUBSTITUTION, is_primitive, perron_eigen
 from reference_checks import (
     affine_map_automorphism,
+    affine_permutation,
     dart_automorphism_is_valid,
     growth_ratios,
+    identity,
     induced_face_permutation,
     inverse,
     orbits,
@@ -128,7 +129,7 @@ def test_criterion_5_example_menagerie():
         ico = icosahedral_link()
         record.check(ico.n_components == 6, "icosahedral link != 6 components")
         record.check(ico.transitivity_degree == 2, "icosahedral degree != 2")
-        record.check(transitivity_degree(group_closure(ico.symmetry_generators)) < 3,
+        record.check(transitivity_degree(group_closure(ico.symmetry.generators)) < 3,
                      "icosahedral action unexpectedly 3-transitive")
 
         edges = cube_edge_link()
@@ -182,7 +183,7 @@ def test_criterion_7_property_suites():
                           for _ in range(rng.randint(1, 2))]
             group = group_closure(generators)
             elements = group.elements
-            record.check(Permutation.identity(degree) in elements, "identity missing")
+            record.check(identity(degree) in elements, "identity missing")
             record.check(all(inverse(g) in elements for g in elements),
                          "inverse escaped the closure")
             pool = sorted(elements, key=lambda p: p.images)

@@ -16,8 +16,12 @@ from cusplink.finite_field import (
     make_field,
     prime_power,
 )
-from cusplink.perm_action import affine_permutation
-from reference_checks import affine_images_by_elements, gf_multiplicative_order, gf_sum
+from reference_checks import (
+    affine_images_by_elements,
+    affine_permutation,
+    gf_multiplicative_order,
+    gf_sum,
+)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
 PRIME_POWERS_TO_CAP = [n for n in range(2, DEFAULT_MAX_ORDER + 1) if prime_power(n)]

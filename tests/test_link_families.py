@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplink.finite_field import field_of_order
 from cusplink.link_families import (
@@ -19,7 +20,7 @@ from cusplink.link_families import (
     polygon_geometry,
 )
 from cusplink.perm_action import Permutation, group_closure
-from reference_checks import is_k_transitive_literal
+from reference_checks import from_cycles, identity, is_k_transitive_literal
 
 
 def all_blueprints():
@@ -56,7 +57,7 @@ def test_generators_preserve_linking():
         matrix = bp.linking_matrix
         if matrix is None:
             continue
-        for g in bp.symmetry_generators:
+        for g in bp.symmetry.generators:
             for i in range(bp.n_components):
                 for j in range(bp.n_components):
                     assert matrix[g(i)][g(j)] == matrix[i][j]
@@ -82,7 +83,7 @@ def test_direct_construction_derives_the_symmetry_facts():
     bp = _blueprint(_TRIANGLE, [_ROTATION, _SWAP])
     assert bp.symmetry_order == 6
     assert bp.transitivity_degree == 3
-    assert bp.symmetry_generators == (_ROTATION, _SWAP)
+    assert bp.symmetry.generators == (_ROTATION, _SWAP)
     assert bp.linking_complete
 
 
@@ -160,7 +161,7 @@ def test_chain_neighbor_matrix():
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
 def test_chain_cyclic_action_is_exactly_one_transitive(n):
     bp = chain_link(n, 0)
-    group = group_closure(bp.symmetry_generators)
+    group = group_closure(bp.symmetry.generators)
     assert is_k_transitive_literal(group, 1)
     assert not is_k_transitive_literal(group, 2)
     assert bp.transitivity_degree == 1
@@ -220,14 +221,29 @@ def test_example_braid_permutation():
     # strands 1..5 permute as the 5-cycle (1 3 5 4 2), 0-based (0 2 4 3 1)
     perm = braid_permutation(EXAMPLE_BRAID)
     assert perm.images == (2, 0, 4, 1, 3)
-    assert perm.cycle_string() == "(0 2 4 3 1)"
+    assert str(perm) == "(0 2 4 3 1)"
 
 
 def test_braid_permutation_trivia():
-    assert braid_permutation(BraidWord(4, ())) == Permutation.identity(4)
+    assert braid_permutation(BraidWord(4, ())) == identity(4)
     assert braid_permutation(BraidWord(2, (1,))).images == (1, 0)
     # signs do not change the underlying permutation
     assert braid_permutation(BraidWord(2, (-1,))).images == (1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))), max_size=16)
+    if n > 1 else st.just([]))))
+def test_braid_permutation_is_the_product_of_its_transpositions(strands_and_word):
+    # the transposition of each crossing, applied left to right: the
+    # later crossing is the left factor
+    n, word = strands_and_word
+    product = identity(n)
+    for g in word:
+        product = from_cycles(n, [(abs(g) - 1, abs(g))]) * product
+    assert braid_permutation(BraidWord(n, tuple(word))) == product
 
 
 def test_example_braid_power_closes_to_five_components():
@@ -257,7 +273,7 @@ def test_higher_power_scales_linking():
 @pytest.mark.parametrize("m", [2, 3, 7])
 def test_power_linking_is_m_periods(braid, m):
     # the literal walk over all n*m repeats of the word
-    literal = _closure_linking(braid * m)
+    literal = _closure_linking(BraidWord(braid.strands, braid.word * m))
     assert [list(row) for row in cyclic_braid_closure(braid, m).linking_matrix] == literal
 
 
@@ -290,10 +306,10 @@ def test_n_cycle_braid_power_returns_every_strand():
         cycles = braid_permutation(braid).cycles()
         if [len(c) for c in cycles] != [n]:
             continue
-        assert braid_permutation(braid * n) == Permutation.identity(n)
+        assert braid_permutation(BraidWord(n, braid.word * n)) == identity(n)
         m = rng.randint(1, 3)
         assert [list(row) for row in cyclic_braid_closure(braid, m).linking_matrix] == \
-            _closure_linking(braid * m)
+            _closure_linking(BraidWord(braid.strands, braid.word * m))
         checked += 1
 
 
@@ -333,7 +349,7 @@ def test_icosahedral_link():
     assert bp.n_components == 6
     assert bp.symmetry_order == 60
     assert bp.transitivity_degree == 2
-    group = group_closure(bp.symmetry_generators)
+    group = group_closure(bp.symmetry.generators)
     # order 60 < 6*5*4 = 120 rules out 3-transitivity
     assert not is_k_transitive_literal(group, 3)
     assert bp.params["crossings"] == 30

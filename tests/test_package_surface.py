@@ -12,7 +12,8 @@ import reference_checks
 MODULES = ["cusplink", "cusplink.perm_action", "cusplink.regular_map", "cusplink.train_track"]
 MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits",
          "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios",
-         "affine_map_automorphism", "induced_face_permutation"]
+         "affine_map_automorphism", "induced_face_permutation",
+         "affine_permutation", "from_cycles", "identity"]
 # Second routes that dilatation never ran, the test-only dilatation(),
 # and the wrappers of the one substitution, gone without a same-named
 # reference: the substitution and its arc counts are module constants.
@@ -76,6 +77,22 @@ def test_pass_through_classes_are_gone():
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert not hasattr(cusplink, name) and name not in cusplink.__all__, name
     assert type(cusplink.biggs_map(cusplink.field_of_order(5))) is cusplink.RotationMap
+
+
+def test_test_only_builders_are_gone():
+    # a Permutation is built from its images and printed by str(); the
+    # braid permutation comes from the strand swaps of the word
+    from cusplink import link_families, perm_action
+
+    gone = [(perm_action.Permutation, ["identity", "from_cycles", "cycle_string"]),
+            (link_families.LinkBlueprint, ["symmetry_generators"]),
+            (link_families.BraidWord, ["__mul__"]),
+            (perm_action, ["affine_permutation"]), (cusplink, ["affine_permutation"])]
+    for owner, names in gone:
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert "affine_permutation" not in cusplink.__all__
+    assert str(cusplink.braid_permutation(cusplink.EXAMPLE_BRAID)) == "(0 2 4 3 1)"
 
 
 # Each value type, built twice from scratch, with its repr and one field;

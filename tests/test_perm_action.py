@@ -8,11 +8,13 @@ from cusplink.finite_field import field_of_order, make_field, prime_power
 from cusplink.perm_action import (
     Permutation,
     affine_group,
-    affine_permutation,
     group_closure,
     transitivity_degree,
 )
 from reference_checks import (
+    affine_permutation,
+    from_cycles,
+    identity,
     inverse,
     is_k_transitive_literal,
     is_member,
@@ -43,7 +45,16 @@ def test_permutation_validation():
 def test_from_cycles_refuses_a_point_out_of_range(point):
     # 3 indexed past the end, and -1 wrapped to 2
     with pytest.raises(ValueError, match=rf"^cycle point {point} is not in 0\.\.2 \(degree 3\)$"):
-        Permutation.from_cycles(3, [(0, point)])
+        from_cycles(3, [(0, point)])
+
+
+@pytest.mark.parametrize("cycles, point", [([(0, 0)], 0), ([(0, 1), (1, 0)], 1),
+                                           ([(0, 1), (0, 2)], 0)])
+def test_from_cycles_refuses_a_repeated_point(cycles, point):
+    # cycles are disjoint: a point met twice would silently drop a
+    # cycle, or be refused later as a repeated image
+    with pytest.raises(ValueError, match=rf"^point {point} repeats in the cycles$"):
+        from_cycles(3, cycles)
 
 
 def test_bijection_error_stays_short_on_a_large_degree():
@@ -57,26 +68,26 @@ def test_bijection_error_stays_short_on_a_large_degree():
 
 def test_composition_degree_mismatch_names_both_degrees():
     with pytest.raises(ValueError, match=r"^degree mismatch in composition: 3 and 2$"):
-        Permutation.identity(3) * Permutation.identity(2)
+        identity(3) * identity(2)
 
 
 def test_composition_convention():
     # (p * q)(x) = p(q(x)): the right factor acts first
-    p = Permutation.from_cycles(3, [(0, 1, 2)])
-    q = Permutation.from_cycles(3, [(0, 1)])
+    p = from_cycles(3, [(0, 1, 2)])
+    q = from_cycles(3, [(0, 1)])
     assert (p * q)(0) == p(q(0)) == 2
     assert (q * p)(0) == q(p(0)) == 0
 
 
 def test_cycle_string():
-    g = Permutation.from_cycles(5, [(0, 2), (1, 3)])
-    assert g.cycle_string() == "(0 2)(1 3)"
-    assert Permutation.identity(3).cycle_string() == "()"
+    g = from_cycles(5, [(0, 2), (1, 3)])
+    assert str(g) == "(0 2)(1 3)"
+    assert str(identity(3)) == "()"
 
 
 def test_closure_orders():
     assert group_closure([cyclic(5)]).order == 5
-    s4 = group_closure([Permutation.from_cycles(4, [(0, 1)]), cyclic(4)])
+    s4 = group_closure([from_cycles(4, [(0, 1)]), cyclic(4)])
     assert s4.order == 24
     assert affine_group(make_field(5, 1)).order == 20
 
@@ -84,7 +95,7 @@ def test_closure_orders():
 def test_closure_degree_mismatch_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         group_closure([cyclic(4), cyclic(5)])
-    gens = [Permutation.from_cycles(4, [(0, 1)]), cyclic(4)]
+    gens = [from_cycles(4, [(0, 1)]), cyclic(4)]
     monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 10)
     with pytest.raises(RuntimeError):
         group_closure(gens)
@@ -92,7 +103,7 @@ def test_closure_degree_mismatch_and_cap(monkeypatch):
 
 def test_cap_env_override(monkeypatch):
     # S4 has order 24: refused just under the cap's bound, built at it
-    gens = [Permutation.from_cycles(4, [(0, 1)]), cyclic(4)]
+    gens = [from_cycles(4, [(0, 1)]), cyclic(4)]
     monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 23)
     with pytest.raises(RuntimeError, match=r"^group order cap 23 exceeded: "
                                            r"the order is at least 24$"):
@@ -117,14 +128,14 @@ def test_k_transitivity_affine():
 
 
 def _sample_groups():
-    yield group_closure([Permutation.identity(3)])
+    yield group_closure([identity(3)])
     yield group_closure([cyclic(4)])
-    yield group_closure([Permutation.from_cycles(3, [(0, 1)]),
-                         Permutation.from_cycles(3, [(0, 1, 2)])])  # S3
+    yield group_closure([from_cycles(3, [(0, 1)]),
+                         from_cycles(3, [(0, 1, 2)])])  # S3
     yield group_closure([cyclic(4), Permutation((0, 3, 2, 1))])  # dihedral
-    yield group_closure([Permutation.from_cycles(4, [(0, 1, 2)]),
-                         Permutation.from_cycles(4, [(1, 2, 3)])])  # A4
-    yield group_closure([Permutation.from_cycles(4, [(0, 1)]), cyclic(4)])  # S4
+    yield group_closure([from_cycles(4, [(0, 1, 2)]),
+                         from_cycles(4, [(1, 2, 3)])])  # A4
+    yield group_closure([from_cycles(4, [(0, 1)]), cyclic(4)])  # S4
     yield affine_group(make_field(2, 2))
     yield affine_group(make_field(5, 1))
 
@@ -136,10 +147,10 @@ def test_single_orbit_check_matches_literal_definition():
 
 
 def test_transitivity_degree_examples():
-    s4 = group_closure([Permutation.from_cycles(4, [(0, 1)]), cyclic(4)])
+    s4 = group_closure([from_cycles(4, [(0, 1)]), cyclic(4)])
     assert transitivity_degree(s4) == 4
     assert transitivity_degree(affine_group(make_field(2, 3))) == 2
-    trivial = group_closure([Permutation.identity(3)])
+    trivial = group_closure([identity(3)])
     assert transitivity_degree(trivial) == 0
 
 
@@ -203,7 +214,7 @@ def test_group_elements_form_group():
     rng = random.Random(7)
     for group in _sample_groups():
         elements = group.elements
-        assert Permutation.identity(group.degree) in elements
+        assert identity(group.degree) in elements
         for g in elements:
             assert inverse(g) in elements
         pool = sorted(elements, key=lambda p: p.images)
@@ -214,7 +225,7 @@ def test_group_elements_form_group():
 
 def test_oversized_group_is_refused_while_the_chain_is_built(monkeypatch):
     # S_12 has order 479001600; listing it would take minutes
-    gens = [Permutation.from_cycles(12, [(0, 1)]), cyclic(12)]
+    gens = [from_cycles(12, [(0, 1)]), cyclic(12)]
     with pytest.raises(RuntimeError, match=r"^group order cap 1000000 exceeded: "
                                            r"the order is at least 6652800$"):
         group_closure(gens)
@@ -227,18 +238,18 @@ def test_oversized_group_is_refused_while_the_chain_is_built(monkeypatch):
 
 
 def test_membership_by_sifting():
-    s4 = group_closure([Permutation.from_cycles(4, [(0, 1)]), cyclic(4)])
-    a4 = group_closure([Permutation.from_cycles(4, [(0, 1, 2)]),
-                        Permutation.from_cycles(4, [(1, 2, 3)])])
-    odd = Permutation.from_cycles(4, [(2, 3)])
+    s4 = group_closure([from_cycles(4, [(0, 1)]), cyclic(4)])
+    a4 = group_closure([from_cycles(4, [(0, 1, 2)]),
+                        from_cycles(4, [(1, 2, 3)])])
+    odd = from_cycles(4, [(2, 3)])
     assert is_member(s4, odd) and not is_member(a4, odd)
-    assert is_member(a4, Permutation.from_cycles(4, [(0, 1), (2, 3)]))
+    assert is_member(a4, from_cycles(4, [(0, 1), (2, 3)]))
     assert not is_member(s4, cyclic(5))
 
 
 def test_chain_base_is_a_prefix_with_trivial_levels_kept():
     # (2 3) fixes 0 and 1, so the base runs 0, 1, 2 with two trivial orbits
-    group = group_closure([Permutation.from_cycles(4, [(2, 3)])])
+    group = group_closure([from_cycles(4, [(2, 3)])])
     assert group.orbit_lengths == [1, 1, 2]
     assert group.order == 2 and transitivity_degree(group) == 0
 

@@ -1,11 +1,12 @@
 import json
 from itertools import product
+from math import gcd
 
 import pytest
 
 from cusplink.cli import main
-from cusplink.finite_field import FieldSpec, field_of_order, make_field
-from cusplink.perm_action import Permutation, affine_permutation
+from cusplink.finite_field import FieldSpec, _tables, field_of_order, make_field
+from cusplink.perm_action import Permutation
 from cusplink.regular_map import (
     RotationMap,
     biggs_map,
@@ -16,9 +17,12 @@ from cusplink.regular_map import (
 )
 from reference_checks import (
     affine_map_automorphism,
+    affine_permutation,
     dart_automorphism_is_valid,
+    from_cycles,
     gf_multiplicative_order,
     gf_multiply,
+    identity,
     induced_face_permutation,
     per_dart_alpha,
     per_dart_phi,
@@ -41,9 +45,9 @@ def test_rotation_map_validation():
     with pytest.raises(ValueError, match=r"^alpha fixes dart 0$"):
         RotationMap(Permutation((0, 1)), Permutation((1, 0)))
     with pytest.raises(ValueError, match=r"^alpha fixes dart 2$"):
-        RotationMap(Permutation((1, 0, 2, 3)), Permutation.identity(4))
+        RotationMap(Permutation((1, 0, 2, 3)), identity(4))
     with pytest.raises(ValueError, match=r"^alpha\(alpha\(0\)\) = 2, not 0$"):
-        RotationMap(Permutation((1, 2, 0)), Permutation.identity(3))
+        RotationMap(Permutation((1, 2, 0)), identity(3))
     with pytest.raises(ValueError, match=r"^alpha has degree 2 but phi has degree 3$"):
         RotationMap(Permutation((1, 0)), Permutation((0, 1, 2)))  # phi off the dart set
 
@@ -79,7 +83,7 @@ def test_genus_walks_a_ring_of_faces():
     # 2-gon between edges j and j+1, so face 0 reaches face 3 in 3 steps
     k = 6
     alpha = Permutation(tuple(d ^ 1 for d in range(2 * k)))
-    phi = Permutation.from_cycles(2 * k, [(2 * j, 2 * ((j + 1) % k) + 1) for j in range(k)])
+    phi = from_cycles(2 * k, [(2 * j, 2 * ((j + 1) % k) + 1) for j in range(k)])
     ring = RotationMap(alpha, phi)
     assert (ring.num_vertices, ring.num_edges, ring.num_faces) == (2, k, k)
     assert ring.genus == 0
@@ -168,6 +172,24 @@ def test_vertex_cycles_share_the_order_of_minus_omega(n):
     assert lengths.pop() == expected
 
 
+@pytest.mark.parametrize("spec", [field_of_order(n) for n in PRIME_POWERS_TO_64]
+                         + [make_field(p, k, max_order=256) for p, k in [(2, 7), (3, 5), (2, 8)]],
+                         ids=lambda spec: f"n={spec.n}")
+def test_genus_from_the_order_of_minus_omega_in_the_log_table(spec):
+    # a third route to the genus: q = ord(-w) = (n-1)/gcd(log(-1) + log(w), n-1),
+    # with -1 the index p-1, is the vertex degree, so the map has
+    # V = n(n-1)/q vertices, E = n(n-1)/2 edges and F = n faces
+    n = spec.n
+    log = _tables(spec)[1]
+    q = (n - 1) // gcd(log[spec.p - 1] + log[spec.primitive()], n - 1)
+    surface = biggs_map(spec)
+    assert {len(v) for v in surface.vertices} == {q}
+    darts = n * (n - 1)
+    chi = darts // q - darts // 2 + n
+    assert darts % q == 0 and chi % 2 == 0
+    assert 1 - chi // 2 == surface.genus == genus_formula(n)
+
+
 def test_biggs_map_rejects_tiny_orders():
     with pytest.raises(ValueError):
         biggs_map(field_of_order(3))
@@ -204,7 +226,7 @@ def test_dart_map_that_splits_a_face_is_named():
                        match=r"^dart map sends the darts of face 0 into faces \[1, 2, 3, 4\]$"):
         induced_face_permutation(surface, surface.alpha)
     with pytest.raises(ValueError, match=r"^dart map has degree 3 but the map has 20 darts$"):
-        induced_face_permutation(surface, Permutation.identity(3))
+        induced_face_permutation(surface, identity(3))
 
 
 def test_scale_zero_rejected():

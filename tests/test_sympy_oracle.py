@@ -1,6 +1,8 @@
 """Group orders and transitivity degrees against sympy's Schreier-Sims,
 an implementation independent of cusplink's."""
 
+from itertools import islice, permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from cusplink.link_families import (
 from cusplink.perm_action import Permutation, affine_group, group_closure, transitivity_degree
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
+polyhedron = pytest.importorskip("sympy.combinatorics.polyhedron")
 
 
 def sympy_group(generators):
@@ -38,7 +41,7 @@ def test_affine_group_matches_sympy(n):
     cube_link(), cube_edge_link(), icosahedral_link(), chain_link(6, 0),
     cyclic_braid_closure(EXAMPLE_BRAID)], ids=lambda b: b.family)
 def test_family_groups_match_sympy(blueprint):
-    assert_matches_sympy(group_closure(blueprint.symmetry_generators))
+    assert_matches_sympy(group_closure(blueprint.symmetry.generators))
 
 
 @settings(max_examples=100, deadline=None)
@@ -51,3 +54,89 @@ def test_cycles_match_sympy(images):
     perm = Permutation(tuple(images))
     assert perm.cycles(include_fixed=True) == oracle
     assert perm.cycles() == [c for c in oracle if len(c) > 1]
+
+
+# ---------------------------------------------------------------------------
+# the example links' groups, induced from sympy's polyhedra
+
+
+def _induced(pgroup, blocks):
+    """The action of a polyhedron's rotation group on a list of vertex
+    sets, each carried onto another by every rotation."""
+    index = {block: i for i, block in enumerate(blocks)}
+    return combinatorics.PermutationGroup([
+        combinatorics.Permutation([index[frozenset(g.array_form[v] for v in block)]
+                                   for block in blocks])
+        for g in pgroup.generators])
+
+
+def _antipodal_pairs(solid):
+    """Each vertex with the one at the greatest graph distance from it."""
+    neighbours = {v: set() for v in range(solid.size)}
+    for u, v in solid.edges:
+        neighbours[int(u)].add(int(v))
+        neighbours[int(v)].add(int(u))
+    pairs = set()
+    for v in neighbours:
+        frontier, seen = {v}, {v}
+        while frontier:
+            last = frontier
+            frontier = {w for u in frontier for w in neighbours[u]} - seen
+            seen |= frontier
+        (far,) = last
+        pairs.add(frozenset((v, far)))
+    return sorted(pairs, key=sorted)
+
+
+def _edges(solid):
+    return sorted((frozenset(map(int, edge)) for edge in solid.edges), key=sorted)
+
+
+def _suborbit_lengths(group):
+    return sorted(map(len, group.stabilizer(0).orbits()))
+
+
+def _relabelled_equal(blueprint, induced):
+    """Some bijection sigma of the points carries the blueprint's
+    generators g, as sigma g sigma^-1, into the induced group; with equal
+    orders the groups are then equal."""
+    degree = induced.degree
+    elements = {tuple(g.array_form) for g in induced.generate()}
+    for sigma in islice(permutations(range(degree)), 720):
+        conjugates = []
+        for g in blueprint.symmetry.generators:
+            images = [0] * degree
+            for i in range(degree):
+                images[sigma[i]] = sigma[g(i)]
+            conjugates.append(tuple(images))
+        if all(c in elements for c in conjugates):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("blueprint, solid, blocks, shape", [
+    (cube_link(), polyhedron.cube, _antipodal_pairs, (4, 24, 4)),
+    (icosahedral_link(), polyhedron.icosahedron, _antipodal_pairs, (6, 60, 2)),
+    (cube_edge_link(), polyhedron.cube, _edges, (12, 24, 1)),
+], ids=["cube", "icosahedral", "cube_edge"])
+def test_example_links_match_the_induced_polyhedral_groups(blueprint, solid, blocks, shape):
+    induced = _induced(solid.pgroup, blocks(solid))
+    assert (induced.degree, induced.order(), induced.transitivity_degree) == shape
+    assert (blueprint.n_components, blueprint.symmetry_order,
+            blueprint.transitivity_degree) == shape
+    oracle = sympy_group(blueprint.symmetry.generators)
+    assert _suborbit_lengths(induced) == _suborbit_lengths(oracle)
+    if induced.degree <= 6:
+        assert _relabelled_equal(blueprint, induced)
+
+
+def test_cube_edge_group_preserves_sharing_a_vertex():
+    edges = _edges(polyhedron.cube)
+    induced = _induced(polyhedron.cube.pgroup, edges)
+    shares = {(i, j) for i, e in enumerate(edges) for j, f in enumerate(edges) if i != j and e & f}
+    for g in induced.generators:
+        assert {(g(i), g(j)) for i, j in shares} == shares
+    # each edge shares a vertex with four others, as each loop of the
+    # cube-edge link interlocks with four
+    assert len(shares) == 12 * 4
+    assert sorted(sum(row) for row in cube_edge_link().linking_matrix) == [4] * 12
