@@ -233,7 +233,7 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
         raise ValueError("power m must be >= 1")
     n = braid.strands
     perm = braid_permutation(braid)
-    cycles = perm.cycles(include_fixed=True)
+    cycles = perm.cycles()
     if len(cycles) != 1 or len(cycles[0]) != n:
         raise ValueError("braid permutation must be a single n-cycle on n strands")
     matrix = [[m * x for x in row] for row in _closure_linking(braid)]
@@ -375,6 +375,7 @@ def polygon_geometry(p: int, q: int) -> str:
     """Geometry of a regular p-gon with interior angle 2*pi/q:
     euclidean when (p-2)(q-2) = 4, hyperbolic when larger, spherical
     when smaller."""
+    p, q = int_tuple((p, q), "polygon_geometry (p, q) entry")
     if p < 3 or q < 3:
         raise ValueError("need p >= 3 and q >= 3")
     excess = (p - 2) * (q - 2)

@@ -16,13 +16,13 @@ point.  The chain gives:
 - k-transitivity, by the base-prefix criterion: G is k-transitive
   exactly when the basic orbits of 0..k-1 have lengths d, d-1, ...,
   d-k+1, because G is k-transitive when it is transitive and G_0 is
-  (k-1)-transitive on the remaining points.
+  (k-1)-transitive on the remaining points;
+- the elements, each once, as the products u_0 u_1 ... u_(m-1) of one
+  coset representative u_i per level.
 
 The product of the basic-orbit lengths found so far is a lower bound on
 the order, so a group larger than MAX_GROUP_ORDER is refused while it
-is still being built.  The breadth-first element list stays only for
-the benchmark's traced element counter, until ROADMAP item 1 has it
-count the order instead.
+is still being built.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class Permutation(Value):
             raise ValueError(f"degree mismatch in composition: {self.degree} and {other.degree}")
         return Permutation._unchecked(_compose(self.images, other.images))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, sorted."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles, fixed points included, each from its least point, sorted."""
         images = self.images
         seen, out = bytearray(len(images)), []
         for start in range(len(images)):
@@ -104,13 +104,13 @@ class Permutation(Value):
                 cycle.append(point)
                 seen[point] = 1
                 point = images[point]
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
+            out.append(tuple(cycle))
         return out
 
     def __str__(self):
-        """Cycle notation, such as (0 2)(1 3); the identity is ()."""
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles()) or "()"
+        """Cycle notation without 1-cycles, such as (0 2)(1 3); the identity is ()."""
+        return "".join("(" + " ".join(map(str, c)) + ")"
+                       for c in self.cycles() if len(c) > 1) or "()"
 
 
 class PermGroup:
@@ -130,6 +130,9 @@ class PermGroup:
         generators = tuple(generators)
         if not generators:
             raise ValueError("at least one generator is required")
+        for i, g in enumerate(generators):
+            if not isinstance(g, Permutation):
+                raise TypeError(f"generator {g!r} at position {i} is not a Permutation")
         degree = generators[0].degree
         if any(g.degree != degree for g in generators):
             raise ValueError("generators must share one degree")
@@ -145,11 +148,6 @@ class PermGroup:
             changed = self._schreier_check(level)
             level = level - 1 if changed is None else changed
 
-    @property
-    def orbit_lengths(self) -> list[int]:
-        """Basic-orbit lengths of base points 0, 1, ..., m-1."""
-        return [len(transversal) for transversal in self._transversals]
-
     def orbit_length(self, point: int) -> int:
         """Basic-orbit length of any point; 1 past the end of the base,
         where the stabilizer is trivial."""
@@ -157,24 +155,18 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return prod(self.orbit_lengths)
-
-    def _sift(self, h, start: int):
-        """Strip h by coset representatives from level start down; return
-        the residue and the level where it left the chain (m if none)."""
-        for level in range(start, len(self._transversals)):
-            rep = self._transversals[level].get(h[level])
-            if rep is None:
-                return h, level
-            h = _compose(rep[1], h)
-        return h, len(self._transversals)
+        return prod(map(len, self._transversals))
 
     def _absorb(self, h, start: int) -> int | None:
-        """Sift h, which fixes 0..start-1, from level start.  A nontrivial
-        residue joins the strong generators of levels start..j, j being
-        the level where it left the chain; returns j, or None when h
-        sifted to the identity."""
-        h, j = self._sift(h, start)
+        """Sift h, which fixes 0..start-1, by coset representatives from
+        level start down.  A nontrivial residue joins the strong
+        generators of levels start..j, j being the level where it left
+        the chain (m if none); returns j, or None when h sifted to the
+        identity."""
+        j = start
+        while j < len(self._transversals) and (rep := self._transversals[j].get(h[j])):
+            h = _compose(rep[1], h)
+            j += 1
         if h == self._identity:
             return None
         while j == len(self._transversals):
@@ -226,21 +218,11 @@ class PermGroup:
 
     @cached_property
     def elements(self) -> frozenset[Permutation]:
-        """Every element, by breadth-first products of the generators; read
-        only by the benchmark's traced counter and the tests' cross-checks."""
-        generators = [g.images for g in self.generators]
-        seen = {self._identity}
-        frontier = [self._identity]
-        while frontier:
-            new = []
-            for g in generators:
-                for h in frontier:
-                    product = _compose(g, h)
-                    if product not in seen:
-                        seen.add(product)
-                        new.append(product)
-            frontier = new
-        return frozenset(map(Permutation._unchecked, seen))
+        """Every element, each once: a product of one coset representative per level."""
+        elements = [self._identity]
+        for transversal in reversed(self._transversals):
+            elements = [_compose(u, h) for u, _ in transversal.values() for h in elements]
+        return frozenset(map(Permutation._unchecked, elements))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

@@ -26,10 +26,13 @@ The resulting map has n faces, each an (n-1)-gon, every pair of faces
 sharing exactly one edge, and its genus matches genus_formula(n):
 1 + n(n-7)/4 when n = 3 mod 4, else 1 + n(n-5)/4.
 
-RotationMap checks alpha in bulk.  biggs_map fills alpha and phi as
-flat arrays over the dart ids, checks phi face row by face row, and
-passes both on unchecked, so no dart is scanned twice.  The one graph
-export is the face-adjacency DOT that the map subcommand prints.
+RotationMap checks alpha in bulk.  Each orbit of <alpha, phi> is one
+closed orientable surface, with V - E + F = 2 - 2g and g >= 0, so genus
+only walks the faces to see that there is one orbit.  biggs_map fills
+alpha and phi as flat arrays over the dart ids, checks phi face row by
+face row, and passes both on unchecked, so no dart is scanned twice.
+The one graph export is the face-adjacency DOT that the map subcommand
+prints.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from collections import Counter
 from functools import cached_property
 from operator import ne
 
+from ._value import int_tuple
 from .finite_field import FieldSpec, prime_power
 from .perm_action import Permutation
 
@@ -47,6 +51,9 @@ class RotationMap:
     alpha is checked to be a fixed-point-free involution."""
 
     def __init__(self, alpha: Permutation, phi: Permutation):
+        for i, (name, perm) in enumerate((("alpha", alpha), ("phi", phi))):
+            if not isinstance(perm, Permutation):
+                raise TypeError(f"{name} {perm!r} at position {i} is not a Permutation")
         if alpha.degree != phi.degree:
             raise ValueError(f"alpha has degree {alpha.degree} but phi has degree {phi.degree}")
         darts, images = range(alpha.degree), alpha.images
@@ -60,38 +67,19 @@ class RotationMap:
 
     @cached_property
     def faces(self) -> list[tuple[int, ...]]:
-        return self.phi.cycles(include_fixed=True)
+        return self.phi.cycles()
 
     @cached_property
     def vertices(self) -> list[tuple[int, ...]]:
-        return (self.phi * self.alpha).cycles(include_fixed=True)
+        return (self.phi * self.alpha).cycles()
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
         return [(d, e) for d, e in enumerate(self.alpha.images) if d < e]
 
     @property
-    def num_faces(self) -> int:
-        return len(self.faces)
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.darts) // 2
-
-    @property
     def genus(self) -> int:
-        chi = self.num_vertices - self.num_edges + self.num_faces
-        counts = f"V={self.num_vertices}, E={self.num_edges}, F={self.num_faces}, chi={chi}"
-        if chi % 2:
-            raise ValueError(f"odd Euler characteristic ({counts}); "
-                             "not a closed orientable surface")
-        g = (2 - chi) // 2
-        if g < 0:
-            raise ValueError(f"negative genus ({counts}); map is disconnected or corrupt")
+        """The genus g of a connected map, from V - E + F = 2 - 2g."""
         face, alpha, faces = self.face_index, self.alpha.images, self.faces
         unseen, components = set(range(len(faces))), 0
         while unseen:  # walk from face to face across alpha, until every face is seen
@@ -102,10 +90,11 @@ class RotationMap:
                 reached = unseen.intersection(map(face.__getitem__, map(alpha.__getitem__, faces[f])))
                 unseen -= reached
                 stack += reached
+        V, E, F = len(self.vertices), len(self.darts) // 2, len(faces)
         if components != 1:
-            raise ValueError(f"map has {components} connected components ({counts}); "
-                             "a genus needs exactly one")
-        return g
+            raise ValueError(f"map has {components} connected components "
+                             f"(V={V}, E={E}, F={F}, chi={V - E + F}); a genus needs exactly one")
+        return (2 - V + E - F) // 2
 
     @cached_property
     def face_index(self) -> list[int]:
@@ -157,6 +146,7 @@ def biggs_map(spec: FieldSpec) -> RotationMap:
 def genus_formula(n: int) -> int:
     """Closed-form genus of the order-n map.  Requires a prime power
     n > 3; the divisibility by 4 is asserted rather than assumed."""
+    (n,) = int_tuple((n,), "genus_formula n")
     if prime_power(n) is None:
         raise ValueError(f"{n} is not a prime power")
     if n <= 3:
@@ -171,7 +161,7 @@ def map_summary(rotation_map: RotationMap) -> dict:
     """The orbit counts and Euler-characteristic genus as the map
     subcommand prints them, with the formula genus when the face count
     is a prime power above 3 and the vertex degree when all agree."""
-    n = rotation_map.num_faces
+    n = len(rotation_map.faces)
     try:
         formula = genus_formula(n)
     except ValueError:
@@ -179,8 +169,8 @@ def map_summary(rotation_map: RotationMap) -> dict:
     degrees = {len(v) for v in rotation_map.vertices}
     return {
         "n": n,
-        "V": rotation_map.num_vertices,
-        "E": rotation_map.num_edges,
+        "V": len(rotation_map.vertices),
+        "E": len(rotation_map.darts) // 2,
         "F": n,
         "genus": rotation_map.genus,
         "formula_genus": formula,
@@ -192,7 +182,7 @@ def face_adjacency_complete(rotation_map: RotationMap) -> bool:
     """Is the face-adjacency graph the complete graph, with exactly one
     shared edge per pair of faces?"""
     counts = rotation_map.face_pair_edge_counts()
-    n = rotation_map.num_faces
+    n = len(rotation_map.faces)
     return all(counts[i, j] == 1 for i in range(n) for j in range(i + 1, n))
 
 

@@ -43,6 +43,12 @@ def test_map_rejects_non_prime_power(capsys):
     assert "prime power" in err
 
 
+def test_map_without_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "map")
+    assert (code, out) == (2, "")
+    assert err == "error: --n is required for this command\n"
+
+
 def test_field_by_characteristic_and_exponent(capsys):
     # --n p^k names the field make_field(p, k) builds, modulus and all
     for n in range(4, DEFAULT_MAX_ORDER + 1):

@@ -269,6 +269,21 @@ def test_field_spec_refuses_non_int_p_and_k():
     assert type(make_field(3, 2).n) is int
 
 
+@pytest.mark.parametrize("p, k, modulus, message", [
+    (4, 1, (0, 1), "4 is not prime"),
+    (3, 0, (1,), "exponent k must be >= 1"),
+    (3, 2, (1, 1), "modulus must be monic of degree k"),
+    (3, 2, (1, 0, 2), "modulus must be monic of degree k"),
+    (3, 2, (1, 3, 1), r"modulus coefficients must lie in \[0, p\)"),
+    (3, 2, (-1, 0, 1), r"modulus coefficients must lie in \[0, p\)"),
+    (3, 2, (0, 0, 1), "modulus is reducible over Z/p"),  # x^2 = x * x
+], ids=["p-not-prime", "k-below-1", "short-modulus", "not-monic", "coefficient-p",
+        "negative-coefficient", "reducible"])
+def test_field_spec_refusals(p, k, modulus, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        FieldSpec(p, k, modulus)
+
+
 @pytest.mark.parametrize("index", [True, False])
 def test_element_refuses_a_bool_index(index):
     # True used to read as the index 1 and False as 0

@@ -365,6 +365,14 @@ def test_spherical_rejected():
         polygon_geometry(2, 7)
 
 
+@pytest.mark.parametrize("p, q, shown, position", [
+    (3.5, 6, "3.5", 0), (6, 4.0, "4.0", 1), (True, 6, "True", 0), (6, True, "True", 1)])
+def test_polygon_geometry_refuses_a_non_int(p, q, shown, position):
+    with pytest.raises(TypeError, match=rf"^polygon_geometry \(p, q\) entry {shown} "
+                                        rf"at position {position} is not an int$"):
+        polygon_geometry(p, q)
+
+
 # ---------------------------------------------------------------------------
 # helical links
 

@@ -95,6 +95,20 @@ def test_test_only_builders_are_gone():
     assert str(cusplink.braid_permutation(cusplink.EXAMPLE_BRAID)) == "(0 2 4 3 1)"
 
 
+def test_second_routes_are_gone():
+    # a group's order is the product of its basic-orbit lengths, a map's
+    # counts are the lengths of its orbit lists, and cycles() always
+    # lists the fixed points
+    gone = [(cusplink.PermGroup, ["orbit_lengths", "_sift"]),
+            (cusplink.RotationMap, ["num_faces", "num_vertices", "num_edges"])]
+    for owner, names in gone:
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    with pytest.raises(TypeError):
+        cusplink.Permutation((0, 2, 1)).cycles(include_fixed=False)
+    assert cusplink.Permutation((0, 2, 1)).cycles() == [(0,), (1, 2)]
+
+
 # Each value type, built twice from scratch, with its repr and one field;
 # FieldSpec appears as an extension field and as a prime field.
 VALUE_TYPES = [

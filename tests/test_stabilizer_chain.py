@@ -1,5 +1,6 @@
 """Property tests: the stabilizer chain against listing every element,
-on random generator sets of degree at most 7."""
+on random generator sets of degree at most 7 and on AGL(1, n) for the
+prime powers 4 <= n <= 64."""
 
 from math import perm
 from unittest import mock
@@ -7,8 +8,15 @@ from unittest import mock
 import pytest
 
 from cusplink import perm_action
-from cusplink.perm_action import PermGroup, Permutation, group_closure, transitivity_degree
-from reference_checks import is_k_transitive_literal, is_member
+from cusplink.finite_field import field_of_order, prime_power
+from cusplink.perm_action import (
+    PermGroup,
+    Permutation,
+    affine_group,
+    group_closure,
+    transitivity_degree,
+)
+from reference_checks import elements as reference_elements, is_k_transitive_literal, is_member
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -34,9 +42,10 @@ def generator_sets(draw):
 def test_chain_agrees_with_enumeration(case, data):
     generators, probe = case
     group = group_closure(generators)
-    elements = group.elements
+    elements = reference_elements(group)
     order = len(elements)
     assert group.order == order
+    assert group.elements == elements
     assert is_member(group, probe) == (probe in elements)
     assert all(g in elements for g in generators)
     for k in range(1, min(3, group.degree) + 1):
@@ -53,3 +62,10 @@ def test_chain_agrees_with_enumeration(case, data):
         else:
             assert group_closure(generators).order == order
             assert len(PermGroup(generators).elements) == order
+
+
+@pytest.mark.parametrize("n", [n for n in range(4, 65) if prime_power(n) is not None])
+def test_chain_lists_the_affine_group(n):
+    group = affine_group(field_of_order(n))
+    assert group.elements == reference_elements(group)
+    assert len(group.elements) == n * (n - 1)
