@@ -14,16 +14,16 @@ and Zech tables of the least primitive element g (Lidl-Niederreiter,
 Finite Fields; Huber, IEEE TIT 1990).
 
 The one bulk operation, FieldSpec.affine_images, gives the index of
-s*x + t for every x at once.  A prime field's index is its residue, so
-there it computes on ints mod p; an extension field (k > 1) reads the
-row from its tables: s*x = g^(log s + log x), and s*x + t =
-t*(1 + s*x/t), where Zech's logarithm gives log(1 + g^m)."""
+s*x + t for every x at once, in any field, by gathers from the tables
+rotated: s*x = g^(log s + log x), and s*x + t = t*(1 + s*x/t), where
+Zech's logarithm gives log(1 + g^m)."""
 
 from __future__ import annotations
 
 import functools
 
 from ._value import Value, int_tuple
+from .perm_action import _compose
 
 DEFAULT_MAX_ORDER = 64
 
@@ -171,18 +171,14 @@ class FieldSpec(Value):
         s, t = self._index(s), self._index(t)
         if s == 0:
             raise ValueError("scale factor s must be nonzero")
-        if self.k == 1:
-            p = self.p
-            return tuple([(s * x + t) % p for x in range(p)])
         exp, log, zech = _tables(self)
-        q, logs = self.n - 1, log[1:]
+        logs = log[1:]  # the log of each nonzero x, in index order
         if t == 0:
-            scale = log[s]
-            return (0,) + tuple([exp[(scale + m) % q] for m in logs])
-        # s*x + t = t * (1 + s*x/t) = g^(log t + Z(log s + log x - log t))
-        shift, base = log[s] - log[t], log[t]
-        return (t,) + tuple([0 if z is None else exp[(base + z) % q]
-                             for z in [zech[(shift + m) % q] for m in logs]])
+            return (0,) + _compose(exp[log[s]:] + exp[:log[s]], logs)
+        # g^(log t + Z(log s + log x - log t)), Z = n - 1 reading the 0 appended to exp
+        r, base = (log[s] - log[t]) % (self.n - 1), log[t]
+        return (t,) + _compose(exp[base:] + exp[:base] + (0,),
+                               _compose(zech[r:] + zech[:r], logs))
 
     def primitive(self) -> int:
         """Index of the least element (canonical order) generating the
@@ -244,7 +240,7 @@ def _coefficients(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
 def _tables(spec: FieldSpec) -> tuple[tuple[int, ...], tuple, tuple]:
     """(exp, log, zech) of the least primitive index g: exp[m] is the
     index of g^m for 0 <= m < n-1, log[exp[m]] = m (log[0] is None), and
-    zech[m] = log(g^m + 1), None where g^m + 1 = 0."""
+    zech[m] = log(g^m + 1), and n-1 where g^m + 1 = 0."""
     p, q = spec.p, spec.n - 1
     coefficients = _coefficients(spec)
     for g in range(1, spec.n):
@@ -256,9 +252,10 @@ def _tables(spec: FieldSpec) -> tuple[tuple[int, ...], tuple, tuple]:
             break
     else:
         raise AssertionError("multiplicative group has no generator; unreachable")
-    log = [None] * spec.n
+    log = [q] * spec.n  # log[0] stays n-1 while zech is read, for g^m + 1 = 0
     for m, i in enumerate(exp):
         log[i] = m
     # adding 1 only bumps the constant base-p digit of an index
     zech = tuple([log[i - i % p + (i + 1) % p] for i in exp])
+    log[0] = None
     return tuple(exp), tuple(log), zech

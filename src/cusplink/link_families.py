@@ -3,14 +3,13 @@ structure, the symmetry action on components, and hyperbolicity status.
 
 A blueprint records what is exactly checkable about each family at desk
 scale: component counts, pairwise linking data, and the group of visible
-symmetries acting on the components.  Each builder passes only the group
-(from group_closure, or affine_group for the helical family); the
-blueprint reads the order from it and computes the transitivity degree
-once, so both are computed, never asserted, and it checks the linking
-data against the group when built.  The chain's loop count is bounded
-by MAX_CHAIN_LOOPS.  Hyperbolicity is provenance metadata only, never
-computed here: a dict of a status (asserted_by_paper, conditional or
-unknown) and a note.
+symmetries acting on the components: its generators, and its order and
+transitivity degree, computed, never asserted: from the stabilizer chain
+for the five small families, from the map for the helical family.  A
+blueprint checks the linking data against the generators when built.
+The chain's loop count is bounded by MAX_CHAIN_LOOPS.  Hyperbolicity is
+provenance metadata only, never computed here: a dict of a status
+(asserted_by_paper, conditional or unknown) and a note.
 
 Crossing-sign convention: right-handed crossings count +1.  Chain
 neighbor linking numbers are reported as +1 for diagrams with t >= 0
@@ -22,43 +21,41 @@ from __future__ import annotations
 
 from ._value import Value, int_tuple
 from .finite_field import FieldSpec
-from .perm_action import (
-    PermGroup,
-    Permutation,
-    affine_group,
-    group_closure,
-    transitivity_degree,
-)
-from .regular_map import biggs_map
+from .perm_action import Permutation, _compose, group_closure, transitivity_degree
+# benchmarks/spans.py assigns affine_group, group_closure and transitivity_degree here (ROADMAP 1)
+from .perm_action import affine_group  # noqa: F401
+from .regular_map import biggs_map, lockstep_walk
 
 
 class LinkBlueprint:
-    """One link family instance, built from its symmetry group.
+    """One link family instance and its symmetry group.
 
     linking_matrix is a symmetric integer matrix with zero diagonal (one
     row per component), or None when every pair of components links and
-    no numbers are recorded.  The group acts on component indices and
-    must preserve the linking data; its order, generators and
-    transitivity degree are read from it, the degree once, here.
+    no numbers are recorded.  The group is given by its generators,
+    which act on component indices and must preserve the linking data,
+    with its order and transitivity degree.
     """
 
-    __slots__ = ("family", "ambient", "components", "linking_matrix", "symmetry",
-                 "hyperbolicity", "params", "transitivity_degree")
+    __slots__ = ("family", "ambient", "components", "linking_matrix", "generators",
+                 "symmetry_order", "transitivity_degree", "hyperbolicity", "params")
 
     def __init__(self, family: str, ambient: str, components: tuple[str, ...],
-                 linking_matrix: tuple[tuple[int, ...], ...] | None, symmetry: PermGroup,
-                 hyperbolicity: dict, params: dict | None = None):
+                 linking_matrix: tuple[tuple[int, ...], ...] | None,
+                 generators: tuple[Permutation, ...], symmetry_order: int,
+                 transitivity_degree: int, hyperbolicity: dict, params: dict | None = None):
         self.family = family
         self.ambient = ambient
         self.components = components
         self.linking_matrix = linking_matrix
-        self.symmetry = symmetry
+        self.generators = generators
+        self.symmetry_order = symmetry_order
+        self.transitivity_degree = transitivity_degree
         self.hyperbolicity = hyperbolicity
         self.params = {} if params is None else params
         n = self.n_components
-        if symmetry.degree != n:
-            raise ValueError(f"symmetry degree {symmetry.degree} differs from "
-                             f"the component count {n}")
+        if (degree := {g.degree for g in generators} - {n}):
+            raise ValueError(f"symmetry degree {degree.pop()} differs from the component count {n}")
         matrix = linking_matrix
         if matrix is not None:
             if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -69,18 +66,13 @@ class LinkBlueprint:
                 for j in range(i):
                     if matrix[i][j] != matrix[j][i]:
                         raise ValueError(f"linking matrix is not symmetric at ({i}, {j})")
-            for g in symmetry.generators:
+            for g in generators:
                 if any(matrix[g(i)][g(j)] != matrix[i][j] for i in range(n) for j in range(n)):
                     raise ValueError(f"symmetry generator {g} does not preserve linking")
-        self.transitivity_degree = transitivity_degree(symmetry)
 
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    @property
-    def symmetry_order(self) -> int:
-        return self.symmetry.order
 
     @property
     def linking_complete(self) -> bool:
@@ -102,6 +94,13 @@ class LinkBlueprint:
             "hyperbolicity": dict(self.hyperbolicity),
             "params": dict(self.params),
         }
+
+
+def _group_facts(generators) -> dict:
+    """The generators, and the order and transitivity degree of their stabilizer chain."""
+    group = group_closure(generators)
+    return {"generators": group.generators, "symmetry_order": group.order,
+            "transitivity_degree": transitivity_degree(group)}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
         ambient="S3",
         components=tuple(f"loop_{i}" for i in range(n)),
         linking_matrix=tuple(tuple(row) for row in matrix),
-        symmetry=group_closure([shift]),
+        **_group_facts([shift]),
         hyperbolicity=hyperbolic,
         params={"n": n, "half_twists": t},
     )
@@ -242,7 +241,7 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
         ambient="S3",
         components=tuple(f"strand_{i}" for i in range(n)),
         linking_matrix=tuple(tuple(row) for row in matrix),
-        symmetry=group_closure([perm]),
+        **_group_facts([perm]),
         hyperbolicity={
             "status": "conditional",
             "note": "closure of the (n*m)-th power; the 2-pi theorem (Gromov-Thurston) "
@@ -280,7 +279,7 @@ def cube_link() -> LinkBlueprint:
         ambient="S3",
         components=tuple(f"plane({a:+d},{b:+d})" for (a, b) in _CUBE_PLANES),
         linking_matrix=matrix,
-        symmetry=group_closure(_cube_diagonal_generators()),
+        **_group_facts(_cube_diagonal_generators()),
         hyperbolicity={
             "status": "asserted_by_paper",
             "note": "alternating resolution of the four great circles; "
@@ -333,7 +332,7 @@ def cube_edge_link() -> LinkBlueprint:
         ambient="S3",
         components=tuple(f"{_vertex_sign_label(u)}|{_vertex_sign_label(v)}" for (u, v) in edges),
         linking_matrix=matrix,
-        symmetry=group_closure(generators),
+        **_group_facts(generators),
         hyperbolicity={
             "status": "asserted_by_paper",
             "note": "hyperbolicity verified externally with SnapPea"},
@@ -358,7 +357,7 @@ def icosahedral_link() -> LinkBlueprint:
         ambient="S3",
         components=labels,
         linking_matrix=matrix,
-        symmetry=group_closure([cycle, inversion]),
+        **_group_facts([cycle, inversion]),
         hyperbolicity={
             "status": "asserted_by_paper",
             "note": "alternating resolution of the six great circles; "
@@ -391,17 +390,35 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
     Because every pair of faces shares an edge and each strand runs at a
     radius between the face polygon's inradius and circumradius, so
     reaches onto the neighboring faces, every pair of components links.
-    The affine symmetry of the face labels carries the components
-    2-transitively."""
-    n = spec.n
-    surface = biggs_map(spec)
-    vertex_degree = len(surface.vertices[0])
+    The symmetry is read off the map (a failed check is an AssertionError):
+    automorphisms sending dart 0 to alpha(0) and phi(0) make it regular on
+    the n(n-1) darts, and face 0's darts reaching the n-1 other faces make
+    each dart one ordered pair of faces, so it is sharply 2-transitive."""
+    n, surface = spec.n, biggs_map(spec)
+    faces, face, alpha, phi = (surface.faces, surface.face_index,
+                               surface.alpha.images, surface.phi.images)
+    darts, generators = len(face), []
+    for target in (alpha[0], phi[0]):
+        f, defect = lockstep_walk(surface, target)
+        if defect is not None:
+            raise AssertionError(f"no automorphism of the order-{n} map sends dart 0 "
+                                 f"to dart {target}: {defect}")
+        generators.append(Permutation(_compose(face, _compose(f, [c[0] for c in faces]))))
+    others = len(set(_compose(face, _compose(alpha, faces[0]))) - {0})
+    if not len(faces) == len(faces[0]) + 1 == others + 1 == n:
+        raise AssertionError(f"face adjacency of the order-{n} map is not complete: face 0 of "
+                             f"{len(faces)} has {len(faces[0])} darts, crossing to {others} others")
+    vertex_degree, d = 1, phi[alpha[0]]
+    while d:  # dart 0's vertex, under d -> phi(alpha(d)); regularity makes all alike
+        vertex_degree, d = vertex_degree + 1, phi[alpha[d]]
     return LinkBlueprint(
         family="helical",
         ambient="SxS1",
         components=tuple(f"face_{spec.label(i)}" for i in range(n)),
         linking_matrix=None,
-        symmetry=affine_group(spec),
+        generators=tuple(generators),
+        symmetry_order=darts,
+        transitivity_degree=2,
         hyperbolicity={
             "status": "asserted_by_paper",
             "note": "mapping torus of a point-pushing pseudo-Anosov monodromy "
@@ -411,6 +428,6 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
             "face_polygon": n - 1,
             "vertex_degree": vertex_degree,
             "geometry": polygon_geometry(n - 1, vertex_degree),
-            "genus": surface.genus,
+            "genus": (2 - darts // vertex_degree + darts // 2 - n) // 2,
         },
     )

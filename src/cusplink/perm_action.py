@@ -30,17 +30,19 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from math import prod
+from operator import itemgetter
 
 from ._value import Value, int_tuple
 
 # A library caller's bound on group_closure; the largest group a command
-# builds is AGL(1, 64), of order 4032.
+# builds is a chain's cyclic group, of order at most MAX_CHAIN_LOOPS = 256.
 MAX_GROUP_ORDER = 10 ** 6
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """p * q on raw image tuples, unchecked: x goes to p[q[x]]."""
-    return tuple(map(p.__getitem__, q))
+def _compose(p, q) -> tuple[int, ...]:
+    """p * q on raw image tuples, unchecked: x goes to p[q[x]], for any table
+    p.  itemgetter gives a bare entry for one index and cannot take none."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple([p[x] for x in q])
 
 
 def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,9 +101,9 @@ class Permutation(Value):
             if seen[start]:
                 continue
             cycle = [start]  # start itself is never looked up again
-            point = images[start]
+            append, point = cycle.append, images[start]
             while point != start:
-                cycle.append(point)
+                append(point)
                 seen[point] = 1
                 point = images[point]
             out.append(tuple(cycle))

@@ -21,7 +21,7 @@ a multiplicative generator,
 so the edges around face a visit the neighbors a + omega^i in
 multiplicative order.  Face a's rotation is the affine map
 x -> omega*x + (1 - omega)*a, so phi is filled from one affine row per
-face, FieldSpec.affine_images (plain residues mod p in a prime field).
+face, FieldSpec.affine_images.
 The resulting map has n faces, each an (n-1)-gon, every pair of faces
 sharing exactly one edge, and its genus matches genus_formula(n):
 1 + n(n-7)/4 when n = 3 mod 4, else 1 + n(n-5)/4.
@@ -29,8 +29,9 @@ sharing exactly one edge, and its genus matches genus_formula(n):
 RotationMap checks alpha in bulk.  Each orbit of <alpha, phi> is one
 closed orientable surface, with V - E + F = 2 - 2g and g >= 0, so genus
 only walks the faces to see that there is one orbit.  biggs_map fills
-alpha and phi as flat arrays over the dart ids, checks phi face row by
-face row, and passes both on unchecked, so no dart is scanned twice.
+alpha and phi as flat arrays, checks phi once, and passes both on.  An
+automorphism of a connected map is fixed by one dart's image (Biggs, JCT
+B 1971; Jones and Singerman, Proc. LMS 1978), which lockstep_walk finds.
 The one graph export is the face-adjacency DOT that the map subcommand
 prints.
 """
@@ -39,11 +40,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import chain, cycle, islice, repeat
 from operator import ne
 
 from ._value import int_tuple
 from .finite_field import FieldSpec, prime_power
-from .perm_action import Permutation
+from .perm_action import Permutation, _compose, _invert
 
 
 class RotationMap:
@@ -57,7 +59,7 @@ class RotationMap:
         if alpha.degree != phi.degree:
             raise ValueError(f"alpha has degree {alpha.degree} but phi has degree {phi.degree}")
         darts, images = range(alpha.degree), alpha.images
-        if not all(map(ne, images, darts)) or list(map(images.__getitem__, images)) != [*darts]:
+        if not all(map(ne, images, darts)) or _compose(images, images) != tuple(darts):
             d = next(d for d, e in enumerate(images) if e == d or images[e] != d)
             raise ValueError(f"alpha fixes dart {d}" if images[d] == d
                              else f"alpha(alpha({d})) = {images[images[d]]}, not {d}")
@@ -87,7 +89,7 @@ class RotationMap:
             stack = [unseen.pop()]
             while stack and unseen:
                 f = stack.pop()
-                reached = unseen.intersection(map(face.__getitem__, map(alpha.__getitem__, faces[f])))
+                reached = unseen.intersection(_compose(face, _compose(alpha, faces[f])))
                 unseen -= reached
                 stack += reached
         V, E, F = len(self.vertices), len(self.darts) // 2, len(faces)
@@ -97,13 +99,15 @@ class RotationMap:
         return (2 - V + E - F) // 2
 
     @cached_property
-    def face_index(self) -> list[int]:
+    def face_index(self) -> tuple[int, ...]:
         """dart -> position of its face in self.faces."""
-        out = [0] * len(self.darts)
-        for i, face in enumerate(self.faces):
-            for d in face:
-                out[d] = i
-        return out
+        labels = chain.from_iterable(repeat(i, len(face)) for i, face in enumerate(self.faces))
+        return _compose(tuple(labels), self.face_slot)
+
+    @cached_property
+    def face_slot(self) -> tuple[int, ...]:
+        """dart -> its position in the faces listed one after another."""
+        return _invert(tuple(chain.from_iterable(self.faces)))
 
     def face_pair_edge_counts(self) -> Counter:
         """How many edges each pair of faces (i, j), i <= j, shares."""
@@ -131,16 +135,48 @@ def biggs_map(spec: FieldSpec) -> RotationMap:
         # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a,
         # whose row fixes a; (a, c) is dart base + c - (c > a)
         row = spec.affine_images(omega, shifts[a])
-        dart = [*range(base, base + a), -1, *range(base + a, base + m)]
-        images = [*map(dart.__getitem__, row[:a]), *map(dart.__getitem__, row[a + 1:])]
-        if sorted(images) != [*range(base, base + m)]:  # name a repeat, or the -1
-            d = next(d for d in images if d < 0 or images.count(d) > 1)
-            raise ValueError(f"phi on face {a} is not a bijection: " + (
-                f"dart {d} is the image of two darts" if d >= 0
-                else f"it sends a dart to ({a}, {a})"))
-        phi += images
+        dart = (*range(base, base + a), -1, *range(base + a, base + m))
+        phi += _compose(dart, row[:a] + row[a + 1:])
+    if min(phi) < 0 or len(set(phi)) < len(phi):  # row a holds face a's darts, or -1
+        a = next(a for a in range(n) if sorted(phi[a * m:a * m + m]) != [*range(a * m, a * m + m)])
+        d = next(d for d in phi[a * m:a * m + m] if d < 0 or phi.count(d) > 1)
+        raise ValueError(f"phi on face {a} is not a bijection: " + (
+            f"dart {d} is the image of two darts" if d >= 0
+            else f"it sends a dart to ({a}, {a})"))
     return RotationMap(Permutation._unchecked(tuple(alpha)),
                        Permutation._unchecked(tuple(phi)))
+
+
+def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ...], str | None]:
+    """The dart map f forced by f(0) = target, and where f*alpha and alpha*f,
+    or else f*phi and phi*f, first differ (None when f is an automorphism).
+    Each face entered across alpha maps by one rotation onto the face of its
+    entry dart's image (cut or repeated to fit); a disconnected map is refused."""
+    faces, face = rotation_map.faces, rotation_map.face_index
+    if not 0 <= target < len(face):
+        raise ValueError(f"target {target} is not one of the {len(face)} darts")
+    alpha, phi = rotation_map.alpha.images, rotation_map.phi.images
+    rows = list(faces)  # f on each face, in its cycle order; unreached faces stay fixed
+    unseen, frontier = set(range(len(faces))) - {face[0]}, [(0, target)]
+    for s, e in frontier:  # an entry dart of a face not yet entered, and its image
+        source, image = faces[face[s]], faces[face[e]]
+        r = (image.index(e) - source.index(s)) % len(image)
+        row = rows[face[s]] = image[r:] + image[:r]
+        if len(row) != len(source):
+            row = rows[face[s]] = tuple(islice(cycle(row), len(source)))
+        if unseen:  # the faces across alpha from this one, each with one entry dart
+            crossed = _compose(alpha, source)
+            entries = dict(zip(_compose(face, crossed), zip(crossed, _compose(alpha, row))))
+            frontier += map(entries.get, unseen.intersection(entries))
+            unseen.difference_update(entries)
+    f = _compose(tuple(chain.from_iterable(rows)), rotation_map.face_slot)
+    for name, g in (("alpha", alpha), ("phi", phi)):
+        if (left := _compose(f, g)) != (right := _compose(g, f)):
+            d = next(d for d, (x, y) in enumerate(zip(left, right)) if x != y)
+            return f, f"f({name}({d})) = {left[d]} but {name}(f({d})) = {right[d]}"
+    if unseen:
+        raise ValueError(f"the walk from dart 0 misses {len(unseen)} faces: a disconnected map")
+    return f, None
 
 
 def genus_formula(n: int) -> int:

@@ -13,6 +13,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip, gf_sub
 
 from cusplink.perm_action import Permutation, group_closure
+from cusplink.regular_map import RotationMap
 
 
 def identity(degree: int):
@@ -123,6 +124,48 @@ def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     """The dart permutation commutes with alpha and with phi."""
     alpha, phi = rotation_map.alpha, rotation_map.phi
     return dart_map * alpha == alpha * dart_map and dart_map * phi == phi * dart_map
+
+
+def lockstep_dfs(rotation_map, target: int):
+    """The automorphism f with f(0) = target, one dart at a time: a
+    depth-first walk sets f(alpha(d)) = alpha(f(d)) and f(phi(d)) =
+    phi(f(d)) for each dart d it has reached; None when a dart is given
+    two images.  A map whose walk leaves a dart unreached is refused."""
+    alpha, phi = rotation_map.alpha, rotation_map.phi
+    images = {0: target}
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for g in (alpha, phi):
+            x, y = g(d), g(images[d])
+            if x not in images:
+                images[x] = y
+                stack.append(x)
+            elif images[x] != y:
+                return None
+    if len(images) < alpha.degree:
+        raise ValueError(f"the walk reaches {len(images)} of {alpha.degree} darts")
+    return tuple(images[d] for d in range(alpha.degree))
+
+
+def square_torus(width: int, height: int):
+    """The regular map {4,4} of width x height squares on the torus.
+    Dart 4*(x*height + y) + k is side k of square (x, y), the sides
+    counterclockwise from east; phi turns each square, and alpha glues
+    its east side to the west side of (x + 1, y) and its north side to
+    the south side of (x, y + 1)."""
+    neighbours = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+    def dart(x, y, k):
+        return 4 * ((x % width) * height + y % height) + k
+
+    alpha, phi = [], []
+    for x in range(width):
+        for y in range(height):
+            for k, (dx, dy) in enumerate(neighbours):
+                alpha.append(dart(x + dx, y + dy, (k + 2) % 4))
+                phi.append(dart(x, y, (k + 1) % 4))
+    return RotationMap(Permutation(tuple(alpha)), Permutation(tuple(phi)))
 
 
 def affine_map_automorphism(spec, s: int, t: int):

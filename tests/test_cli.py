@@ -247,6 +247,24 @@ def test_census_reports_check_failures(monkeypatch, capsys):
     assert code == 1 and "boom" in err
 
 
+@pytest.mark.parametrize("width, height, invariant", [
+    # regular, but each square meets two others along two edges each
+    (2, 2, "face adjacency of the order-4 map is not complete: face 0 of 4 has 4 darts, "
+           "crossing to 2 others"),
+    # no quarter turn of the 2 x 3 grid: phi(0) = 1 is not the image of dart 0
+    (2, 3, "no automorphism of the order-4 map sends dart 0 to dart 1: f(alpha("),
+], ids=["incomplete", "not-regular"])
+def test_helical_on_a_torus_map_is_an_invariant_violation(monkeypatch, capsys, width, height,
+                                                          invariant):
+    from cusplink import link_families
+    from reference_checks import square_torus
+
+    monkeypatch.setattr(link_families, "biggs_map", lambda spec: square_torus(width, height))
+    code, out, err = run(capsys, "transitivity", "helical", "--n", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: invariant violated: {invariant}") and err.count("\n") == 1
+
+
 def test_group_cap_failure_maps_to_exit_1(monkeypatch, capsys):
     from cusplink import perm_action
 

@@ -1,9 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplink.finite_field import field_of_order
+from cusplink import link_families
+from cusplink.finite_field import _tables, field_of_order, make_field, prime_power
 from cusplink.link_families import (
     EXAMPLE_BRAID,
     MAX_CHAIN_LOOPS,
@@ -19,8 +21,9 @@ from cusplink.link_families import (
     icosahedral_link,
     polygon_geometry,
 )
-from cusplink.perm_action import Permutation, group_closure
-from reference_checks import from_cycles, identity, is_k_transitive_literal
+from cusplink.perm_action import MAX_GROUP_ORDER, Permutation, group_closure, transitivity_degree
+from cusplink.regular_map import biggs_map, face_adjacency_complete, genus_formula
+from reference_checks import from_cycles, identity, is_k_transitive_literal, square_torus
 
 
 def all_blueprints():
@@ -57,19 +60,22 @@ def test_generators_preserve_linking():
         matrix = bp.linking_matrix
         if matrix is None:
             continue
-        for g in bp.symmetry.generators:
+        for g in bp.generators:
             for i in range(bp.n_components):
                 for j in range(bp.n_components):
                     assert matrix[g(i)][g(j)] == matrix[i][j]
 
 
 def _blueprint(matrix, generators):
+    group = group_closure(generators)
     return LinkBlueprint(
         family="test",
         ambient="S3",
         components=tuple(f"c{i}" for i in range(3)),
         linking_matrix=matrix,
-        symmetry=group_closure(generators),
+        generators=group.generators,
+        symmetry_order=group.order,
+        transitivity_degree=transitivity_degree(group),
         hyperbolicity={"status": "unknown", "note": "test fixture"},
     )
 
@@ -83,7 +89,7 @@ def test_direct_construction_derives_the_symmetry_facts():
     bp = _blueprint(_TRIANGLE, [_ROTATION, _SWAP])
     assert bp.symmetry_order == 6
     assert bp.transitivity_degree == 3
-    assert bp.symmetry.generators == (_ROTATION, _SWAP)
+    assert bp.generators == (_ROTATION, _SWAP)
     assert bp.linking_complete
 
 
@@ -161,7 +167,7 @@ def test_chain_neighbor_matrix():
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
 def test_chain_cyclic_action_is_exactly_one_transitive(n):
     bp = chain_link(n, 0)
-    group = group_closure(bp.symmetry.generators)
+    group = group_closure(bp.generators)
     assert is_k_transitive_literal(group, 1)
     assert not is_k_transitive_literal(group, 2)
     assert bp.transitivity_degree == 1
@@ -349,7 +355,7 @@ def test_icosahedral_link():
     assert bp.n_components == 6
     assert bp.symmetry_order == 60
     assert bp.transitivity_degree == 2
-    group = group_closure(bp.symmetry.generators)
+    group = group_closure(bp.generators)
     # order 60 < 6*5*4 = 120 rules out 3-transitivity
     assert not is_k_transitive_literal(group, 3)
     assert bp.params["crossings"] == 30
@@ -407,3 +413,46 @@ def test_helical_components_carry_field_labels():
 def test_helical_rejects_tiny_orders():
     with pytest.raises(ValueError):
         helical_link(field_of_order(3))
+
+
+@pytest.mark.parametrize("n", [n for n in range(4, 65) if prime_power(n)])
+def test_helical_map_facts_match_their_second_routes(n):
+    # the genus from V = n(n-1)/q against the Euler genus of the whole map
+    # and the closed form; q, dart 0's vertex degree, against every vertex
+    # and the order of -w in the log table; the completeness read off face
+    # 0 against the edge count of every pair of faces
+    spec = field_of_order(n)
+    blueprint, surface = helical_link(spec), biggs_map(spec)
+    log = _tables(spec)[1]
+    q = (n - 1) // gcd(log[spec.p - 1] + log[spec.primitive()], n - 1)
+    assert {len(v) for v in surface.vertices} == {blueprint.params["vertex_degree"]} == {q}
+    assert blueprint.params["genus"] == surface.genus == genus_formula(n)
+    assert blueprint.linking_complete and face_adjacency_complete(surface)
+    assert (blueprint.symmetry_order, blueprint.transitivity_degree) == (n * (n - 1), 2)
+
+
+def test_helical_link_past_the_group_order_cap():
+    # AGL(1, 1024) has order 1047552, over the cap that stops a chain
+    blueprint = helical_link(make_field(2, 10, max_order=1024))
+    assert blueprint.symmetry_order == 1024 * 1023 > MAX_GROUP_ORDER
+    assert blueprint.transitivity_degree == 2
+    assert blueprint.params["genus"] == genus_formula(1024)
+
+
+def test_helical_link_refuses_a_regular_map_without_complete_adjacency(monkeypatch):
+    # the 2 x 2 square torus is regular, so both walks pass, but each
+    # square meets two others, along two edges each
+    monkeypatch.setattr(link_families, "biggs_map", lambda spec: square_torus(2, 2))
+    with pytest.raises(AssertionError, match=r"^face adjacency of the order-4 map is not "
+                                             r"complete: face 0 of 4 has 4 darts, crossing "
+                                             r"to 2 others$"):
+        helical_link(field_of_order(4))
+
+
+def test_helical_link_refuses_a_map_without_the_automorphism(monkeypatch):
+    # the 2 x 3 torus has no quarter turn: no automorphism sends dart 0 to phi(0) = 1
+    monkeypatch.setattr(link_families, "biggs_map", lambda spec: square_torus(2, 3))
+    with pytest.raises(AssertionError, match=r"^no automorphism of the order-5 map sends "
+                                             r"dart 0 to dart 1: f\(alpha\(\d+\)\) = \d+ "
+                                             r"but alpha\(f\(\d+\)\) = \d+$"):
+        helical_link(field_of_order(5))

@@ -266,18 +266,31 @@ def test_chain_base_is_a_prefix_with_trivial_levels_kept():
     assert group.order == 2 and transitivity_degree(group) == 0
 
 
-def test_helical_link_never_lists_group_elements(monkeypatch):
+def test_products_of_degree_zero_and_one():
+    # the gather kernel returns a bare entry for one index and cannot be
+    # built for none, so these two degrees are read point by point
+    assert Permutation(()) * Permutation(()) == Permutation(())
+    assert Permutation((0,)) * Permutation((0,)) == Permutation((0,))
+    assert perm_action._compose((5, 6), ()) == ()
+    assert perm_action._compose((5, 6), (1,)) == (6,)
+    assert perm_action._compose((5, 6), (1, 0)) == (6, 5)
+
+
+def test_helical_link_builds_no_group(monkeypatch):
+    # the helical facts are read off the map's automorphism walks, so no
+    # stabilizer chain is built, even for AGL(1, 64) of order 4032
     from cusplink import link_families
 
     built = []
+    original = perm_action.PermGroup.__init__
 
-    def recording(spec):
-        built.append(affine_group(spec))
-        return built[-1]
+    def recording(group, generators):
+        built.append(group)
+        original(group, generators)
 
-    monkeypatch.setattr(link_families, "affine_group", recording)
+    monkeypatch.setattr(perm_action.PermGroup, "__init__", recording)
     blueprint = link_families.helical_link(field_of_order(64))
-    (group,) = built
-    assert group.order == blueprint.symmetry_order == 4032
-    assert transitivity_degree(group) == blueprint.transitivity_degree == 2
-    assert "elements" not in group.__dict__
+    assert built == []
+    assert (blueprint.symmetry_order, blueprint.transitivity_degree) == (4032, 2)
+    link_families.cube_link()  # a small family still builds its chain, and is seen
+    assert len(built) == 1

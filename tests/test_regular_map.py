@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 from math import gcd
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from cusplink.regular_map import (
     face_adjacency_complete,
     face_adjacency_dot,
     genus_formula,
+    lockstep_walk,
     map_summary,
 )
 from reference_checks import (
@@ -26,9 +28,11 @@ from reference_checks import (
     gf_multiply,
     identity,
     induced_face_permutation,
+    lockstep_dfs,
     orbits,
     per_dart_alpha,
     per_dart_phi,
+    square_torus,
 )
 
 PRIME_POWERS = [4, 5, 7, 8, 9, 11, 13]
@@ -116,6 +120,87 @@ def test_each_connected_map_is_one_closed_orientable_surface(surface):
     else:
         with pytest.raises(ValueError, match=rf"^map has {components} connected components "):
             surface.genus  # noqa: B018
+
+
+def test_the_empty_map_has_no_dart_to_walk_from():
+    # the bulk alpha check gathers nothing; there is no dart 0
+    empty = RotationMap(Permutation(()), Permutation(()))
+    assert (empty.faces, empty.edges, empty.face_slot) == ([], [], ())
+    with pytest.raises(ValueError, match=r"^target 0 is not one of the 0 darts$"):
+        lockstep_walk(empty, 0)
+    with pytest.raises(ValueError, match=r"^alpha fixes dart 0$"):
+        RotationMap(Permutation((0,)), Permutation((0,)))
+
+
+def _walk_agrees_with_the_reference(surface, target):
+    """The face-row walk and the per-dart walk give the same automorphism,
+    the same absence of one, or the same refusal; returns whether one exists."""
+    try:
+        expected = lockstep_dfs(surface, target)
+    except ValueError:
+        with pytest.raises(ValueError, match=r" faces: a disconnected map$"):
+            lockstep_walk(surface, target)
+        return False
+    f, defect = lockstep_walk(surface, target)
+    if expected is None:
+        assert defect is not None
+        # the named dart is one where f*alpha and alpha*f, or f*phi and phi*f, differ
+        name, d, left, right = re.fullmatch(r"f\((alpha|phi)\((\d+)\)\) = (\d+) but "
+                                            r"\1\(f\(\2\)\) = (\d+)", defect).groups()
+        g = getattr(surface, name)
+        assert (f[g(int(d))], g(f[int(d)])) == (int(left), int(right)) and left != right
+        return False
+    assert defect is None and f == expected and f[0] == target
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_systems())
+def test_the_face_row_walk_agrees_with_the_per_dart_walk(surface):
+    for target in surface.darts:
+        _walk_agrees_with_the_reference(surface, target)
+
+
+def _twisted(surface):
+    """The map with two edges re-paired: dart 0 and b = phi(0) swap their
+    alpha partners, so 0 is glued to alpha(b) and b to alpha(0)."""
+    alpha = list(surface.alpha.images)
+    b = surface.phi(0)
+    alpha[0], alpha[b] = alpha[b], alpha[0]
+    alpha[alpha[0]], alpha[alpha[b]] = 0, b
+    return RotationMap(Permutation(tuple(alpha)), surface.phi)
+
+
+@pytest.mark.parametrize("spec", [field_of_order(n) for n in PRIME_POWERS_TO_64]
+                         + [make_field(p, k, max_order=256) for p, k in [(2, 7), (3, 5), (2, 8)]],
+                         ids=lambda spec: f"n={spec.n}")
+def test_biggs_maps_walk_as_the_per_dart_reference(spec):
+    # both automorphisms exist on the order-n map; on the twisted map at
+    # least one of them does not, and the two walks agree throughout
+    surface = biggs_map(spec)
+    assert all(_walk_agrees_with_the_reference(surface, target)
+               for target in (surface.alpha(0), surface.phi(0)))
+    twisted = _twisted(surface)
+    assert not all([_walk_agrees_with_the_reference(twisted, target)
+                    for target in (twisted.alpha(0), twisted.phi(0))])
+
+
+def test_square_torus_maps():
+    # the 2 x 2 torus is regular but two squares meet along two edges; the
+    # 2 x 3 one has no quarter turn, so no automorphism sends 0 to phi(0)
+    square, oblong = square_torus(2, 2), square_torus(2, 3)
+    assert square.genus == oblong.genus == 1
+    assert not face_adjacency_complete(square) and not face_adjacency_complete(oblong)
+    assert [lockstep_walk(square, t)[1] for t in (square.alpha(0), square.phi(0))] == [None, None]
+    assert _walk_agrees_with_the_reference(oblong, oblong.alpha(0))
+    assert not _walk_agrees_with_the_reference(oblong, oblong.phi(0))
+
+
+def test_a_walk_over_a_disconnected_map_is_refused():
+    surface = two_copies(biggs_map(field_of_order(5)))
+    with pytest.raises(ValueError, match=r"^the walk from dart 0 misses 5 faces: "
+                                         r"a disconnected map$"):
+        lockstep_walk(surface, surface.alpha(0))
 
 
 def test_genus_walks_a_ring_of_faces():

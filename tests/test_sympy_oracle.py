@@ -13,6 +13,7 @@ from cusplink.link_families import (
     cube_edge_link,
     cube_link,
     cyclic_braid_closure,
+    helical_link,
     icosahedral_link,
 )
 from cusplink.perm_action import Permutation, affine_group, group_closure, transitivity_degree
@@ -37,11 +38,27 @@ def test_affine_group_matches_sympy(n):
     assert_matches_sympy(affine_group(field_of_order(n)))
 
 
+@pytest.mark.parametrize("n", [n for n in range(4, 65) if prime_power(n) is not None])
+def test_helical_facts_match_the_chain_and_sympy(n):
+    # the order and degree read off the map's walks, against AGL(1, n)'s
+    # stabilizer chain, the chain of the two walk automorphisms' face
+    # permutations, and sympy's group on those permutations
+    spec = field_of_order(n)
+    blueprint = helical_link(spec)
+    agl, walked = affine_group(spec), group_closure(blueprint.generators)
+    oracle = sympy_group(blueprint.generators)
+    assert ((blueprint.symmetry_order, blueprint.transitivity_degree)
+            == (agl.order, transitivity_degree(agl))
+            == (walked.order, transitivity_degree(walked))
+            == (oracle.order(), oracle.transitivity_degree)
+            == (n * (n - 1), 2))
+
+
 @pytest.mark.parametrize("blueprint", [
     cube_link(), cube_edge_link(), icosahedral_link(), chain_link(6, 0),
     cyclic_braid_closure(EXAMPLE_BRAID)], ids=lambda b: b.family)
 def test_family_groups_match_sympy(blueprint):
-    assert_matches_sympy(group_closure(blueprint.symmetry.generators))
+    assert_matches_sympy(group_closure(blueprint.generators))
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,7 +122,7 @@ def _relabelled_equal(blueprint, induced):
     elements = {tuple(g.array_form) for g in induced.generate()}
     for sigma in islice(permutations(range(degree)), 720):
         conjugates = []
-        for g in blueprint.symmetry.generators:
+        for g in blueprint.generators:
             images = [0] * degree
             for i in range(degree):
                 images[sigma[i]] = sigma[g(i)]
@@ -125,7 +142,7 @@ def test_example_links_match_the_induced_polyhedral_groups(blueprint, solid, blo
     assert (induced.degree, induced.order(), induced.transitivity_degree) == shape
     assert (blueprint.n_components, blueprint.symmetry_order,
             blueprint.transitivity_degree) == shape
-    oracle = sympy_group(blueprint.symmetry.generators)
+    oracle = sympy_group(blueprint.generators)
     assert _suborbit_lengths(induced) == _suborbit_lengths(oracle)
     if induced.degree <= 6:
         assert _relabelled_equal(blueprint, induced)
