@@ -171,14 +171,9 @@ _TRANSITIVITY_COLUMNS = ["family", "n_components", "symmetry_order", "transitivi
 
 
 def _links_row(blueprint: link_families.LinkBlueprint) -> dict:
-    return {
-        "family": blueprint.family,
-        "ambient": blueprint.ambient,
-        "n_components": blueprint.n_components,
-        "symmetry_order": blueprint.symmetry_order,
-        "transitivity_degree": blueprint.transitivity_degree,
-        "hyperbolicity": blueprint.hyperbolicity["status"],
-    }
+    row = {column: getattr(blueprint, column) for column in _LINKS_COLUMNS}
+    row["hyperbolicity"] = blueprint.hyperbolicity["status"]
+    return row
 
 
 def cmd_dilatation(args) -> int:
@@ -219,13 +214,10 @@ def cmd_census(args) -> int:
             continue
         spec = field_of_order(n)
         blueprint = helical_link(spec)
-        row = {
-            "n": spec.n,
-            "cusps": blueprint.n_components,
-            "symmetry_order": blueprint.symmetry_order,
-            "transitivity_degree": blueprint.transitivity_degree,
-            "linking": "complete" if blueprint.linking_complete else "partial",
-        }
+        row = {"n": spec.n, "cusps": blueprint.n_components,
+               "symmetry_order": blueprint.symmetry_order,
+               "transitivity_degree": blueprint.transitivity_degree,
+               "linking": "complete" if blueprint.linking_complete else "partial"}
         rows.append(row)
         failure = failure or _census_failure(row)
     if not rows:  # nothing to check is not a pass

@@ -19,6 +19,8 @@ symmetry invariants.
 
 from __future__ import annotations
 
+from math import perm
+
 from ._value import Value, int_tuple
 from .finite_field import FieldSpec
 from .perm_action import Permutation, _compose, group_closure, transitivity_degree
@@ -34,7 +36,8 @@ class LinkBlueprint:
     row per component), or None when every pair of components links and
     no numbers are recorded.  The group is given by its generators,
     which act on component indices and must preserve the linking data,
-    with its order and transitivity degree.
+    with its order and transitivity degree k, which must be possible: a
+    positive order that is a multiple of n(n-1)...(n-k+1), k in 0..n.
     """
 
     __slots__ = ("family", "ambient", "components", "linking_matrix", "generators",
@@ -56,6 +59,15 @@ class LinkBlueprint:
         n = self.n_components
         if (degree := {g.degree for g in generators} - {n}):
             raise ValueError(f"symmetry degree {degree.pop()} differs from the component count {n}")
+        if symmetry_order < 1:
+            raise ValueError(f"symmetry order {symmetry_order} is not positive")
+        if not 0 <= (k := transitivity_degree) <= n:
+            raise ValueError(f"transitivity degree {k} is not in 0..{n}")
+        if not generators:
+            raise ValueError(f"symmetry generators {generators!r}: a group needs at least one")
+        if symmetry_order % perm(n, k):  # a k-transitive group has an orbit of n!/(n-k)! k-tuples
+            raise ValueError(f"symmetry order {symmetry_order} is not a multiple of "
+                             f"{perm(n, k)}, the number of {k}-tuples of {n} components")
         matrix = linking_matrix
         if matrix is not None:
             if len(matrix) != n or any(len(row) != n for row in matrix):

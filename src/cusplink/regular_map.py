@@ -12,28 +12,27 @@ Conventions, fixed once and tested everywhere:
 
 For the field-labeled family the darts are the ordered pairs (a, b) of
 distinct field-element indices (a dart of face a crossing toward face
-b), numbered a*(n-1) + b - (b > a) in lexicographic order; with omega
-a multiplicative generator,
+b); with omega the least primitive element, dart a*(n-1) + i is
+(a, a + omega^i), and
 
   alpha(a, b) = (b, a)
-  phi(a, b)   = (a, a + omega*(b - a)),
+  phi(a, b)   = (a, a + omega*(b - a)).
 
-so the edges around face a visit the neighbors a + omega^i in
-multiplicative order.  Face a's rotation is the affine map
-x -> omega*x + (1 - omega)*a, so phi is filled from one affine row per
-face, FieldSpec.affine_images.
-The resulting map has n faces, each an (n-1)-gon, every pair of faces
-sharing exactly one edge, and its genus matches genus_formula(n):
-1 + n(n-7)/4 when n = 3 mod 4, else 1 + n(n-5)/4.
+Face a turns by x -> a + omega*(x - a) (Jones and Singerman, Proc. LMS
+1978), so each face is one block of n-1 darts in cycle order and phi
+turns each block one step.  With -1 = omega^h (h = 0 in characteristic
+2), alpha sends dart a*(n-1) + i to b*(n-1) + (i + h) mod (n-1), with
+b = a + omega^i read off the exp, log and Zech tables; only a right
+table makes that an involution, which RotationMap checks in bulk.  The
+map has n faces, each an (n-1)-gon, every two sharing exactly one edge,
+and genus genus_formula(n): 1 + n(n-7)/4 when n = 3 mod 4, else
+1 + n(n-5)/4.
 
-RotationMap checks alpha in bulk.  Each orbit of <alpha, phi> is one
-closed orientable surface, with V - E + F = 2 - 2g and g >= 0, so genus
-only walks the faces to see that there is one orbit.  biggs_map fills
-alpha and phi as flat arrays, checks phi once, and passes both on.  An
-automorphism of a connected map is fixed by one dart's image (Biggs, JCT
-B 1971; Jones and Singerman, Proc. LMS 1978), which lockstep_walk finds.
-The one graph export is the face-adjacency DOT that the map subcommand
-prints.
+Each orbit of <alpha, phi> is one closed orientable surface, with
+V - E + F = 2 - 2g and g >= 0, so genus only walks the faces to see that
+there is one orbit.  An automorphism of a connected map is fixed by one
+dart's image (Biggs, JCT B 1971), which lockstep_walk finds.  The one
+graph export is the face-adjacency DOT that the map subcommand prints.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, cycle, islice, repeat
-from operator import ne
+from operator import add, ne
 
 from ._value import int_tuple
-from .finite_field import FieldSpec, prime_power
+from .finite_field import FieldSpec, _tables, prime_power
 from .perm_action import Permutation, _compose, _invert
 
 
@@ -117,52 +116,47 @@ class RotationMap:
 
 
 def biggs_map(spec: FieldSpec) -> RotationMap:
-    """Construct the regular map of the field: n faces, each an
-    (n-1)-gon, labeled by the field elements, every two faces sharing
-    exactly one edge."""
+    """Construct the regular map of the field: n faces, each an (n-1)-gon,
+    labeled by the field elements, every two sharing exactly one edge; it
+    comes with its faces, face_slot and face_index, read off the blocks."""
     if spec.n <= 3:
         raise ValueError("field order must exceed 3")
-    omega = spec.primitive()
-    # -1 has index p - 1, so this is 1 - omega
-    shift = spec.affine_images(spec.p - 1, 1)[omega]
-    shifts = spec.affine_images(shift, 0)
-    n, m = spec.n, spec.n - 1
-    alpha, phi = [], []
-    for a, base in zip(range(n), range(0, n * m, m)):  # face a: darts base .. base + m - 1
-        # alpha(a, b) = (b, a): dart b*m + a - 1 for b < a, b*m + a for b > a
-        alpha += range(a - 1, base + a - 1, m)
-        alpha += range(base + m + a, n * m + a, m)
-        # face a turns by x -> a + omega*(x - a) = omega*x + (1 - omega)*a,
-        # whose row fixes a; (a, c) is dart base + c - (c > a)
-        row = spec.affine_images(omega, shifts[a])
-        dart = (*range(base, base + a), -1, *range(base + a, base + m))
-        phi += _compose(dart, row[:a] + row[a + 1:])
-    if min(phi) < 0 or len(set(phi)) < len(phi):  # row a holds face a's darts, or -1
-        a = next(a for a in range(n) if sorted(phi[a * m:a * m + m]) != [*range(a * m, a * m + m)])
-        d = next(d for d in phi[a * m:a * m + m] if d < 0 or phi.count(d) > 1)
-        raise ValueError(f"phi on face {a} is not a bijection: " + (
-            f"dart {d} is the image of two darts" if d >= 0
-            else f"it sends a dart to ({a}, {a})"))
-    return RotationMap(Permutation._unchecked(tuple(alpha)),
-                       Permutation._unchecked(tuple(phi)))
+    exp, log, zech = _tables(spec)
+    n, m, h = spec.n, spec.n - 1, log[spec.p - 1]  # -1 has index p - 1
+    steps = (*range(h, m), *range(h))  # i -> (i + h) mod m
+    starts = tuple([b * m for b in exp])  # the first dart of face omega^i
+    alpha = list(map(add, starts, steps))  # face 0: b = omega^i
+    for r in log[1:]:  # face a = 1, 2, ...: a + omega^i = omega^(r + Z(i - r)), r = log a
+        alpha += map(add, _compose(starts[r:] + starts[:r] + (0,), zech[m - r:] + zech[:m - r]),
+                     steps)  # Z = m, for a + omega^i = 0, reads the 0 appended
+    faces = [tuple(range(base, base + m)) for base in range(0, n * m, m)]
+    phi = tuple(chain.from_iterable(face[1:] + face[:1] for face in faces))
+    surface = RotationMap(Permutation._unchecked(tuple(alpha)), Permutation._unchecked(phi))
+    surface.faces, surface.face_slot = faces, tuple(surface.darts)
+    surface.face_index = tuple(chain.from_iterable(repeat(a, m) for a in range(n)))
+    return surface
 
 
 def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ...], str | None]:
     """The dart map f forced by f(0) = target, and where f*alpha and alpha*f,
     or else f*phi and phi*f, first differ (None when f is an automorphism).
     Each face entered across alpha maps by one rotation onto the face of its
-    entry dart's image (cut or repeated to fit); a disconnected map is refused."""
+    entry dart's image (cut or repeated to fit); phi is checked only when a
+    row was cut or repeated, since a whole turn of a phi-cycle commutes with
+    phi.  A disconnected map is refused."""
     faces, face = rotation_map.faces, rotation_map.face_index
     if not 0 <= target < len(face):
         raise ValueError(f"target {target} is not one of the {len(face)} darts")
     alpha, phi = rotation_map.alpha.images, rotation_map.phi.images
     rows = list(faces)  # f on each face, in its cycle order; unreached faces stay fixed
     unseen, frontier = set(range(len(faces))) - {face[0]}, [(0, target)]
+    checks = [("alpha", alpha)]
     for s, e in frontier:  # an entry dart of a face not yet entered, and its image
         source, image = faces[face[s]], faces[face[e]]
         r = (image.index(e) - source.index(s)) % len(image)
         row = rows[face[s]] = image[r:] + image[:r]
         if len(row) != len(source):
+            checks = [("alpha", alpha), ("phi", phi)]
             row = rows[face[s]] = tuple(islice(cycle(row), len(source)))
         if unseen:  # the faces across alpha from this one, each with one entry dart
             crossed = _compose(alpha, source)
@@ -170,7 +164,7 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ..
             frontier += map(entries.get, unseen.intersection(entries))
             unseen.difference_update(entries)
     f = _compose(tuple(chain.from_iterable(rows)), rotation_map.face_slot)
-    for name, g in (("alpha", alpha), ("phi", phi)):
+    for name, g in checks:
         if (left := _compose(f, g)) != (right := _compose(g, f)):
             d = next(d for d, (x, y) in enumerate(zip(left, right)) if x != y)
             return f, f"f({name}({d})) = {left[d]} but {name}(f({d})) = {right[d]}"

@@ -6,6 +6,7 @@ train-track references run on installed oracles instead: sympy's
 galoistools polynomial arithmetic, numpy's eigenvalues and exact
 integer matrix powers."""
 
+import functools
 from itertools import permutations as distinct_tuples
 
 import numpy as np
@@ -170,14 +171,13 @@ def square_torus(width: int, height: int):
 
 def affine_map_automorphism(spec, s: int, t: int):
     """The dart permutation (a, b) -> (s*a + t, s*b + t) of the order-n
-    map of the field spec, for a nonzero scale s, with dart (a, b)
-    numbered a*(n-1) + b - (b > a).  It commutes with alpha and with phi,
-    so it permutes faces, edges and vertices; the induced face
-    permutation is the affine permutation of the labels."""
-    n = spec.n
+    map of the field spec, for a nonzero scale s, with the darts numbered
+    by dart_pairs.  It commutes with alpha and with phi, so it permutes
+    faces, edges and vertices; the induced face permutation is the
+    affine permutation of the labels."""
     image = affine_permutation(spec, s, t)
-    darts = ((image(a), image(b)) for a in range(n) for b in range(n) if a != b)
-    return Permutation(tuple(x * (n - 1) + y - (y > x) for x, y in darts))
+    pairs, number = dart_pairs(spec)
+    return Permutation(tuple(number[image(a), image(b)] for a, b in pairs))
 
 
 def induced_face_permutation(rotation_map, dart_map):
@@ -224,6 +224,11 @@ def gf_sum(spec, a: int, b: int) -> int:
     return _gf_index(gf_add(_gf_poly(spec, a), _gf_poly(spec, b), spec.p, ZZ), spec.p)
 
 
+def gf_difference(spec, a: int, b: int) -> int:
+    """The index of a-b, by sympy's galoistools."""
+    return _gf_index(gf_sub(_gf_poly(spec, a), _gf_poly(spec, b), spec.p, ZZ), spec.p)
+
+
 def gf_multiplicative_order(spec, a: int) -> int:
     """The least m >= 1 with a^m = 1, for a nonzero index a."""
     power, order = a, 1
@@ -238,33 +243,36 @@ def affine_images_by_elements(spec, s: int, t: int) -> tuple[int, ...]:
     return tuple(gf_sum(spec, gf_multiply(spec, s, x), t) for x in range(spec.n))
 
 
+@functools.lru_cache(maxsize=4)
+def dart_pairs(spec):
+    """The pair (a, b) of each dart id of the order-n map, and the id of
+    each pair: dart a*(n-1) + i is (a, a + omega^i), with the powers of
+    omega = spec.primitive() and the sums taken in galoistools
+    arithmetic, so the discrete logs come from no table of the program."""
+    omega, powers = spec.primitive(), [1]
+    while (power := gf_multiply(spec, powers[-1], omega)) != 1:
+        powers.append(power)
+    if len(powers) != spec.n - 1:
+        raise ValueError(f"{omega} has order {len(powers)}, not {spec.n - 1}")
+    pairs = [(a, gf_sum(spec, a, power)) for a in range(spec.n) for power in powers]
+    return pairs, {pair: d for d, pair in enumerate(pairs)}
+
+
 def per_dart_alpha(spec):
     """The edge involution of the order-n map, one dart at a time: dart
-    d decodes to (a, b), with d = a*(n-1) + b - (b > a), and goes to the
-    number of (b, a)."""
-    m = spec.n - 1
-    images = []
-    for d in range(spec.n * m):
-        a, j = divmod(d, m)
-        b = j + (j >= a)
-        images.append(b * m + a - (a > b))
-    return Permutation(tuple(images))
+    (a, b) goes to the number of (b, a)."""
+    pairs, number = dart_pairs(spec)
+    return Permutation(tuple(number[b, a] for a, b in pairs))
 
 
 def per_dart_phi(spec):
     """The face rotation of the order-n map, one dart at a time:
-    phi(a, b) = (a, a + omega*(b - a)) in galoistools arithmetic, with
-    dart (a, b) numbered a*(n-1) + b - (b > a)."""
-    n, p, omega = spec.n, spec.p, spec.primitive()
-    polys = [_gf_poly(spec, x) for x in range(n)]
-    images = []
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                step = gf_multiply(spec, omega, _gf_index(gf_sub(polys[b], polys[a], p, ZZ), p))
-                c = _gf_index(gf_add(polys[a], polys[step], p, ZZ), p)
-                images.append(a * (n - 1) + c - (c > a))
-    return Permutation(tuple(images))
+    phi(a, b) = (a, a + omega*(b - a)) in galoistools arithmetic."""
+    pairs, number = dart_pairs(spec)
+    omega = spec.primitive()
+    return Permutation(tuple(
+        number[a, gf_sum(spec, a, gf_multiply(spec, omega, gf_difference(spec, b, a)))]
+        for a, b in pairs))
 
 
 def expand_word(rules: dict[str, str], word, iterations: int = 1) -> tuple[str, ...]:

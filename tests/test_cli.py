@@ -4,11 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from cusplink import cli
+from cusplink import cli, regular_map
 from cusplink.cli import main
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
-    FieldSpec,
+    _tables,
     field_of_order,
     make_field,
     prime_power,
@@ -495,16 +495,10 @@ def test_argparse_refusals_open_with_error(capsys, argv):
     assert error.startswith("error: ") and usage.startswith("usage: cusplink")
 
 
-def test_a_face_row_that_repeats_an_image_exits_2(capsys, monkeypatch):
-    # the phi check in biggs_map raises ValueError, which main maps to 2
-    original = FieldSpec.affine_images
-
-    def affine_images(spec, s, t):
-        row = original(spec, s, t)  # face 3's rotation is the row that fixes 3
-        return (row[0], row[0], *row[2:]) if s == spec.primitive() and row[3] == 3 else row
-
-    monkeypatch.setattr(FieldSpec, "affine_images", affine_images)
+def test_a_wrong_zech_entry_exits_2(capsys, monkeypatch):
+    # the alpha check in RotationMap raises ValueError, which main maps to 2;
+    # Z(0) = log(1 + 1) read as 0 sends dart 8 = (1, 2) to (1, 0), not (2, 1)
+    exp, log, zech = _tables(field_of_order(9))
+    monkeypatch.setattr(regular_map, "_tables", lambda spec: (exp, log, (0,) + zech[1:]))
     code, out, err = run(capsys, "map", "--n", "9")
-    assert code == 2 and out == ""
-    assert err.startswith("error: phi on face 3 is not a bijection: dart ")
-    assert err.endswith(" is the image of two darts\n")
+    assert (code, out, err) == (2, "", "error: alpha(alpha(8)) = 0, not 8\n")

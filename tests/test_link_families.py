@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +104,47 @@ def test_direct_construction_derives_the_symmetry_facts():
 def test_direct_construction_enforces_the_invariants(matrix, generators, message):
     with pytest.raises(ValueError, match=message):
         _blueprint(matrix, generators)
+
+
+def test_a_blueprint_with_impossible_facts_is_refused():
+    # two components, no generators, order -5 and degree 99: the order is named first
+    with pytest.raises(ValueError, match=r"^symmetry order -5 is not positive$"):
+        LinkBlueprint("x", "S3", ("a", "b"), None, (), -5, 99, {})
+
+
+@pytest.mark.parametrize("generators, order, degree, message", [
+    ((_ROTATION,), 0, 1, "symmetry order 0 is not positive"),
+    ((_ROTATION,), 3, 4, "transitivity degree 4 is not in 0..3"),
+    ((_ROTATION,), 3, -1, "transitivity degree -1 is not in 0..3"),
+    ((), 6, 3, r"symmetry generators \(\): a group needs at least one"),
+    ((_ROTATION, _SWAP), 3, 2, "symmetry order 3 is not a multiple of 6, "
+                               "the number of 2-tuples of 3 components"),
+    ((_ROTATION,), 4, 1, "symmetry order 4 is not a multiple of 3, "
+                         "the number of 1-tuples of 3 components"),
+], ids=["order-0", "degree-over-n", "degree-negative", "no-generators", "order-k2", "order-k1"])
+def test_each_impossible_symmetry_fact_is_named(generators, order, degree, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LinkBlueprint("test", "S3", ("c0", "c1", "c2"), _TRIANGLE, generators, order, degree,
+                      {"status": "unknown", "note": "test fixture"})
+
+
+def test_every_family_has_possible_facts_and_no_higher_degree():
+    # the six families rebuild with their own facts; one degree more, or
+    # the order negated, is refused by the orbit-stabilizer bound or the range
+    for bp in all_blueprints():
+        def rebuilt(order, degree):
+            return LinkBlueprint(bp.family, bp.ambient, bp.components, bp.linking_matrix,
+                                 bp.generators, order, degree, bp.hyperbolicity, bp.params)
+
+        n, order, degree = bp.n_components, bp.symmetry_order, bp.transitivity_degree
+        assert rebuilt(order, degree).to_json_dict() == bp.to_json_dict()
+        assert order % perm(n, degree) == 0, bp.family
+        with pytest.raises(ValueError, match=r"^transitivity degree |^symmetry order "):
+            rebuilt(order, degree + 1)
+        with pytest.raises(ValueError, match=rf"^symmetry order {-order} is not positive$"):
+            rebuilt(-order, degree)
+    assert {bp.family for bp in all_blueprints()} == {
+        "chain", "braid_closure", "cube_diagonal", "cube_edge", "icosahedral", "helical"}
 
 
 def test_linking_complete_matches_the_matrix():

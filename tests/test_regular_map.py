@@ -1,15 +1,16 @@
 import json
 import re
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cusplink import regular_map
 from cusplink.cli import main
-from cusplink.finite_field import FieldSpec, _tables, field_of_order, make_field
-from cusplink.perm_action import Permutation
+from cusplink.finite_field import _tables, field_of_order, make_field
+from cusplink.perm_action import Permutation, _invert
 from cusplink.regular_map import (
     RotationMap,
     biggs_map,
@@ -23,6 +24,7 @@ from reference_checks import (
     affine_map_automorphism,
     affine_permutation,
     dart_automorphism_is_valid,
+    dart_pairs,
     from_cycles,
     gf_multiplicative_order,
     gf_multiply,
@@ -38,6 +40,10 @@ from reference_checks import (
 PRIME_POWERS = [4, 5, 7, 8, 9, 11, 13]
 PRIME_POWERS_TO_64 = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
                       37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+ORDERS_TO_64_AND_OVER_THE_CAP = (
+    [field_of_order(n) for n in PRIME_POWERS_TO_64]
+    + [make_field(p, k, max_order=256) for p, k in [(2, 7), (3, 5), (2, 8)]])
 
 
 def two_face_sphere():
@@ -171,9 +177,7 @@ def _twisted(surface):
     return RotationMap(Permutation(tuple(alpha)), surface.phi)
 
 
-@pytest.mark.parametrize("spec", [field_of_order(n) for n in PRIME_POWERS_TO_64]
-                         + [make_field(p, k, max_order=256) for p, k in [(2, 7), (3, 5), (2, 8)]],
-                         ids=lambda spec: f"n={spec.n}")
+@pytest.mark.parametrize("spec", ORDERS_TO_64_AND_OVER_THE_CAP, ids=lambda spec: f"n={spec.n}")
 def test_biggs_maps_walk_as_the_per_dart_reference(spec):
     # both automorphisms exist on the order-n map; on the twisted map at
     # least one of them does not, and the two walks agree throughout
@@ -303,9 +307,7 @@ def test_vertex_cycles_share_the_order_of_minus_omega(n):
     assert lengths.pop() == expected
 
 
-@pytest.mark.parametrize("spec", [field_of_order(n) for n in PRIME_POWERS_TO_64]
-                         + [make_field(p, k, max_order=256) for p, k in [(2, 7), (3, 5), (2, 8)]],
-                         ids=lambda spec: f"n={spec.n}")
+@pytest.mark.parametrize("spec", ORDERS_TO_64_AND_OVER_THE_CAP, ids=lambda spec: f"n={spec.n}")
 def test_genus_from_the_order_of_minus_omega_in_the_log_table(spec):
     # a third route to the genus: q = ord(-w) = (n-1)/gcd(log(-1) + log(w), n-1),
     # with -1 the index p-1, is the vertex degree, so the map has
@@ -377,15 +379,15 @@ def test_every_affine_pair_is_a_dart_automorphism(n):
 
 @pytest.mark.parametrize("n", PRIME_POWERS_TO_64)
 def test_phi_equals_the_per_dart_route(n):
-    # one affine row per face against a + omega*(b - a) dart by dart,
-    # on the 16 prime and 9 extension fields up to 64
+    # each face block turned one step against a + omega*(b - a) dart by
+    # dart, on the 16 prime and 9 extension fields up to 64
     spec = field_of_order(n)
     assert biggs_map(spec).phi == per_dart_phi(spec)
 
 
 @pytest.mark.parametrize("n", PRIME_POWERS_TO_64)
 def test_alpha_equals_the_per_dart_route(n):
-    # two range slices per face row against (a, b) -> (b, a) dart by dart
+    # the Zech-table rows against (a, b) -> (b, a) dart by dart
     spec = field_of_order(n)
     assert biggs_map(spec).alpha == per_dart_alpha(spec)
 
@@ -398,35 +400,24 @@ def test_alpha_and_phi_equal_the_per_dart_routes_above_the_cap(p, k):
     assert surface.phi == per_dart_phi(spec)
 
 
-def _repeat_in_face_row(monkeypatch, face: int, image_of_face: bool):
-    """Patch FieldSpec.affine_images so that the rotation row of one face
-    (the row of omega*x + t that fixes the face's label) sends position 1
-    where it sends position 0, or, with image_of_face, to the label
-    itself, so that phi sends dart (face, 1) to (face, face), no dart."""
-    original = FieldSpec.affine_images
-
-    def affine_images(spec, s, t):
-        row = original(spec, s, t)
-        if s != spec.primitive() or row[face] != face:
-            return row
-        return (row[0], face if image_of_face else row[0], *row[2:])
-
-    monkeypatch.setattr(FieldSpec, "affine_images", affine_images)
+@pytest.mark.parametrize("spec", ORDERS_TO_64_AND_OVER_THE_CAP, ids=lambda spec: f"n={spec.n}")
+def test_the_faces_biggs_map_sets_are_the_derived_ones(spec):
+    # the blocks biggs_map hands over equal the cycles of phi, the slots
+    # _invert finds in them, and the face a of each dart (a, b)
+    surface = biggs_map(spec)
+    cycles = surface.phi.cycles()
+    assert surface.faces == cycles
+    assert surface.face_slot == _invert(tuple(chain.from_iterable(cycles)))
+    assert surface.face_index == tuple(a for a, _ in dart_pairs(spec)[0])
 
 
-def test_a_face_row_that_repeats_an_image_is_named(monkeypatch):
-    spec = field_of_order(9)
-    repeated = biggs_map(spec).phi(3 * 8)  # dart (3, 0), whose image (3, 1) now shares
-    _repeat_in_face_row(monkeypatch, 3, image_of_face=False)
-    with pytest.raises(ValueError, match=rf"^phi on face 3 is not a bijection: "
-                                         rf"dart {repeated} is the image of two darts$"):
-        biggs_map(spec)
-
-
-def test_a_face_row_that_reaches_its_own_label_is_named(monkeypatch):
-    _repeat_in_face_row(monkeypatch, 3, image_of_face=True)
-    with pytest.raises(ValueError, match=r"^phi on face 3 is not a bijection: "
-                                         r"it sends a dart to \(3, 3\)$"):
+def test_a_wrong_zech_entry_is_refused_by_the_alpha_check(monkeypatch):
+    # Z(0) = log(1 + 1) = log(-1) = 4 in GF(9), read as 0: then 1 + 1 = 1,
+    # so dart 8 = (1, 1 + omega^0) goes to 1*8 + (0 + 4) = 12, whose
+    # correct image is (0, 1), dart 0
+    exp, log, zech = _tables(field_of_order(9))
+    monkeypatch.setattr(regular_map, "_tables", lambda spec: (exp, log, (0,) + zech[1:]))
+    with pytest.raises(ValueError, match=r"^alpha\(alpha\(8\)\) = 0, not 8$"):
         biggs_map(field_of_order(9))
 
 
