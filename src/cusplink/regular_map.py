@@ -32,12 +32,13 @@ Each orbit of <alpha, phi> is one closed orientable surface, with
 V - E + F = 2 - 2g and g >= 0, so genus only walks the faces to see that
 there is one orbit.  An automorphism of a connected map is fixed by one
 dart's image (Biggs, JCT B 1971), which lockstep_walk finds.  The one
-graph export is the face-adjacency DOT that the map subcommand prints.
+graph export is the face-adjacency DOT that the map subcommand prints;
+it and face_adjacency_complete read one sorted list of face-pair codes,
+i*F + j for each edge between faces i <= j of the F faces.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import chain, cycle, islice, repeat
 from operator import add, ne
@@ -104,15 +105,9 @@ class RotationMap:
         return _compose(tuple(labels), self.face_slot)
 
     @cached_property
-    def face_slot(self) -> tuple[int, ...]:
+    def face_slot(self) -> tuple[int, ...] | range:
         """dart -> its position in the faces listed one after another."""
         return _invert(tuple(chain.from_iterable(self.faces)))
-
-    def face_pair_edge_counts(self) -> Counter:
-        """How many edges each pair of faces (i, j), i <= j, shares."""
-        face = self.face_index
-        return Counter([(i, j) if (i := face[d]) <= (j := face[e]) else (j, i)
-                        for d, e in self.edges])
 
 
 def biggs_map(spec: FieldSpec) -> RotationMap:
@@ -129,10 +124,11 @@ def biggs_map(spec: FieldSpec) -> RotationMap:
     for r in log[1:]:  # face a = 1, 2, ...: a + omega^i = omega^(r + Z(i - r)), r = log a
         alpha += map(add, _compose(starts[r:] + starts[:r] + (0,), zech[m - r:] + zech[:m - r]),
                      steps)  # Z = m, for a + omega^i = 0, reads the 0 appended
-    faces = [tuple(range(base, base + m)) for base in range(0, n * m, m)]
-    phi = tuple(chain.from_iterable(face[1:] + face[:1] for face in faces))
-    surface = RotationMap(Permutation._unchecked(tuple(alpha)), Permutation._unchecked(phi))
-    surface.faces, surface.face_slot = faces, tuple(surface.darts)
+    phi = list(range(1, n * m + 1))
+    phi[m - 1::m] = range(0, n * m, m)  # the last dart of each block turns to its first
+    surface = RotationMap(Permutation._unchecked(tuple(alpha)), Permutation._unchecked(tuple(phi)))
+    surface.faces = [tuple(range(base, base + m)) for base in surface.darts[::m]]
+    surface.face_slot = surface.darts  # the faces are in dart order: the identity, as a range
     surface.face_index = tuple(chain.from_iterable(repeat(a, m) for a in range(n)))
     return surface
 
@@ -144,7 +140,7 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ..
     entry dart's image (cut or repeated to fit); phi is checked only when a
     row was cut or repeated, since a whole turn of a phi-cycle commutes with
     phi.  A disconnected map is refused."""
-    faces, face = rotation_map.faces, rotation_map.face_index
+    faces, face, slot = rotation_map.faces, rotation_map.face_index, rotation_map.face_slot
     if not 0 <= target < len(face):
         raise ValueError(f"target {target} is not one of the {len(face)} darts")
     alpha, phi = rotation_map.alpha.images, rotation_map.phi.images
@@ -153,7 +149,7 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ..
     checks = [("alpha", alpha)]
     for s, e in frontier:  # an entry dart of a face not yet entered, and its image
         source, image = faces[face[s]], faces[face[e]]
-        r = (image.index(e) - source.index(s)) % len(image)
+        r = (slot[e] - slot[image[0]] - slot[s] + slot[source[0]]) % len(image)
         row = rows[face[s]] = image[r:] + image[:r]
         if len(row) != len(source):
             checks = [("alpha", alpha), ("phi", phi)]
@@ -163,7 +159,8 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ..
             entries = dict(zip(_compose(face, crossed), zip(crossed, _compose(alpha, row))))
             frontier += map(entries.get, unseen.intersection(entries))
             unseen.difference_update(entries)
-    f = _compose(tuple(chain.from_iterable(rows)), rotation_map.face_slot)
+    f = tuple(chain.from_iterable(rows))  # f in face order: dart order if face_slot is darts
+    f = f if slot == rotation_map.darts else _compose(f, slot)  # a tuple never equals a range
     for name, g in checks:
         if (left := _compose(f, g)) != (right := _compose(g, f)):
             d = next(d for d, (x, y) in enumerate(zip(left, right)) if x != y)
@@ -208,23 +205,25 @@ def map_summary(rotation_map: RotationMap) -> dict:
     }
 
 
+def _face_pair_codes(rotation_map: RotationMap) -> list[int]:
+    """One code i*F + j per edge, i <= j its faces and F the face count, sorted."""
+    face, alpha, F = rotation_map.face_index, rotation_map.alpha.images, len(rotation_map.faces)
+    low = [d for d, e in enumerate(alpha) if d < e]  # one dart of each edge
+    pairs = zip(_compose(face, low), _compose(face, _compose(alpha, low)))
+    return sorted([i * F + j if i <= j else j * F + i for i, j in pairs])
+
+
 def face_adjacency_complete(rotation_map: RotationMap) -> bool:
     """Is the face-adjacency graph the complete graph, with exactly one
-    shared edge per pair of faces?"""
-    counts = rotation_map.face_pair_edge_counts()
-    n = len(rotation_map.faces)
-    return all(counts[i, j] == 1 for i in range(n) for j in range(i + 1, n))
-
-
-# ---------------------------------------------------------------------------
-# DOT export
+    shared edge per pair of faces?  Edges from a face to itself are ignored."""
+    F = len(rotation_map.faces)
+    pairs = [c for c in _face_pair_codes(rotation_map) if c // F != c % F]
+    return pairs == [i * F + j for i in range(F) for j in range(i + 1, F)]
 
 
 def face_adjacency_dot(rotation_map: RotationMap) -> str:
-    lines = ["graph faces {"]
-    counts = rotation_map.face_pair_edge_counts()
-    for i, j in sorted(counts):
-        lines.extend([f"  f{i} -- f{j};"] * counts[i, j])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    F = len(rotation_map.faces)
+    prefix, suffix = [f"  f{i} -- f" for i in range(F)], [f"{j};\n" for j in range(F)]
+    lines = [prefix[c // F] + suffix[c % F] for c in _face_pair_codes(rotation_map)]
+    return "graph faces {\n" + "".join(lines) + "}\n"
 

@@ -7,6 +7,7 @@ galoistools polynomial arithmetic, numpy's eigenvalues and exact
 integer matrix powers."""
 
 import functools
+from collections import Counter
 from itertools import permutations as distinct_tuples
 
 import numpy as np
@@ -194,6 +195,33 @@ def induced_face_permutation(rotation_map, dart_map):
             raise ValueError(f"dart map sends the darts of face {i} into faces {targets}")
         images.append(targets[0])
     return Permutation(tuple(images))
+
+
+def face_pair_edge_counts(rotation_map) -> Counter:
+    """How many edges each pair of faces (i, j), i <= j, shares, read off
+    the edge list one tuple at a time."""
+    face = rotation_map.face_index
+    return Counter([(i, j) if (i := face[d]) <= (j := face[e]) else (j, i)
+                    for d, e in rotation_map.edges])
+
+
+def face_adjacency_dot_by_counts(rotation_map) -> str:
+    """The face-adjacency DOT from face_pair_edge_counts: the pairs sorted,
+    each repeated once per shared edge."""
+    lines = ["graph faces {"]
+    counts = face_pair_edge_counts(rotation_map)
+    for i, j in sorted(counts):
+        lines.extend([f"  f{i} -- f{j};"] * counts[i, j])
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def face_adjacency_complete_by_counts(rotation_map) -> bool:
+    """Every two distinct faces share exactly one edge, by
+    face_pair_edge_counts; edges from a face to itself are not read."""
+    counts = face_pair_edge_counts(rotation_map)
+    n = len(rotation_map.faces)
+    return all(counts[i, j] == 1 for i in range(n) for j in range(i + 1, n))
 
 
 def _gf_poly(spec, index):

@@ -34,6 +34,7 @@ from reference_checks import (
     affine_permutation,
     dart_automorphism_is_valid,
     elements as reference_elements,
+    face_pair_edge_counts,
     growth_ratios,
     identity,
     induced_face_permutation,
@@ -230,7 +231,7 @@ def test_criterion_7_property_suites():
             record.check(all(len(face) == n - 1 for face in surface.faces),
                          f"n={n}: face is not an (n-1)-gon")
             record.check(len(surface.faces) == n, f"n={n}: face count off")
-            counts = surface.face_pair_edge_counts()
+            counts = face_pair_edge_counts(surface)
             record.check(all(counts[(i, j)] == 1
                              for i in range(n) for j in range(i + 1, n)),
                          f"n={n}: shared-edge count off")

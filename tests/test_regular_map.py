@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from itertools import chain, product
 from math import gcd
@@ -25,6 +26,9 @@ from reference_checks import (
     affine_permutation,
     dart_automorphism_is_valid,
     dart_pairs,
+    face_adjacency_complete_by_counts,
+    face_adjacency_dot_by_counts,
+    face_pair_edge_counts,
     from_cycles,
     gf_multiplicative_order,
     gf_multiply,
@@ -200,6 +204,31 @@ def test_square_torus_maps():
     assert not _walk_agrees_with_the_reference(oblong, oblong.phi(0))
 
 
+def relabelled(surface, seed: int):
+    """The same map with dart d renamed p[d], for a shuffle p of the darts:
+    its faces, listed from phi's cycles, are no longer in dart order."""
+    p = list(surface.darts)
+    random.Random(seed).shuffle(p)
+    alpha, phi = [0] * len(p), [0] * len(p)
+    for d, (a, b) in enumerate(zip(surface.alpha.images, surface.phi.images)):
+        alpha[p[d]], phi[p[d]] = p[a], p[b]
+    return RotationMap(Permutation(tuple(alpha)), Permutation(tuple(phi)))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(two_face_sphere, id="two_face_sphere"),
+    *(pytest.param(lambda n=n: relabelled(biggs_map(field_of_order(n)), n), id=f"relabelled n={n}")
+      for n in (5, 8, 9, 16)),
+])
+def test_the_walk_gathers_when_the_faces_are_not_in_dart_order(build):
+    # face_slot is then a tuple other than the identity, so the rows in face
+    # order are put into dart order by the gather; both automorphisms exist
+    surface = build()
+    assert surface.face_slot != tuple(surface.darts)
+    assert all(_walk_agrees_with_the_reference(surface, target)
+               for target in (surface.alpha(0), surface.phi(0)))
+
+
 def test_a_walk_over_a_disconnected_map_is_refused():
     surface = two_copies(biggs_map(field_of_order(5)))
     with pytest.raises(ValueError, match=r"^the walk from dart 0 misses 5 faces: "
@@ -281,7 +310,7 @@ def test_structural_invariants(n):
     for d in surface.darts:
         assert surface.alpha(d) != d
         assert surface.alpha(surface.alpha(d)) == d
-    counts = surface.face_pair_edge_counts()
+    counts = face_pair_edge_counts(surface)
     for i in range(n):
         for j in range(i + 1, n):
             assert counts[(i, j)] == 1
@@ -407,7 +436,8 @@ def test_the_faces_biggs_map_sets_are_the_derived_ones(spec):
     surface = biggs_map(spec)
     cycles = surface.phi.cycles()
     assert surface.faces == cycles
-    assert surface.face_slot == _invert(tuple(chain.from_iterable(cycles)))
+    assert tuple(surface.face_slot) == _invert(tuple(chain.from_iterable(cycles)))
+    assert surface.face_slot == surface.darts  # the range lockstep_walk reads as the identity
     assert surface.face_index == tuple(a for a, _ in dart_pairs(spec)[0])
 
 
@@ -462,3 +492,22 @@ def test_face_adjacency_dot_is_the_complete_graph(n):
         f"  f{i} -- f{j};\n" for i in range(n) for j in range(i + 1, n)) + "}\n"
     assert face_adjacency_dot(surface) == expected
     assert len(surface.vertices) == (2 * n if n % 4 == 3 else n)
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda spec=spec: biggs_map(spec), id=f"n={spec.n}")
+      for spec in ORDERS_TO_64_AND_OVER_THE_CAP),
+    pytest.param(lambda: relabelled(biggs_map(field_of_order(9)), 9), id="relabelled n=9"),
+    pytest.param(lambda: square_torus(2, 2), id="square_torus(2, 2)"),
+    pytest.param(lambda: square_torus(1, 1), id="square_torus(1, 1)"),
+    pytest.param(two_face_sphere, id="two_face_sphere"),
+    pytest.param(lambda: RotationMap(Permutation(()), Permutation(())), id="empty"),
+])
+def test_the_face_pair_codes_read_as_the_counted_pairs(build):
+    # the sorted codes give the DOT and the completeness check of the
+    # counted face pairs, on maps where every two faces share one edge, two
+    # faces share two edges, a face meets itself, or there is no face
+    surface = build()
+    assert face_adjacency_dot(surface) == face_adjacency_dot_by_counts(surface)
+    assert face_adjacency_complete(surface) == face_adjacency_complete_by_counts(surface)
+
