@@ -32,7 +32,6 @@ from .perm_action import (
 from .regular_map import (
     RotationMap,
     biggs_map,
-    face_adjacency_complete,
     genus_formula,
     map_summary,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "transitivity_degree",
     "RotationMap",
     "biggs_map",
-    "face_adjacency_complete",
     "genus_formula",
     "map_summary",
     "eigen_report",

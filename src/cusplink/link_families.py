@@ -26,7 +26,7 @@ from .finite_field import FieldSpec
 from .perm_action import Permutation, _compose, group_closure, transitivity_degree
 # benchmarks/spans.py assigns affine_group, group_closure and transitivity_degree here (ROADMAP 1)
 from .perm_action import affine_group  # noqa: F401
-from .regular_map import biggs_map, lockstep_walk
+from .regular_map import NoAutomorphism, biggs_map, map_facts
 
 
 class LinkBlueprint:
@@ -395,6 +395,16 @@ def polygon_geometry(p: int, q: int) -> str:
     return "euclidean" if excess == 4 else "hyperbolic"
 
 
+def _check_cyclic_stabilizer(generator: Permutation, n: int) -> None:
+    """Refuse a generator of face 0's stabilizer that is not one fixed point
+    and one (n-1)-cycle.  A sharply 2-transitive group of degree n is
+    x -> a*x + t over a near-field (Zassenhaus, 1936), and its stabilizer,
+    of order n-1, is cyclic just when the near-field is a field."""
+    if (lengths := [len(c) for c in generator.cycles()]) != [1, n - 1]:
+        raise AssertionError(f"the stabilizer of face 0 is not shown cyclic: its generator "
+                             f"has cycle lengths {lengths}, not [1, {n - 1}]")
+
+
 def helical_link(spec: FieldSpec) -> LinkBlueprint:
     """One closed curve per face of the order-n regular map, each a
     (n-1, 1) torus knot swept out by n-1 helical arcs around the face
@@ -402,34 +412,32 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
     Because every pair of faces shares an edge and each strand runs at a
     radius between the face polygon's inradius and circumradius, so
     reaches onto the neighboring faces, every pair of components links.
-    The symmetry is read off the map (a failed check is an AssertionError):
-    automorphisms sending dart 0 to alpha(0) and phi(0) make it regular on
-    the n(n-1) darts, and face 0's darts reaching the n-1 other faces make
-    each dart one ordered pair of faces, so it is sharply 2-transitive."""
+    The symmetry, q and the genus come from map_facts (a failed check is an
+    AssertionError): its walks make the map regular on the n(n-1) darts,
+    face 0 crossing to the n-1 others makes each dart an ordered pair of
+    faces, so the group is sharply 2-transitive, and the walk to phi(0),
+    x -> omega*x on the faces, shows it is AGL(1, n)."""
     n, surface = spec.n, biggs_map(spec)
-    faces, face, alpha, phi = (surface.faces, surface.face_index,
-                               surface.alpha.images, surface.phi.images)
-    darts, generators = len(face), []
-    for target in (alpha[0], phi[0]):
-        f, defect = lockstep_walk(surface, target)
-        if defect is not None:
-            raise AssertionError(f"no automorphism of the order-{n} map sends dart 0 "
-                                 f"to dart {target}: {defect}")
-        generators.append(Permutation(_compose(face, _compose(f, [c[0] for c in faces]))))
+    try:
+        facts = map_facts(surface)
+    except NoAutomorphism as refusal:
+        raise AssertionError(f"no automorphism of the order-{n} map sends dart 0 "
+                             f"to dart {refusal.target}: {refusal.defect}") from None
+    faces, face, alpha = surface.faces, surface.face_index, surface.alpha.images
+    generators = [Permutation(_compose(face, _compose(f, [c[0] for c in faces])))
+                  for f in facts["walks"]]
     others = len(set(_compose(face, _compose(alpha, faces[0]))) - {0})
     if not len(faces) == len(faces[0]) + 1 == others + 1 == n:
         raise AssertionError(f"face adjacency of the order-{n} map is not complete: face 0 of "
                              f"{len(faces)} has {len(faces[0])} darts, crossing to {others} others")
-    vertex_degree, d = 1, phi[alpha[0]]
-    while d:  # dart 0's vertex, under d -> phi(alpha(d)); regularity makes all alike
-        vertex_degree, d = vertex_degree + 1, phi[alpha[d]]
+    _check_cyclic_stabilizer(generators[1], n)
     return LinkBlueprint(
         family="helical",
         ambient="SxS1",
         components=tuple(f"face_{spec.label(i)}" for i in range(n)),
         linking_matrix=None,
         generators=tuple(generators),
-        symmetry_order=darts,
+        symmetry_order=len(surface.darts),
         transitivity_degree=2,
         hyperbolicity={
             "status": "asserted_by_paper",
@@ -438,8 +446,8 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
         params={
             "n": n,
             "face_polygon": n - 1,
-            "vertex_degree": vertex_degree,
-            "geometry": polygon_geometry(n - 1, vertex_degree),
-            "genus": (2 - darts // vertex_degree + darts // 2 - n) // 2,
+            "vertex_degree": facts["q"],
+            "geometry": polygon_geometry(n - 1, facts["q"]),
+            "genus": facts["genus"],
         },
     )

@@ -29,12 +29,12 @@ and genus genus_formula(n): 1 + n(n-7)/4 when n = 3 mod 4, else
 1 + n(n-5)/4.
 
 Each orbit of <alpha, phi> is one closed orientable surface, with
-V - E + F = 2 - 2g and g >= 0, so genus only walks the faces to see that
-there is one orbit.  An automorphism of a connected map is fixed by one
-dart's image (Biggs, JCT B 1971), which lockstep_walk finds.  The one
-graph export is the face-adjacency DOT that the map subcommand prints;
-it and face_adjacency_complete read one sorted list of face-pair codes,
-i*F + j for each edge between faces i <= j of the F faces.
+V - E + F = 2 - 2g and g >= 0.  An automorphism of a connected map is
+fixed by one dart's image (Biggs, JCT B 1971), which lockstep_walk finds.
+The two sending dart 0 to alpha(0) and to phi(0) make every dart an image
+of dart 0, so map_facts reads every vertex's degree q off dart 0's: V = D/q.
+The face-adjacency DOT that the map subcommand prints reads one sorted
+list of face-pair codes, i*F + j for each edge between faces i <= j.
 """
 
 from __future__ import annotations
@@ -70,33 +70,6 @@ class RotationMap:
     @cached_property
     def faces(self) -> list[tuple[int, ...]]:
         return self.phi.cycles()
-
-    @cached_property
-    def vertices(self) -> list[tuple[int, ...]]:
-        return (self.phi * self.alpha).cycles()
-
-    @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        return [(d, e) for d, e in enumerate(self.alpha.images) if d < e]
-
-    @property
-    def genus(self) -> int:
-        """The genus g of a connected map, from V - E + F = 2 - 2g."""
-        face, alpha, faces = self.face_index, self.alpha.images, self.faces
-        unseen, components = set(range(len(faces))), 0
-        while unseen:  # walk from face to face across alpha, until every face is seen
-            components += 1
-            stack = [unseen.pop()]
-            while stack and unseen:
-                f = stack.pop()
-                reached = unseen.intersection(_compose(face, _compose(alpha, faces[f])))
-                unseen -= reached
-                stack += reached
-        V, E, F = len(self.vertices), len(self.darts) // 2, len(faces)
-        if components != 1:
-            raise ValueError(f"map has {components} connected components "
-                             f"(V={V}, E={E}, F={F}, chi={V - E + F}); a genus needs exactly one")
-        return (2 - V + E - F) // 2
 
     @cached_property
     def face_index(self) -> tuple[int, ...]:
@@ -170,6 +143,34 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ..
     return f, None
 
 
+class NoAutomorphism(ValueError):
+    """No automorphism sends dart 0 to target; defect is lockstep_walk's."""
+
+    def __init__(self, target: int, defect: str):
+        super().__init__(f"no automorphism of the map sends dart 0 to dart {target}: {defect}")
+        self.target, self.defect = target, defect
+
+
+def map_facts(rotation_map: RotationMap) -> dict:
+    """The automorphisms with f(0) = alpha(0) and f(0) = phi(0) as "walks",
+    and the regular map's vertex degree q, V, E, F and genus.  A map that is
+    empty, disconnected or, by NoAutomorphism, not regular is refused."""
+    darts, alpha, phi = len(rotation_map.darts), rotation_map.alpha.images, rotation_map.phi.images
+    if not darts:
+        raise ValueError("the empty map has no dart 0 to walk from")
+    walks = []
+    for target in (alpha[0], phi[0]):
+        f, defect = lockstep_walk(rotation_map, target)
+        if defect is not None:
+            raise NoAutomorphism(target, defect)
+        walks.append(f)
+    q, d = 1, phi[alpha[0]]
+    while d:  # dart 0's vertex, under d -> phi(alpha(d))
+        q, d = q + 1, phi[alpha[d]]
+    V, E, F = darts // q, darts // 2, len(rotation_map.faces)
+    return {"walks": walks, "q": q, "V": V, "E": E, "F": F, "genus": (2 - V + E - F) // 2}
+
+
 def genus_formula(n: int) -> int:
     """Closed-form genus of the order-n map.  Requires a prime power
     n > 3; the divisibility by 4 is asserted rather than assumed."""
@@ -185,24 +186,16 @@ def genus_formula(n: int) -> int:
 
 
 def map_summary(rotation_map: RotationMap) -> dict:
-    """The orbit counts and Euler-characteristic genus as the map
-    subcommand prints them, with the formula genus when the face count
-    is a prime power above 3 and the vertex degree when all agree."""
-    n = len(rotation_map.faces)
+    """The map_facts of a regular map as the map subcommand prints them,
+    with the closed-form genus as a second route when the face count is a
+    prime power above 3 (None otherwise)."""
+    facts = map_facts(rotation_map)
     try:
-        formula = genus_formula(n)
+        formula = genus_formula(facts["F"])
     except ValueError:
         formula = None
-    degrees = {len(v) for v in rotation_map.vertices}
-    return {
-        "n": n,
-        "V": len(rotation_map.vertices),
-        "E": len(rotation_map.darts) // 2,
-        "F": n,
-        "genus": rotation_map.genus,
-        "formula_genus": formula,
-        "vertex_degree": degrees.pop() if len(degrees) == 1 else None,
-    }
+    return {"n": facts["F"], **{key: facts[key] for key in ("V", "E", "F", "genus")},
+            "formula_genus": formula, "vertex_degree": facts["q"]}
 
 
 def _face_pair_codes(rotation_map: RotationMap) -> list[int]:
@@ -211,14 +204,6 @@ def _face_pair_codes(rotation_map: RotationMap) -> list[int]:
     low = [d for d, e in enumerate(alpha) if d < e]  # one dart of each edge
     pairs = zip(_compose(face, low), _compose(face, _compose(alpha, low)))
     return sorted([i * F + j if i <= j else j * F + i for i, j in pairs])
-
-
-def face_adjacency_complete(rotation_map: RotationMap) -> bool:
-    """Is the face-adjacency graph the complete graph, with exactly one
-    shared edge per pair of faces?  Edges from a face to itself are ignored."""
-    F = len(rotation_map.faces)
-    pairs = [c for c in _face_pair_codes(rotation_map) if c // F != c % F]
-    return pairs == [i * F + j for i in range(F) for j in range(i + 1, F)]
 
 
 def face_adjacency_dot(rotation_map: RotationMap) -> str:

@@ -14,8 +14,8 @@ import numpy as np
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip, gf_sub
 
-from cusplink.perm_action import Permutation, group_closure
-from cusplink.regular_map import RotationMap
+from cusplink.perm_action import Permutation, _compose, group_closure
+from cusplink.regular_map import RotationMap, _face_pair_codes
 
 
 def identity(degree: int):
@@ -150,6 +150,45 @@ def lockstep_dfs(rotation_map, target: int):
     return tuple(images[d] for d in range(alpha.degree))
 
 
+def vertices(rotation_map) -> list[tuple[int, ...]]:
+    """Every vertex, listed: the cycles of phi * alpha (d -> phi(alpha(d)))."""
+    return (rotation_map.phi * rotation_map.alpha).cycles()
+
+
+def edges(rotation_map) -> list[tuple[int, int]]:
+    """Every edge, listed: the dart pairs (d, alpha(d)) with d < alpha(d)."""
+    return [(d, e) for d, e in enumerate(rotation_map.alpha.images) if d < e]
+
+
+def genus(rotation_map) -> int:
+    """The genus g of a connected map by listing, from V - E + F = 2 - 2g,
+    once a walk from face to face across alpha has found one component."""
+    face, alpha, faces = rotation_map.face_index, rotation_map.alpha.images, rotation_map.faces
+    unseen, components = set(range(len(faces))), 0
+    while unseen:  # walk from face to face across alpha, until every face is seen
+        components += 1
+        stack = [unseen.pop()]
+        while stack and unseen:
+            f = stack.pop()
+            reached = unseen.intersection(_compose(face, _compose(alpha, faces[f])))
+            unseen -= reached
+            stack += reached
+    V, E, F = len(vertices(rotation_map)), len(rotation_map.darts) // 2, len(faces)
+    if components != 1:
+        raise ValueError(f"map has {components} connected components "
+                         f"(V={V}, E={E}, F={F}, chi={V - E + F}); a genus needs exactly one")
+    return (2 - V + E - F) // 2
+
+
+def face_adjacency_complete(rotation_map) -> bool:
+    """Is the face-adjacency graph the complete graph, with exactly one
+    shared edge per pair of faces?  Read off the face-pair codes of the
+    DOT; edges from a face to itself are ignored."""
+    F = len(rotation_map.faces)
+    pairs = [c for c in _face_pair_codes(rotation_map) if c // F != c % F]
+    return pairs == [i * F + j for i in range(F) for j in range(i + 1, F)]
+
+
 def square_torus(width: int, height: int):
     """The regular map {4,4} of width x height squares on the torus.
     Dart 4*(x*height + y) + k is side k of square (x, y), the sides
@@ -202,7 +241,7 @@ def face_pair_edge_counts(rotation_map) -> Counter:
     the edge list one tuple at a time."""
     face = rotation_map.face_index
     return Counter([(i, j) if (i := face[d]) <= (j := face[e]) else (j, i)
-                    for d, e in rotation_map.edges])
+                    for d, e in edges(rotation_map)])
 
 
 def face_adjacency_dot_by_counts(rotation_map) -> str:
@@ -263,6 +302,26 @@ def gf_multiplicative_order(spec, a: int) -> int:
     while power != 1:
         power, order = gf_multiply(spec, power, a), order + 1
     return order
+
+
+def near_field_stabilizer(spec) -> dict:
+    """For a field of order p^2, p odd: the point stabilizer of the sharply
+    2-transitive group of Dickson's near-field on the same elements, as
+    {a: x -> x o a}, with x o a = x*a for a square a and x^p * a otherwise
+    (Zassenhaus, 1936), in galoistools arithmetic."""
+    if spec.k != 2 or spec.p == 2:
+        raise ValueError(f"a Dickson near-field of order {spec.n} is not built here")
+    squares = {gf_multiply(spec, x, x) for x in range(1, spec.n)}
+
+    def power(x, e):
+        out = 1
+        for _ in range(e):
+            out = gf_multiply(spec, out, x)
+        return out
+
+    return {a: Permutation(tuple(gf_multiply(spec, x if a in squares else power(x, spec.p), a)
+                                 for x in range(spec.n)))
+            for a in range(1, spec.n)}
 
 
 def affine_images_by_elements(spec, s: int, t: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd, perm
 
 import pytest
@@ -11,6 +12,7 @@ from cusplink.link_families import (
     MAX_CHAIN_LOOPS,
     BraidWord,
     LinkBlueprint,
+    _check_cyclic_stabilizer,
     _closure_linking,
     braid_permutation,
     chain_link,
@@ -22,8 +24,18 @@ from cusplink.link_families import (
     polygon_geometry,
 )
 from cusplink.perm_action import MAX_GROUP_ORDER, Permutation, group_closure, transitivity_degree
-from cusplink.regular_map import biggs_map, face_adjacency_complete, genus_formula
-from reference_checks import from_cycles, identity, is_k_transitive_literal, square_torus
+from cusplink.regular_map import biggs_map, genus_formula
+from reference_checks import (
+    affine_permutation,
+    face_adjacency_complete,
+    from_cycles,
+    genus,
+    identity,
+    is_k_transitive_literal,
+    near_field_stabilizer,
+    square_torus,
+    vertices,
+)
 
 
 def all_blueprints():
@@ -466,10 +478,65 @@ def test_helical_map_facts_match_their_second_routes(n):
     blueprint, surface = helical_link(spec), biggs_map(spec)
     log = _tables(spec)[1]
     q = (n - 1) // gcd(log[spec.p - 1] + log[spec.primitive()], n - 1)
-    assert {len(v) for v in surface.vertices} == {blueprint.params["vertex_degree"]} == {q}
-    assert blueprint.params["genus"] == surface.genus == genus_formula(n)
+    assert {len(v) for v in vertices(surface)} == {blueprint.params["vertex_degree"]} == {q}
+    assert blueprint.params["genus"] == genus(surface) == genus_formula(n)
     assert blueprint.linking_complete and face_adjacency_complete(surface)
     assert (blueprint.symmetry_order, blueprint.transitivity_degree) == (n * (n - 1), 2)
+
+
+@pytest.mark.parametrize("n", [n for n in range(4, 65) if prime_power(n)])
+def test_helical_generators_are_affine_maps(n):
+    # dart 0 is (0, 1): the walk to alpha(0) = (1, 0) is x -> -x + 1 on the
+    # faces, and the walk to phi(0) = (0, omega) is x -> omega*x; -1 has
+    # index p - 1, and two affine maps giving n(n-1) elements are AGL(1, n)
+    spec = field_of_order(n)
+    assert helical_link(spec).generators == (affine_permutation(spec, spec.p - 1, 1),
+                                             affine_permutation(spec, spec.primitive(), 0))
+
+
+def test_a_near_field_stabilizer_is_refused_by_its_cycle_lengths():
+    # x -> x^3 * omega fixes 0 and sends 1 to omega, as x -> omega*x does,
+    # but moves the other 8 points in two 4-cycles; no element of the
+    # near-field's stabilizer (the quaternion group) is an 8-cycle
+    spec = field_of_order(9)
+    omega = spec.primitive()
+    stabilizer = near_field_stabilizer(spec)
+    assert stabilizer[omega](1) == omega
+    with pytest.raises(AssertionError, match=r"^the stabilizer of face 0 is not shown cyclic: "
+                                             r"its generator has cycle lengths \[1, 4, 4\], "
+                                             r"not \[1, 8\]$"):
+        _check_cyclic_stabilizer(stabilizer[omega], 9)
+
+
+def test_helical_link_checks_the_stabilizer_of_the_walk_to_phi_0(monkeypatch):
+    # no map that passes the walks and the completeness check fails this
+    # check (James and Jones: such a map is some M(omega)), so the call
+    # itself is what is tested here
+    calls = []
+    monkeypatch.setattr(link_families, "_check_cyclic_stabilizer",
+                        lambda generator, n: calls.append((generator, n)))
+    blueprint = helical_link(field_of_order(9))
+    assert calls == [(blueprint.generators[1], 9)]
+
+
+@pytest.mark.parametrize("n", [9, 25, 49])
+def test_no_element_of_a_near_field_stabilizer_passes(n):
+    # the check passes x -> omega*x and refuses every x -> x o a
+    spec = field_of_order(n)
+    _check_cyclic_stabilizer(affine_permutation(spec, spec.primitive(), 0), n)
+    for element in near_field_stabilizer(spec).values():
+        with pytest.raises(AssertionError, match=r"^the stabilizer of face 0 is not shown cyclic"):
+            _check_cyclic_stabilizer(element, n)
+
+
+@pytest.mark.parametrize("generator, lengths", [
+    (Permutation((1, 2, 3, 0)), "[4]"),  # face 0 moved
+    (Permutation((0, 2, 1, 3)), "[1, 2, 1]"),
+    (Permutation((0, 1, 2, 3, 4)), "[1, 1, 1, 1, 1]"),  # a degree other than n
+], ids=["moves-0", "two-cycles", "wrong-degree"])
+def test_each_refused_stabilizer_generator_is_named(generator, lengths):
+    with pytest.raises(AssertionError, match=rf"cycle lengths {re.escape(lengths)}, not \[1, 3\]$"):
+        _check_cyclic_stabilizer(generator, 4)
 
 
 def test_helical_link_past_the_group_order_cap():

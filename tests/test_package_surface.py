@@ -13,7 +13,8 @@ MODULES = ["cusplink", "cusplink.perm_action", "cusplink.regular_map", "cusplink
 MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits",
          "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios",
          "affine_map_automorphism", "induced_face_permutation",
-         "affine_permutation", "from_cycles", "identity"]
+         "affine_permutation", "from_cycles", "identity",
+         "vertices", "edges", "genus", "face_adjacency_complete"]
 # Second routes that dilatation never ran, the test-only dilatation(),
 # and the wrappers of the one substitution, gone without a same-named
 # reference: the substitution and its arc counts are module constants.
@@ -107,6 +108,13 @@ def test_second_routes_are_gone():
     with pytest.raises(TypeError):
         cusplink.Permutation((0, 2, 1)).cycles(include_fixed=False)
     assert cusplink.Permutation((0, 2, 1)).cycles() == [(0,), (1, 2)]
+
+
+def test_the_listed_map_facts_are_gone():
+    # map_facts reads q, V, E, F and the genus off the two regularity
+    # walks; the vertex and edge lists and the component walk are references
+    for name in ["vertices", "edges", "genus"]:
+        assert not hasattr(cusplink.RotationMap, name), name
 
 
 # Each value type, built twice from scratch, with its repr and one field;

@@ -13,12 +13,13 @@ from cusplink.cli import main
 from cusplink.finite_field import _tables, field_of_order, make_field
 from cusplink.perm_action import Permutation, _invert
 from cusplink.regular_map import (
+    NoAutomorphism,
     RotationMap,
     biggs_map,
-    face_adjacency_complete,
     face_adjacency_dot,
     genus_formula,
     lockstep_walk,
+    map_facts,
     map_summary,
 )
 from reference_checks import (
@@ -26,10 +27,13 @@ from reference_checks import (
     affine_permutation,
     dart_automorphism_is_valid,
     dart_pairs,
+    edges,
+    face_adjacency_complete,
     face_adjacency_complete_by_counts,
     face_adjacency_dot_by_counts,
     face_pair_edge_counts,
     from_cycles,
+    genus,
     gf_multiplicative_order,
     gf_multiply,
     identity,
@@ -39,6 +43,7 @@ from reference_checks import (
     per_dart_alpha,
     per_dart_phi,
     square_torus,
+    vertices,
 )
 
 PRIME_POWERS = [4, 5, 7, 8, 9, 11, 13]
@@ -81,7 +86,7 @@ def test_disconnected_map_names_its_counts():
                           Permutation((2, 3, 0, 1, 6, 7, 4, 5)))
     with pytest.raises(ValueError, match=r"^map has 2 connected components "
                                          r"\(V=4, E=4, F=4, chi=4\); a genus needs exactly one$"):
-        bubbles.genus  # noqa: B018
+        genus(bubbles)
 
 
 def two_copies(surface):
@@ -100,7 +105,7 @@ def test_genus_needs_exactly_one_component(surface, components, counts):
     # chi = 0 reads as genus 1, but neither is one torus
     with pytest.raises(ValueError, match=rf"^map has {components} connected components "
                                          rf"\({counts}\); a genus needs exactly one$"):
-        surface.genus  # noqa: B018
+        genus(surface)
 
 
 @st.composite
@@ -123,19 +128,19 @@ def test_each_connected_map_is_one_closed_orientable_surface(surface):
     # by a walk over the darts rather than over the faces
     components = len(orbits(SimpleNamespace(degree=len(surface.darts),
                                             generators=(surface.alpha, surface.phi))))
-    chi = len(surface.vertices) - len(surface.edges) + len(surface.faces)
+    chi = len(vertices(surface)) - len(edges(surface)) + len(surface.faces)
     if components == 1:
         assert chi % 2 == 0 and chi <= 2
-        assert surface.genus == 1 - chi // 2
+        assert genus(surface) == 1 - chi // 2
     else:
         with pytest.raises(ValueError, match=rf"^map has {components} connected components "):
-            surface.genus  # noqa: B018
+            genus(surface)
 
 
 def test_the_empty_map_has_no_dart_to_walk_from():
     # the bulk alpha check gathers nothing; there is no dart 0
     empty = RotationMap(Permutation(()), Permutation(()))
-    assert (empty.faces, empty.edges, empty.face_slot) == ([], [], ())
+    assert (empty.faces, edges(empty), empty.face_slot) == ([], [], ())
     with pytest.raises(ValueError, match=r"^target 0 is not one of the 0 darts$"):
         lockstep_walk(empty, 0)
     with pytest.raises(ValueError, match=r"^alpha fixes dart 0$"):
@@ -197,7 +202,7 @@ def test_square_torus_maps():
     # the 2 x 2 torus is regular but two squares meet along two edges; the
     # 2 x 3 one has no quarter turn, so no automorphism sends 0 to phi(0)
     square, oblong = square_torus(2, 2), square_torus(2, 3)
-    assert square.genus == oblong.genus == 1
+    assert genus(square) == genus(oblong) == 1
     assert not face_adjacency_complete(square) and not face_adjacency_complete(oblong)
     assert [lockstep_walk(square, t)[1] for t in (square.alpha(0), square.phi(0))] == [None, None]
     assert _walk_agrees_with_the_reference(oblong, oblong.alpha(0))
@@ -243,8 +248,8 @@ def test_genus_walks_a_ring_of_faces():
     alpha = Permutation(tuple(d ^ 1 for d in range(2 * k)))
     phi = from_cycles(2 * k, [(2 * j, 2 * ((j + 1) % k) + 1) for j in range(k)])
     ring = RotationMap(alpha, phi)
-    assert (len(ring.vertices), len(ring.edges), len(ring.faces)) == (2, k, k)
-    assert ring.genus == 0
+    assert (len(vertices(ring)), len(edges(ring)), len(ring.faces)) == (2, k, k)
+    assert genus(ring) == 0
 
 
 def test_genus_formula_values():
@@ -290,14 +295,14 @@ def test_biggs_map_counts(n, V, E, g):
 @pytest.mark.parametrize("n", PRIME_POWERS + [16, 25, 27])
 def test_genus_matches_formula(n):
     surface = biggs_map(field_of_order(n))
-    assert surface.genus == genus_formula(n)
+    assert genus(surface) == genus_formula(n)
 
 
 @pytest.mark.parametrize("p, k", [(2, 7), (3, 5), (2, 8)])
 def test_genus_matches_formula_above_the_cap(p, k):
     # the library builds fields over the CLI's cap when asked to
     spec = make_field(p, k, max_order=p ** k)
-    assert biggs_map(spec).genus == genus_formula(spec.n)
+    assert genus(biggs_map(spec)) == genus_formula(spec.n)
     assert gf_multiplicative_order(spec, spec.primitive()) == spec.n - 1
 
 
@@ -306,7 +311,7 @@ def test_structural_invariants(n):
     surface = biggs_map(field_of_order(n))
     assert len(surface.faces) == n
     assert all(len(face) == n - 1 for face in surface.faces)
-    assert len(surface.edges) == n * (n - 1) // 2
+    assert len(edges(surface)) == n * (n - 1) // 2
     for d in surface.darts:
         assert surface.alpha(d) != d
         assert surface.alpha(surface.alpha(d)) == d
@@ -322,14 +327,14 @@ def test_vertex_count_rule(n):
     # 2n vertices when n = 3 mod 4, n otherwise
     surface = biggs_map(field_of_order(n))
     expected = 2 * n if n % 4 == 3 else n
-    assert len(surface.vertices) == expected
+    assert len(vertices(surface)) == expected
 
 
 @pytest.mark.parametrize("n", PRIME_POWERS)
 def test_vertex_cycles_share_the_order_of_minus_omega(n):
     spec = field_of_order(n)
     surface = biggs_map(spec)
-    lengths = {len(v) for v in surface.vertices}
+    lengths = {len(v) for v in vertices(surface)}
     assert len(lengths) == 1
     minus_omega = gf_multiply(spec, spec.p - 1, spec.primitive())
     expected = gf_multiplicative_order(spec, minus_omega)
@@ -345,11 +350,11 @@ def test_genus_from_the_order_of_minus_omega_in_the_log_table(spec):
     log = _tables(spec)[1]
     q = (n - 1) // gcd(log[spec.p - 1] + log[spec.primitive()], n - 1)
     surface = biggs_map(spec)
-    assert {len(v) for v in surface.vertices} == {q}
+    assert {len(v) for v in vertices(surface)} == {q}
     darts = n * (n - 1)
     chi = darts // q - darts // 2 + n
     assert darts % q == 0 and chi % 2 == 0
-    assert 1 - chi // 2 == surface.genus == genus_formula(n)
+    assert 1 - chi // 2 == genus(surface) == genus_formula(n)
 
 
 def test_biggs_map_rejects_tiny_orders():
@@ -455,7 +460,7 @@ def test_incomplete_fixture():
     bubble = two_face_sphere()
     assert len(bubble.faces) == 2
     assert not face_adjacency_complete(bubble)
-    assert bubble.genus == 0
+    assert genus(bubble) == 0
 
 
 def test_map_summary_json(capsys):
@@ -477,6 +482,79 @@ def test_summary_of_nonfamily_map_has_no_formula():
     assert summary["genus"] == 0
 
 
+def _listed_facts(surface):
+    """q, V, E, F and the genus by listing every vertex, edge and face."""
+    listed = vertices(surface)
+    degrees = {len(v) for v in listed}
+    return {"q": degrees.pop() if len(degrees) == 1 else None, "V": len(listed),
+            "E": len(edges(surface)), "F": len(surface.faces), "genus": genus(surface)}
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda spec=spec: biggs_map(spec), id=f"n={spec.n}")
+      for spec in ORDERS_TO_64_AND_OVER_THE_CAP),
+    pytest.param(lambda: relabelled(biggs_map(field_of_order(9)), 9), id="relabelled n=9"),
+    pytest.param(lambda: square_torus(2, 2), id="square_torus(2, 2)"),
+    pytest.param(lambda: square_torus(1, 1), id="square_torus(1, 1)"),
+    pytest.param(two_face_sphere, id="two_face_sphere"),
+])
+def test_map_facts_equal_the_listing_reference(build):
+    # V = D/q from dart 0's vertex alone, against every vertex listed: each
+    # has length q, and the Euler genus by listing is the walks' genus; on
+    # every order-n map, and on regular maps whose faces are not in dart
+    # order or not the field's
+    surface = build()
+    facts = map_facts(surface)
+    assert {key: facts[key] for key in ("q", "V", "E", "F", "genus")} == _listed_facts(surface)
+    assert all(len(v) == facts["q"] for v in vertices(surface))
+    assert facts["walks"] == [lockstep_dfs(surface, t) for t in (surface.alpha(0), surface.phi(0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_systems())
+def test_map_facts_agree_with_the_listing_reference(surface):
+    # a map the two walks accept is regular, so its listed facts are the
+    # walks' facts; a refused one names the walk's defect, a disconnected
+    # map or the empty map
+    try:
+        facts = map_facts(surface)
+    except NoAutomorphism as refusal:
+        assert re.fullmatch(r"no automorphism of the map sends dart 0 to dart \d+: "
+                            r"f\((alpha|phi)\(\d+\)\) = \d+ but \1\(f\(\d+\)\) = \d+",
+                            str(refusal))
+        assert refusal.target in (surface.alpha(0), surface.phi(0))
+        return
+    except ValueError as refusal:
+        components = len(orbits(SimpleNamespace(degree=len(surface.darts),
+                                                generators=(surface.alpha, surface.phi))))
+        if components == 0:
+            assert str(refusal) == "the empty map has no dart 0 to walk from"
+        else:
+            assert components > 1 and re.fullmatch(
+                r"the walk from dart 0 misses \d+ faces: a disconnected map", str(refusal))
+        return
+    assert {key: facts[key] for key in ("q", "V", "E", "F", "genus")} == _listed_facts(surface)
+
+
+def test_map_facts_refuse_the_empty_map():
+    # there is no dart 0 to walk from, so no alpha(0) or phi(0) to walk to
+    empty = RotationMap(Permutation(()), Permutation(()))
+    for facts in (map_facts, map_summary):
+        with pytest.raises(ValueError, match=r"^the empty map has no dart 0 to walk from$"):
+            facts(empty)
+
+
+def test_map_summary_refuses_a_map_that_is_not_regular():
+    # the 2 x 3 torus has genus 1 by listing, but no automorphism sends
+    # dart 0 to phi(0) = 1, so there is no q for every vertex to share
+    oblong = square_torus(2, 3)
+    assert genus(oblong) == 1
+    with pytest.raises(NoAutomorphism, match=r"^no automorphism of the map sends dart 0 to "
+                                             r"dart 1: f\(alpha\(\d+\)\) = \d+ but "
+                                             r"alpha\(f\(\d+\)\) = \d+$"):
+        map_summary(oblong)
+
+
 def test_dot_exports():
     surface = biggs_map(field_of_order(5))
     adjacency = face_adjacency_dot(surface)
@@ -491,7 +569,7 @@ def test_face_adjacency_dot_is_the_complete_graph(n):
     expected = "graph faces {\n" + "".join(
         f"  f{i} -- f{j};\n" for i in range(n) for j in range(i + 1, n)) + "}\n"
     assert face_adjacency_dot(surface) == expected
-    assert len(surface.vertices) == (2 * n if n % 4 == 3 else n)
+    assert len(vertices(surface)) == (2 * n if n % 4 == 3 else n)
 
 
 @pytest.mark.parametrize("build", [

@@ -17,6 +17,7 @@ from cusplink.link_families import (
     icosahedral_link,
 )
 from cusplink.perm_action import Permutation, affine_group, group_closure, transitivity_degree
+from reference_checks import affine_images_by_elements, near_field_stabilizer
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 polyhedron = pytest.importorskip("sympy.combinatorics.polyhedron")
@@ -52,6 +53,28 @@ def test_helical_facts_match_the_chain_and_sympy(n):
             == (walked.order, transitivity_degree(walked))
             == (oracle.order(), oracle.transitivity_degree)
             == (n * (n - 1), 2))
+
+
+@pytest.mark.parametrize("n", [n for n in range(4, 65) if prime_power(n) is not None])
+def test_the_helical_stabilizer_of_face_0_is_cyclic(n):
+    # the stabilizer of a point in a sharply 2-transitive group is the
+    # near-field's multiplicative group, cyclic of order n-1 exactly over a
+    # field: then the group of the two walk automorphisms is AGL(1, n)
+    stabilizer = sympy_group(helical_link(field_of_order(n)).generators).stabilizer(0)
+    assert stabilizer.is_cyclic and stabilizer.order() == n - 1
+
+
+@pytest.mark.parametrize("n", [9, 25, 49])
+def test_the_near_field_control_is_a_sharply_two_transitive_group(n):
+    # the negative control of the stabilizer check: with the translation
+    # x -> x + 1 its elements give order n(n-1) and degree 2, as AGL(1, n)
+    # does, but a stabilizer of order n-1 that is not cyclic
+    spec = field_of_order(n)
+    translation = Permutation(affine_images_by_elements(spec, 1, 1))
+    group = sympy_group([translation, *near_field_stabilizer(spec).values()])
+    stabilizer = group.stabilizer(0)
+    assert (group.order(), group.transitivity_degree) == (n * (n - 1), 2)
+    assert stabilizer.order() == n - 1 and not stabilizer.is_cyclic and not stabilizer.is_abelian
 
 
 @pytest.mark.parametrize("blueprint", [
