@@ -6,46 +6,40 @@ modulo a fixed monic irreducible polynomial is its base-p value
 c0 + c1*p + ..., so prime fields read 0, 1, ..., p-1 and GF(4) reads
 0, 1, x, x+1.  FieldSpec.label(i) gives the text "c0,c1,..." of index i.
 
-Everything here targets tiny fields (order <= 64 by default), so
-irreducibility is decided by trial division; at this scale that is both
-fast enough and easy to audit.  Polynomial arithmetic on coefficient
-vectors only finds the modulus and fills, once per field, the exp, log
-and Zech tables of the least primitive element g (Lidl-Niederreiter,
-Finite Fields; Huber, IEEE TIT 1990).
-
-The one bulk operation, FieldSpec.affine_images, gives the index of
-s*x + t for every x at once, in any field, by gathers from the tables
-rotated: s*x = g^(log s + log x), and s*x + t = t*(1 + s*x/t), where
-Zech's logarithm gives log(1 + g^m)."""
+Everything here targets tiny fields (order <= 64 by default), so orders
+are factored (up to MAX_TRIAL_DIVISION) and irreducibility is decided by
+trial division; at this scale that is fast enough and easy to audit.
+Polynomial arithmetic on coefficient vectors only finds the modulus and
+fills, once per field, the exp, log and Zech tables of the least primitive
+element g (Lidl-Niederreiter, Finite Fields; Huber, IEEE TIT 1990)."""
 
 from __future__ import annotations
 
 import functools
 
 from ._value import Value, int_tuple
-from .perm_action import _compose
 
 DEFAULT_MAX_ORDER = 64
+# prime_power's bound: it tries each divisor d <= sqrt(n), at most 10**6
+MAX_TRIAL_DIVISION = 10 ** 12
 
 _setattr = object.__setattr__
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Whether n is prime: prime_power(n) is (n, 1)."""
+    return prime_power(n) == (n, 1)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Decompose n as (p, k) with p prime and n = p**k, else None."""
+    """Decompose n as (p, k) with p prime and n = p**k, else None, by trial
+    division; an n over MAX_TRIAL_DIVISION is refused."""
     if n < 2:
         return None
+    if n > MAX_TRIAL_DIVISION:
+        shown = n if n.bit_length() <= 128 else f"a {n.bit_length()}-bit integer"
+        raise ValueError(f"{shown} exceeds MAX_TRIAL_DIVISION = {MAX_TRIAL_DIVISION}, "
+                         "the largest n factored by trial division")
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -153,32 +147,14 @@ class FieldSpec(Value):
     def n(self) -> int:
         return self.p ** self.k
 
-    def _index(self, value: int) -> int:
-        """value, checked to be an element index of this field."""
-        if type(value) is not int:  # a bool or a coefficient list included
-            raise TypeError(f"element index {value!r} is not an int")
-        if not 0 <= value < self.n:
-            raise ValueError(f"index {value} out of range for order {self.n}")
-        return value
-
     def label(self, i: int) -> str:
-        """The coefficients c0,c1,... of element i, comma-separated."""
-        return ",".join(map(str, _coefficients(self)[self._index(i)]))
-
-    def affine_images(self, s: int, t: int) -> tuple[int, ...]:
-        """The index of s*x + t for each x in canonical order; s must be
-        nonzero."""
-        s, t = self._index(s), self._index(t)
-        if s == 0:
-            raise ValueError("scale factor s must be nonzero")
-        exp, log, zech = _tables(self)
-        logs = log[1:]  # the log of each nonzero x, in index order
-        if t == 0:
-            return (0,) + _compose(exp[log[s]:] + exp[:log[s]], logs)
-        # g^(log t + Z(log s + log x - log t)), Z = n - 1 reading the 0 appended to exp
-        r, base = (log[s] - log[t]) % (self.n - 1), log[t]
-        return (t,) + _compose(exp[base:] + exp[:base] + (0,),
-                               _compose(zech[r:] + zech[:r], logs))
+        """The coefficients c0,c1,... of element i, comma-separated; i must
+        be an element index of this field."""
+        if type(i) is not int:  # a bool or a coefficient list included
+            raise TypeError(f"element index {i!r} is not an int")
+        if not 0 <= i < self.n:
+            raise ValueError(f"index {i} out of range for order {self.n}")
+        return ",".join(map(str, _coefficients(self)[i]))
 
     def primitive(self) -> int:
         """Index of the least element (canonical order) generating the

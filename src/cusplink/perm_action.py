@@ -2,7 +2,7 @@
 
 Points are bare indices 0..d-1; callers bind them to whatever is being
 permuted (field labels, link components, map faces).  Composition is
-function-style: (p * q)(x) = p(q(x)), the right factor acts first.
+function-style: _compose(p, q)[x] = p[q[x]], the right factor acts first.
 
 A PermGroup is its stabilizer chain along the fixed base 0, 1, 2, ...,
 built when the group is, by the deterministic Schreier-Sims algorithm
@@ -33,6 +33,7 @@ from math import prod
 from operator import itemgetter
 
 from ._value import Value, int_tuple
+from .finite_field import _tables
 
 # A library caller's bound on group_closure; the largest group a command
 # builds is a chain's cyclic group, of order at most MAX_CHAIN_LOOPS = 256.
@@ -40,7 +41,7 @@ MAX_GROUP_ORDER = 10 ** 6
 
 
 def _compose(p, q) -> tuple[int, ...]:
-    """p * q on raw image tuples, unchecked: x goes to p[q[x]], for any table
+    """p after q on raw image tuples, unchecked: x goes to p[q[x]], for any table
     p.  itemgetter gives a bare entry for one index and cannot take none."""
     return itemgetter(*q)(p) if len(q) > 1 else tuple([p[x] for x in q])
 
@@ -87,11 +88,6 @@ class Permutation(Value):
 
     def __call__(self, point: int) -> int:
         return self.images[point]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch in composition: {self.degree} and {other.degree}")
-        return Permutation._unchecked(_compose(self.images, other.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, fixed points included, each from its least point, sorted."""
@@ -249,9 +245,12 @@ def transitivity_degree(group: PermGroup) -> int:
 
 def affine_group(spec) -> PermGroup:
     """The full affine group AGL(1, n) of the field as a permutation
-    group on the n field labels, generated by x -> x + 1 and x -> w*x for
-    a generator w of the multiplicative group: conjugating x + 1 by the
-    powers of the scaling gives every translation x + w^i.  Its order is
-    n*(n-1) and the action is sharply 2-transitive."""
-    return group_closure([Permutation(spec.affine_images(1, 1)),
-                          Permutation(spec.affine_images(spec.primitive(), 0))])
+    group on the n field labels, generated by x -> x + 1 and x -> g*x for
+    the least generator g of the multiplicative group: conjugating x + 1 by
+    the powers of the scaling gives every translation x + g^i.  Its order
+    is n*(n-1) and the action is sharply 2-transitive."""
+    exp, log, zech = _tables(spec)
+    logs = log[1:]  # the log m of each nonzero x = g^m, in index order
+    # g^m + 1 = g^zech[m], or 0 where zech[m] = n - 1; and g*g^m = g^(m + 1)
+    return group_closure([Permutation((1,) + _compose(exp + (0,), _compose(zech, logs))),
+                          Permutation((0,) + _compose(exp[1:] + exp[:1], logs))])

@@ -30,7 +30,8 @@ and genus genus_formula(n): 1 + n(n-7)/4 when n = 3 mod 4, else
 
 Each orbit of <alpha, phi> is one closed orientable surface, with
 V - E + F = 2 - 2g and g >= 0.  An automorphism of a connected map is
-fixed by one dart's image (Biggs, JCT B 1971), which lockstep_walk finds.
+fixed by one dart's image (Biggs, JCT B 1971), which lockstep_walk finds
+by turning faces onto faces, so that f*alpha = alpha*f is its one check.
 The two sending dart 0 to alpha(0) and to phi(0) make every dart an image
 of dart 0, so map_facts reads every vertex's degree q off dart 0's: V = D/q.
 The face-adjacency DOT that the map subcommand prints reads one sorted
@@ -40,7 +41,7 @@ list of face-pair codes, i*F + j for each edge between faces i <= j.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, repeat
 from operator import add, ne
 
 from ._value import int_tuple
@@ -106,27 +107,25 @@ def biggs_map(spec: FieldSpec) -> RotationMap:
     return surface
 
 
-def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ...], str | None]:
-    """The dart map f forced by f(0) = target, and where f*alpha and alpha*f,
-    or else f*phi and phi*f, first differ (None when f is an automorphism).
-    Each face entered across alpha maps by one rotation onto the face of its
-    entry dart's image (cut or repeated to fit); phi is checked only when a
-    row was cut or repeated, since a whole turn of a phi-cycle commutes with
-    phi.  A disconnected map is refused."""
+def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple | None, str | None]:
+    """The dart map f forced by f(0) = target, and where f*alpha and alpha*f
+    first differ (None when f is an automorphism).  Each face entered across
+    alpha turns onto the face of its entry dart's image, so f commutes with
+    phi; entering a face of another length gives (None, defect) at once, as
+    no automorphism maps a face onto one.  A disconnected map is refused."""
     faces, face, slot = rotation_map.faces, rotation_map.face_index, rotation_map.face_slot
     if not 0 <= target < len(face):
         raise ValueError(f"target {target} is not one of the {len(face)} darts")
-    alpha, phi = rotation_map.alpha.images, rotation_map.phi.images
+    alpha = rotation_map.alpha.images
     rows = list(faces)  # f on each face, in its cycle order; unreached faces stay fixed
     unseen, frontier = set(range(len(faces))) - {face[0]}, [(0, target)]
-    checks = [("alpha", alpha)]
     for s, e in frontier:  # an entry dart of a face not yet entered, and its image
         source, image = faces[face[s]], faces[face[e]]
+        if len(source) != len(image):
+            return None, (f"dart {s} is on a face of length {len(source)} "
+                          f"but f({s}) = {e} is on one of length {len(image)}")
         r = (slot[e] - slot[image[0]] - slot[s] + slot[source[0]]) % len(image)
         row = rows[face[s]] = image[r:] + image[:r]
-        if len(row) != len(source):
-            checks = [("alpha", alpha), ("phi", phi)]
-            row = rows[face[s]] = tuple(islice(cycle(row), len(source)))
         if unseen:  # the faces across alpha from this one, each with one entry dart
             crossed = _compose(alpha, source)
             entries = dict(zip(_compose(face, crossed), zip(crossed, _compose(alpha, row))))
@@ -134,10 +133,9 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple[int, ..
             unseen.difference_update(entries)
     f = tuple(chain.from_iterable(rows))  # f in face order: dart order if face_slot is darts
     f = f if slot == rotation_map.darts else _compose(f, slot)  # a tuple never equals a range
-    for name, g in checks:
-        if (left := _compose(f, g)) != (right := _compose(g, f)):
-            d = next(d for d, (x, y) in enumerate(zip(left, right)) if x != y)
-            return f, f"f({name}({d})) = {left[d]} but {name}(f({d})) = {right[d]}"
+    if (left := _compose(f, alpha)) != (right := _compose(alpha, f)):
+        d = next(d for d, (x, y) in enumerate(zip(left, right)) if x != y)
+        return f, f"f(alpha({d})) = {left[d]} but alpha(f({d})) = {right[d]}"
     if unseen:
         raise ValueError(f"the walk from dart 0 misses {len(unseen)} faces: a disconnected map")
     return f, None

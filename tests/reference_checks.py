@@ -14,12 +14,21 @@ import numpy as np
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_strip, gf_sub
 
+from cusplink.finite_field import _tables
 from cusplink.perm_action import Permutation, _compose, group_closure
 from cusplink.regular_map import RotationMap, _face_pair_codes
 
 
 def identity(degree: int):
     return Permutation(tuple(range(degree)))
+
+
+def compose(p, q):
+    """The product p * q, function-style: (p * q)(x) = p(q(x)), so the
+    right factor acts first."""
+    if p.degree != q.degree:
+        raise ValueError(f"degree mismatch in composition: {p.degree} and {q.degree}")
+    return Permutation._unchecked(_compose(p.images, q.images))
 
 
 def from_cycles(degree: int, cycles):
@@ -39,10 +48,26 @@ def from_cycles(degree: int, cycles):
     return Permutation(tuple(images))
 
 
+def affine_images(spec, s: int, t: int) -> tuple[int, ...]:
+    """The index of s*x + t for each x in canonical order, for a nonzero s,
+    by gathers from the field's tables rotated: s*x = g^(log s + log x),
+    and s*x + t = t*(1 + s*x/t), where Zech's logarithm gives log(1 + g^m)."""
+    spec.label(s), spec.label(t)  # each must be an element index, as label checks
+    if s == 0:
+        raise ValueError("scale factor s must be nonzero")
+    exp, log, zech = _tables(spec)
+    logs = log[1:]  # the log of each nonzero x, in index order
+    if t == 0:
+        return (0,) + _compose(exp[log[s]:] + exp[:log[s]], logs)
+    # g^(log t + Z(log s + log x - log t)), Z = n - 1 reading the 0 appended to exp
+    r, base = (log[s] - log[t]) % (spec.n - 1), log[t]
+    return (t,) + _compose(exp[base:] + exp[:base] + (0,), _compose(zech[r:] + zech[:r], logs))
+
+
 def affine_permutation(spec, s, t):
     """The map x -> s*x + t as a permutation of the canonical element
     order of the field; s must be nonzero."""
-    return Permutation(spec.affine_images(s, t))
+    return Permutation(affine_images(spec, s, t))
 
 
 def inverse(perm):
@@ -67,7 +92,7 @@ def elements(group) -> frozenset:
         new = []
         for g in group.generators:
             for h in frontier:
-                product = g * h
+                product = compose(g, h)
                 if product not in seen:
                     seen.add(product)
                     new.append(product)
@@ -125,7 +150,7 @@ def orbit_sizes_divide_order(group) -> bool:
 def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     """The dart permutation commutes with alpha and with phi."""
     alpha, phi = rotation_map.alpha, rotation_map.phi
-    return dart_map * alpha == alpha * dart_map and dart_map * phi == phi * dart_map
+    return all(compose(dart_map, g) == compose(g, dart_map) for g in (alpha, phi))
 
 
 def lockstep_dfs(rotation_map, target: int):
@@ -152,7 +177,7 @@ def lockstep_dfs(rotation_map, target: int):
 
 def vertices(rotation_map) -> list[tuple[int, ...]]:
     """Every vertex, listed: the cycles of phi * alpha (d -> phi(alpha(d)))."""
-    return (rotation_map.phi * rotation_map.alpha).cycles()
+    return compose(rotation_map.phi, rotation_map.alpha).cycles()
 
 
 def edges(rotation_map) -> list[tuple[int, int]]:

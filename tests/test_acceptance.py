@@ -32,6 +32,7 @@ from cusplink.train_track import SUBSTITUTION, is_primitive, perron_eigen
 from reference_checks import (
     affine_map_automorphism,
     affine_permutation,
+    compose,
     dart_automorphism_is_valid,
     elements as reference_elements,
     face_pair_edge_counts,
@@ -191,7 +192,7 @@ def test_criterion_7_property_suites():
                          "inverse escaped the closure")
             pool = sorted(elements, key=lambda p: p.images)
             for _ in range(10):
-                record.check(rng.choice(pool) * rng.choice(pool) in elements,
+                record.check(compose(rng.choice(pool), rng.choice(pool)) in elements,
                              "product escaped the closure")
             record.check(math.factorial(degree) % group.order == 0,
                          "order does not divide degree!")

@@ -1,8 +1,11 @@
+import argparse
 import json
 import math
+from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cusplink import cli, regular_map
 from cusplink.cli import main
@@ -502,3 +505,78 @@ def test_a_wrong_zech_entry_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(regular_map, "_tables", lambda spec: (exp, log, (0,) + zech[1:]))
     code, out, err = run(capsys, "map", "--n", "9")
     assert (code, out, err) == (2, "", "error: alpha(alpha(8)) = 0, not 8\n")
+
+
+# Each request of the CLI property test answers or is refused within this
+# many seconds; the slowest, census --n-min 4 --n-max 64, takes about 30 ms.
+REQUEST_BUDGET_S = 1.0
+
+_SUBCOMMANDS = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+# integers around every bound the parser's flags meet, as text: the prime
+# powers a map is built on, 0 and negatives, the field-order cap and
+# MAX_CHAIN_LOOPS = 256 each side, non-prime-powers, the int-conversion
+# limit of 4300 digits, and non-numbers
+_NUMBERS = st.one_of(
+    st.sampled_from([n for n in range(4, DEFAULT_MAX_ORDER + 1) if prime_power(n)]).map(str),
+    st.integers(-300, 300).map(str),
+    st.sampled_from([DEFAULT_MAX_ORDER - 1, DEFAULT_MAX_ORDER, DEFAULT_MAX_ORDER + 1, 255, 256, 257,
+                     6, 12, 60, 100, 10 ** 18 + 3, -(10 ** 18)]).map(str),
+    st.sampled_from(["1" * 4300, "1" * 4301, "-" + "9" * 4301, "x", "", "1e3", "5.0", "0x10"]))
+
+
+@st.composite
+def _argument_lists(draw, out_dir):
+    """A subcommand, its positional, and up to four flags with values, drawn
+    from the parser's own actions; now and then an unknown name, a flag of
+    another subcommand or a removed one, or a flag with no value."""
+    command = draw(st.sampled_from([*_SUBCOMMANDS, "moebius", None]))
+    if command not in _SUBCOMMANDS:
+        return [] if command is None else [command]
+    actions = [action for action in _SUBCOMMANDS[command]._actions if action.dest != "help"]
+    # every subcommand reads --out, which takes only a path under out_dir
+    other_flags = sorted({flag for sub in _SUBCOMMANDS.values() for action in sub._actions
+                          for flag in action.option_strings} - {"-h", "--help", "--out"}
+                         | {"--p", "--k", "--tol"})
+    outs = [str(out_dir / "out.txt"), str(out_dir / "missing" / "out.txt"), str(out_dir)]
+
+    def value(action):
+        if action.dest == "out":
+            return st.sampled_from(outs)
+        if action.choices:
+            return st.sampled_from([*action.choices, "moebius"])
+        return _NUMBERS
+
+    argv = [command]
+    for action in actions:
+        if not action.option_strings and draw(st.integers(0, 9)):  # a positional, mostly given
+            argv.append(draw(value(action)))
+    flagged = [action for action in actions if action.option_strings]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 9)):
+            action = draw(st.sampled_from(flagged))
+            argv += [action.option_strings[0], draw(value(action))]
+        else:
+            argv += [draw(st.sampled_from(other_flags)), draw(_NUMBERS)]
+    return argv[:-1] if draw(st.integers(0, 19)) == 0 else argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_argument_list_answers_or_is_refused_quickly(tmp_path, capsys, data):
+    # the CLI contract: exit 0, 1 or 2; on a nonzero exit nothing on stdout
+    # and stderr opening with "error: "; no traceback; within the budget
+    argv = data.draw(_argument_lists(tmp_path), label="argv")
+    start = perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse's refusals
+        code = exit_.code
+    elapsed = perf_counter() - start
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code:
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert elapsed <= REQUEST_BUDGET_S, f"{argv[:4]} took {elapsed:.3f} s"

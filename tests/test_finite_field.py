@@ -1,14 +1,17 @@
 import random
 import re
 from itertools import product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import factorint, isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
+    MAX_TRIAL_DIVISION,
     FieldSpec,
     _tables,
     field_of_order,
@@ -16,7 +19,9 @@ from cusplink.finite_field import (
     make_field,
     prime_power,
 )
+from cusplink.regular_map import genus_formula
 from reference_checks import (
+    affine_images,
     affine_images_by_elements,
     affine_permutation,
     gf_multiplicative_order,
@@ -41,12 +46,69 @@ def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+# A large-n call answers or is refused within this many seconds.
+LARGE_N_BUDGET_S = 1.0
+
+
+def _sympy_prime_power(n):
+    """(p, k) when sympy factors n as p**k, p prime, else None."""
+    factors = factorint(n) if n >= 2 else {}
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+def test_prime_power_and_is_prime_match_sympy_up_to_20000():
+    for n in range(-5, 20001):
+        assert (prime_power(n), is_prime(n)) == (_sympy_prime_power(n), isprime(n)), n
+
+
+# The bound itself (2^12 * 5^12), the largest prime under it, prime powers
+# and a prime square just under it, and two primes near its square root.
+NEAR_THE_BOUND = [MAX_TRIAL_DIVISION, 999999999989, 2 ** 39, 3 ** 25, 7 ** 14, 999983 ** 2,
+                  999979 * 999983]
+
+
+@pytest.mark.parametrize("n", NEAR_THE_BOUND)
+def test_prime_power_answers_up_to_its_bound(n):
+    start = perf_counter()
+    assert (prime_power(n), is_prime(n)) == (_sympy_prime_power(n), isprime(n))
+    assert perf_counter() - start < LARGE_N_BUDGET_S
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, MAX_TRIAL_DIVISION), st.integers(2, 10 ** 6).filter(isprime),
+       st.integers(1, MAX_TRIAL_DIVISION.bit_length()))
+def test_prime_power_matches_sympy_under_its_bound(n, p, k):
+    # any n, and the largest power of a prime p up to k under the bound
+    while p ** k > MAX_TRIAL_DIVISION:
+        k -= 1
+    assert prime_power(n) == _sympy_prime_power(n)
+    assert prime_power(p ** k) == (p, k)
+
+
+@pytest.mark.parametrize("n, shown", [
+    (MAX_TRIAL_DIVISION + 1, "1000000000001"),
+    (2 ** 61 - 1, "2305843009213693951"),
+    ((2 ** 31 - 1) ** 2, "4611686014132420609"),
+    (10 ** 5000, "a 16610-bit integer"),
+], ids=["bound+1", "2^61-1", "(2^31-1)^2", "10^5000"])
+def test_trial_division_past_its_bound_is_refused(n, shown):
+    # genus_formula factors its n too; a 5001-digit n is shown by its size
+    message = (f"{shown} exceeds MAX_TRIAL_DIVISION = {MAX_TRIAL_DIVISION}, "
+               "the largest n factored by trial division")
+    for call in (prime_power, is_prime, genus_formula):
+        start = perf_counter()
+        with pytest.raises(ValueError) as refusal:
+            call(n)
+        assert perf_counter() - start < LARGE_N_BUDGET_S
+        assert str(refusal.value) == message, call.__name__
+
+
 def test_prime_field_modulus_is_x():
     # degree-1 modulus x reduces everything to plain mod-p arithmetic
     gf5 = make_field(5, 1)
     assert gf5.modulus == (0, 1)
-    assert gf5.affine_images(1, 4)[2] == 1  # 2 + 4
-    assert gf5.affine_images(2, 0)[3] == 1  # 2 * 3
+    assert affine_images(gf5, 1, 4)[2] == 1  # 2 + 4
+    assert affine_images(gf5, 2, 0)[3] == 1  # 2 * 3
 
 
 def _monic_quadratics_over_gf2():
@@ -137,7 +199,7 @@ def test_make_field_refuses_over_the_cap_before_factoring(monkeypatch, p, k, sho
 def test_gf4_multiplication():
     gf4 = make_field(2, 2)
     # x * x = x + 1, and x has index 2
-    assert gf4.affine_images(2, 0)[2] == 3
+    assert affine_images(gf4, 2, 0)[2] == 3
     assert gf4.label(3) == "1,1"
 
 
@@ -164,8 +226,8 @@ def test_enumeration_order():
 def _operation_rows(spec):
     """add[b][a] = a + b and mul[a][b] = a * b, read from affine rows."""
     n = spec.n
-    add = [spec.affine_images(1, b) for b in range(n)]
-    mul = [(0,) * n] + [spec.affine_images(a, 0) for a in range(1, n)]
+    add = [affine_images(spec, 1, b) for b in range(n)]
+    mul = [(0,) * n] + [affine_images(spec, a, 0) for a in range(1, n)]
     return add, mul
 
 
@@ -202,7 +264,7 @@ def test_inverses_and_primitive_order(n):
 
 def test_powers_of_primitive_cover_nonzero_elements():
     spec = make_field(3, 2)
-    row = spec.affine_images(spec.primitive(), 0)
+    row = affine_images(spec, spec.primitive(), 0)
     powers, x = set(), 1
     for _ in range(spec.n - 1):
         powers.add(x)
@@ -226,7 +288,7 @@ def test_element_refuses_non_int_coefficients(coeffs, shown):
     # coefficients are still read, in the modulus, each entry must be an
     # int (int() would truncate [1.5, 2.9] to 1,2 and read ["2", True] as 2,1).
     with pytest.raises(TypeError, match=rf"^element index {re.escape(repr(coeffs))} is not an int$"):
-        make_field(3, 2).affine_images(coeffs, 0)
+        affine_images(make_field(3, 2), coeffs, 0)
     with pytest.raises(TypeError, match=rf"^modulus coefficient {re.escape(shown)} is not an int$"):
         FieldSpec(3, 1, coeffs)
 
@@ -240,20 +302,20 @@ def test_mismatched_fields_error():
     # an index of GF(9) past the end of GF(4) is refused as s and as t
     gf4 = make_field(2, 2)
     with pytest.raises(ValueError, match=r"^index 8 out of range for order 4$"):
-        gf4.affine_images(1, 8)
+        affine_images(gf4, 1, 8)
     with pytest.raises(ValueError, match=r"^index 8 out of range for order 4$"):
-        gf4.affine_images(8, 0)
+        affine_images(gf4, 8, 0)
     # equal specs built twice give the same rows
-    assert make_field(2, 2).affine_images(3, 1) == gf4.affine_images(3, 1)
+    assert affine_images(make_field(2, 2), 3, 1) == affine_images(gf4, 3, 1)
 
 
 def test_zero_division_and_negative_powers():
     spec = make_field(5, 1)
     # zero has no inverse, so it scales nothing
     with pytest.raises(ValueError, match=r"^scale factor s must be nonzero$"):
-        spec.affine_images(0, 0)
+        affine_images(spec, 0, 0)
     # 2 ** -1 = 3: scaling by 2 and then by 3 is the identity
-    double, third = spec.affine_images(2, 0), spec.affine_images(3, 0)
+    double, third = affine_images(spec, 2, 0), affine_images(spec, 3, 0)
     assert double[3] == 1
     assert [third[double[x]] for x in range(5)] == list(range(5))
 
@@ -288,7 +350,7 @@ def test_field_spec_refusals(p, k, modulus, message):
 def test_element_refuses_a_bool_index(index):
     # True used to read as the index 1 and False as 0
     for spec in (make_field(3, 2), make_field(5, 1)):
-        for call in (lambda: spec.affine_images(1, index), lambda: spec.affine_images(index, 1),
+        for call in (lambda: affine_images(spec, 1, index), lambda: affine_images(spec, index, 1),
                      lambda: spec.label(index)):
             with pytest.raises(TypeError, match=rf"^element index {index} is not an int$"):
                 call()
@@ -305,7 +367,7 @@ def test_affine_images_match_field_arithmetic_for_every_pair(n):
     # covers the residue route (k = 1) and the table route (4, 8, 9)
     spec = field_of_order(n)
     for s, t in product(range(1, n), range(n)):
-        assert spec.affine_images(s, t) == affine_images_by_elements(spec, s, t)
+        assert affine_images(spec, s, t) == affine_images_by_elements(spec, s, t)
 
 
 @pytest.mark.parametrize("n", PRIME_POWERS_TO_CAP)
@@ -327,7 +389,7 @@ def test_affine_images_match_field_arithmetic_for_every_scale(n):
     # the t = 0 (pure log) and t != 0 (Zech) routes, at every s
     spec = field_of_order(n)
     for s, t in product(range(1, n), (0, 1, n - 1)):
-        assert spec.affine_images(s, t) == affine_images_by_elements(spec, s, t), (s, t)
+        assert affine_images(spec, s, t) == affine_images_by_elements(spec, s, t), (s, t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,7 +398,7 @@ def test_affine_images_match_field_arithmetic_sampled(n, data):
     spec = field_of_order(n)
     s = data.draw(st.integers(1, n - 1), label="s")
     t = data.draw(st.integers(0, n - 1), label="t")
-    images = spec.affine_images(s, t)
+    images = affine_images(spec, s, t)
     assert images == affine_images_by_elements(spec, s, t)
     assert type(images) is tuple and sorted(images) == list(range(n))
 
@@ -345,7 +407,7 @@ def test_affine_images_match_field_arithmetic_sampled(n, data):
 def test_affine_images_refuse_a_zero_scale(n):
     spec = field_of_order(n)
     with pytest.raises(ValueError, match=r"^scale factor s must be nonzero$"):
-        spec.affine_images(0, 1)
+        affine_images(spec, 0, 1)
     # the zero coefficient vector is not an index
     with pytest.raises(TypeError, match=r"^element index \[0\] is not an int$"):
-        spec.affine_images([0], 1)
+        affine_images(spec, [0], 1)

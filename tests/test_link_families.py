@@ -27,6 +27,7 @@ from cusplink.perm_action import MAX_GROUP_ORDER, Permutation, group_closure, tr
 from cusplink.regular_map import biggs_map, genus_formula
 from reference_checks import (
     affine_permutation,
+    compose,
     face_adjacency_complete,
     from_cycles,
     genus,
@@ -301,7 +302,7 @@ def test_braid_permutation_is_the_product_of_its_transpositions(strands_and_word
     n, word = strands_and_word
     product = identity(n)
     for g in word:
-        product = from_cycles(n, [(abs(g) - 1, abs(g))]) * product
+        product = compose(from_cycles(n, [(abs(g) - 1, abs(g))]), product)
     assert braid_permutation(BraidWord(n, tuple(word))) == product
 
 

@@ -1,7 +1,9 @@
 """The installed package exports what the CLI and the checks use; the
 cross-check references live in tests/reference_checks.py."""
 
+import ast
 import importlib
+import inspect
 import pickle
 
 import pytest
@@ -14,7 +16,7 @@ MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits
          "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios",
          "affine_map_automorphism", "induced_face_permutation",
          "affine_permutation", "from_cycles", "identity",
-         "vertices", "edges", "genus", "face_adjacency_complete"]
+         "vertices", "edges", "genus", "face_adjacency_complete", "compose", "affine_images"]
 # Second routes that dilatation never ran, the test-only dilatation(),
 # and the wrappers of the one substitution, gone without a same-named
 # reference: the substitution and its arc counts are module constants.
@@ -83,9 +85,10 @@ def test_pass_through_classes_are_gone():
 def test_test_only_builders_are_gone():
     # a Permutation is built from its images and printed by str(); the
     # braid permutation comes from the strand swaps of the word
-    from cusplink import link_families, perm_action
+    from cusplink import finite_field, link_families, perm_action
 
-    gone = [(perm_action.Permutation, ["identity", "from_cycles", "cycle_string"]),
+    gone = [(perm_action.Permutation, ["identity", "from_cycles", "cycle_string", "__mul__"]),
+            (finite_field.FieldSpec, ["affine_images"]),
             (link_families.LinkBlueprint, ["symmetry_generators"]),
             (link_families.BraidWord, ["__mul__"]),
             (perm_action, ["affine_permutation"]), (cusplink, ["affine_permutation"])]
@@ -108,6 +111,21 @@ def test_second_routes_are_gone():
     with pytest.raises(TypeError):
         cusplink.Permutation((0, 2, 1)).cycles(include_fixed=False)
     assert cusplink.Permutation((0, 2, 1)).cycles() == [(0,), (1, 2)]
+
+
+def test_each_job_has_one_route():
+    # is_prime reads prime_power's one trial-division loop, the field layer
+    # imports nothing from the group layer, and lockstep_walk checks alpha
+    # alone: its face rotations commute with phi
+    from cusplink import finite_field, regular_map
+
+    field_imports = {node.module for node in ast.walk(ast.parse(inspect.getsource(finite_field)))
+                     if isinstance(node, ast.ImportFrom)}
+    assert field_imports == {"__future__", "_value"}
+    assert not [node for node in ast.walk(ast.parse(inspect.getsource(finite_field.is_prime)))
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not {"phi", "checks"} & set(regular_map.lockstep_walk.__code__.co_varnames)
+    assert not {"cycle", "islice"} & set(vars(regular_map))
 
 
 def test_the_listed_map_facts_are_gone():

@@ -147,26 +147,43 @@ def test_the_empty_map_has_no_dart_to_walk_from():
         RotationMap(Permutation((0,)), Permutation((0,)))
 
 
+# lockstep_walk's two defects: the first dart where f*alpha and alpha*f
+# differ, and an entry dart whose image lies on a face of another length
+ALPHA_DEFECT = r"f\(alpha\((\d+)\)\) = (\d+) but alpha\(f\(\1\)\) = (\d+)"
+FACE_LENGTH_DEFECT = (r"dart (\d+) is on a face of length (\d+) "
+                      r"but f\(\1\) = (\d+) is on one of length (\d+)")
+
+
 def _walk_agrees_with_the_reference(surface, target):
     """The face-row walk and the per-dart walk give the same automorphism,
-    the same absence of one, or the same refusal; returns whether one exists."""
+    the same absence of one, or the same refusal; returns whether one exists.
+    On a disconnected map the per-dart walk can map dart 0's component onto
+    a smaller one with no conflict and refuse; the face-row walk then stops
+    at a face of another length, which no automorphism allows."""
     try:
         expected = lockstep_dfs(surface, target)
     except ValueError:
-        with pytest.raises(ValueError, match=r" faces: a disconnected map$"):
-            lockstep_walk(surface, target)
+        expected = "disconnected"
+    try:
+        f, defect = lockstep_walk(surface, target)
+    except ValueError as refusal:
+        assert expected == "disconnected"
+        assert re.fullmatch(r"the walk from dart 0 misses \d+ faces: a disconnected map",
+                            str(refusal))
         return False
-    f, defect = lockstep_walk(surface, target)
-    if expected is None:
-        assert defect is not None
-        # the named dart is one where f*alpha and alpha*f, or f*phi and phi*f, differ
-        name, d, left, right = re.fullmatch(r"f\((alpha|phi)\((\d+)\)\) = (\d+) but "
-                                            r"\1\(f\(\2\)\) = (\d+)", defect).groups()
-        g = getattr(surface, name)
-        assert (f[g(int(d))], g(f[int(d)])) == (int(left), int(right)) and left != right
-        return False
-    assert defect is None and f == expected and f[0] == target
-    return True
+    if defect is None:
+        assert f == expected and f[0] == target
+        return True
+    if f is None:  # the entry dart and its image lie on faces of the named lengths
+        length = {d: len(face) for face in surface.faces for d in face}
+        d, m, e, k = map(int, re.fullmatch(FACE_LENGTH_DEFECT, defect).groups())
+        assert (length[d], length[e]) == (m, k) and m != k
+        assert expected in (None, "disconnected")
+    else:  # the named dart is one where f*alpha and alpha*f differ
+        d, left, right = map(int, re.fullmatch(ALPHA_DEFECT, defect).groups())
+        assert (f[surface.alpha(d)], surface.alpha(f[d])) == (left, right) and left != right
+        assert expected is None
+    return False
 
 
 @settings(max_examples=300, deadline=None)
@@ -519,9 +536,10 @@ def test_map_facts_agree_with_the_listing_reference(surface):
     try:
         facts = map_facts(surface)
     except NoAutomorphism as refusal:
-        assert re.fullmatch(r"no automorphism of the map sends dart 0 to dart \d+: "
-                            r"f\((alpha|phi)\(\d+\)\) = \d+ but \1\(f\(\d+\)\) = \d+",
-                            str(refusal))
+        assert str(refusal) == (f"no automorphism of the map sends dart 0 to dart "
+                                f"{refusal.target}: {refusal.defect}")
+        assert any(re.fullmatch(defect, refusal.defect)
+                   for defect in (ALPHA_DEFECT, FACE_LENGTH_DEFECT))
         assert refusal.target in (surface.alpha(0), surface.phi(0))
         return
     except ValueError as refusal:
@@ -534,6 +552,52 @@ def test_map_facts_agree_with_the_listing_reference(surface):
                 r"the walk from dart 0 misses \d+ faces: a disconnected map", str(refusal))
         return
     assert {key: facts[key] for key in ("q", "V", "E", "F", "genus")} == _listed_facts(surface)
+
+
+@st.composite
+def regular_maps(draw):
+    """A regular map with its darts renamed: an order-n field map, n <= 16,
+    or a k x k square torus of up to 256 darts.  Half of them come
+    _twisted, which keeps every face length, so the walk to alpha(0) or to
+    phi(0) stops at the alpha check rather than at a face length."""
+    if draw(st.booleans()):
+        surface = biggs_map(field_of_order(draw(st.sampled_from(PRIME_POWERS + [16]))))
+    else:
+        k = draw(st.integers(1, 8))
+        surface = square_torus(k, k)
+    surface = relabelled(surface, draw(st.integers(0, 2 ** 32 - 1)))
+    return _twisted(surface) if draw(st.booleans()) else surface
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_maps())
+def test_walks_and_map_facts_on_regular_maps_and_their_twists(surface):
+    # both walks agree with the per-dart reference; map_facts accepts the
+    # maps on which both find an automorphism, with the listed facts, and
+    # refuses the others by the alpha check, since no face length differs
+    regular = all([_walk_agrees_with_the_reference(surface, target)
+                   for target in (surface.alpha(0), surface.phi(0))])
+    try:
+        facts = map_facts(surface)
+    except NoAutomorphism as refusal:
+        assert not regular and re.fullmatch(ALPHA_DEFECT, refusal.defect)
+        return
+    assert regular
+    assert {key: facts[key] for key in ("q", "V", "E", "F", "genus")} == _listed_facts(surface)
+
+
+def test_a_face_of_another_length_stops_the_walk():
+    # dart 0 is a face of its own, but alpha(0) = 1 turns in a 3-gon, so
+    # the walk to alpha(0) stops there, with no dart map, as the per-dart
+    # walk finds no automorphism
+    surface = RotationMap(Permutation((1, 0, 3, 2)), Permutation((0, 2, 3, 1)))
+    assert [len(face) for face in surface.faces] == [1, 3]
+    defect = "dart 0 is on a face of length 1 but f(0) = 1 is on one of length 3"
+    assert lockstep_walk(surface, 1) == (None, defect)
+    assert lockstep_dfs(surface, 1) is None
+    with pytest.raises(NoAutomorphism, match=rf"^no automorphism of the map sends dart 0 to "
+                                             rf"dart 1: {re.escape(defect)}$"):
+        map_facts(surface)
 
 
 def test_map_facts_refuse_the_empty_map():
