@@ -1,5 +1,5 @@
 """The value protocol of the immutable types FieldSpec, Permutation and
-BraidWord, derived once from each type's __slots__."""
+BraidWord, derived once from each type's __slots__; how refusals show ints."""
 
 from __future__ import annotations
 
@@ -15,6 +15,13 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
             i = next(i for i, v in enumerate(values) if type(v) is not int)
             raise TypeError(f"{what} {values[i]!r} at position {i} is not an int")
     return values
+
+
+def shown_int(n: int) -> str:
+    """n as a refusal echoes it: in decimal up to 128 bits, else as "a
+    <b>-bit integer", not as an error line of thousands of digits."""
+    sign = "negative " if n < 0 else ""
+    return str(n) if n.bit_length() <= 128 else f"a {sign}{n.bit_length()}-bit integer"
 
 
 class Value:

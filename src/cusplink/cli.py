@@ -12,11 +12,13 @@ family at its defaults); an invalid n; a census --n-max above the
 field-order cap; a census range that holds no prime power above 3
 (--n-min 10 --n-max 5, or --n-max 3); and an --out path that cannot be
 written, reported as "error: cannot write --out PATH: <reason>".  A
-failed check names itself on stderr: the first census row that fails
-as "error: census n=<n>: <invariant> (<values>)", and a dilatation
-residual over train_track.RESIDUAL_BOUND by name and value.  A violated
-internal invariant is a check failure too: it exits 1 with "error:
-invariant violated: ..." instead of a traceback.
+refusal shows a number of over 128 bits by its size, and an argument of
+over 64 characters by its length.  A failed check names itself on
+stderr: "error: map n=<n>: genus != formula_genus (<values>)", the first
+failing census row as "error: census n=<n>: <invariant> (<values>)",
+and a dilatation residual over train_track.RESIDUAL_BOUND by name and
+value.  A violated internal invariant is a check failure too: it exits 1
+with "error: invariant violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.
 """
@@ -38,6 +40,7 @@ from .link_families import (
     helical_link,
     icosahedral_link,
 )
+from ._value import shown_int
 from .regular_map import biggs_map, face_adjacency_dot, map_summary
 from .train_track import RESIDUAL_BOUND, eigen_report, substitution_dot
 
@@ -96,7 +99,7 @@ def _field(n: int | None):
     if n is None:
         raise ValueError("--n is required for this command")
     if n <= 3 or (n <= DEFAULT_MAX_ORDER and prime_power(n) is None):
-        raise ValueError(f"n must be a prime power greater than 3, got {n}")
+        raise ValueError(f"n must be a prime power greater than 3, got {shown_int(n)}")
     return field_of_order(n)
 
 
@@ -144,6 +147,9 @@ def cmd_map(args) -> int:
     else:
         _emit_report(args, payload, [payload], ["n", "V", "E", "F", "genus", "formula_genus",
                                                 "vertex_degree", "match"])
+    if not payload["match"]:
+        print(f"error: map n={payload['n']}: genus != formula_genus (genus={payload['genus']}, "
+              f"formula_genus={payload['formula_genus']})", file=sys.stderr)
     return 0 if payload["match"] else 1
 
 
@@ -206,7 +212,7 @@ def _census_failure(row: dict) -> str | None:
 def cmd_census(args) -> int:
     # Refused before anything is factored, so every order in range builds.
     if args.n_max > DEFAULT_MAX_ORDER:
-        raise ValueError(f"order {args.n_max} exceeds the cap {DEFAULT_MAX_ORDER}")
+        raise ValueError(f"order {shown_int(args.n_max)} exceeds the cap {DEFAULT_MAX_ORDER}")
     rows = []
     failure = None
     for n in range(max(args.n_min, 4), args.n_max + 1):
@@ -221,7 +227,7 @@ def cmd_census(args) -> int:
         rows.append(row)
         failure = failure or _census_failure(row)
     if not rows:  # nothing to check is not a pass
-        raise ValueError(f"census range --n-min {args.n_min} --n-max {args.n_max} "
+        raise ValueError(f"census range --n-min {shown_int(args.n_min)} --n-max {args.n_max} "
                          "holds no prime power above 3")
     _emit_report(args, {"rows": rows}, rows,
                  ["n", "cusps", "symmetry_order", "transitivity_degree", "linking"])
@@ -235,9 +241,12 @@ def cmd_census(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses a bad flag with "error: <message>", then the usage line; exit 2."""
+    """Refuses a bad flag with "error: <message>", then the usage line; exit 2.
+    An argument of over 64 characters is echoed by its length alone."""
 
     def error(self, message):
+        message = " ".join(word if len(word) <= 64 else "<%d characters>" % len(word.strip("'"))
+                           for word in message.split(" "))
         self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 

@@ -8,7 +8,8 @@ c0 + c1*p + ..., so prime fields read 0, 1, ..., p-1 and GF(4) reads
 
 Everything here targets tiny fields (order <= 64 by default), so orders
 are factored (up to MAX_TRIAL_DIVISION) and irreducibility is decided by
-trial division; at this scale that is fast enough and easy to audit.
+trial division (up to MAX_DIVISOR_SCAN divisors); at this scale that is
+fast enough and easy to audit.
 Polynomial arithmetic on coefficient vectors only finds the modulus and
 fills, once per field, the exp, log and Zech tables of the least primitive
 element g (Lidl-Niederreiter, Finite Fields; Huber, IEEE TIT 1990)."""
@@ -17,11 +18,15 @@ from __future__ import annotations
 
 import functools
 
-from ._value import Value, int_tuple
+from ._value import Value, int_tuple, shown_int
 
 DEFAULT_MAX_ORDER = 64
 # prime_power's bound: it tries each divisor d <= sqrt(n), at most 10**6
 MAX_TRIAL_DIVISION = 10 ** 12
+# _is_irreducible's bound on its p + p^2 + ... + p^(k//2) divisors, tried
+# once by FieldSpec and once per candidate by make_field: the slowest field
+# under it, GF(293^3), tries all 293 reducible x^3 + c first, in 0.2 s.
+MAX_DIVISOR_SCAN = 300
 
 _setattr = object.__setattr__
 
@@ -37,8 +42,7 @@ def prime_power(n: int) -> tuple[int, int] | None:
     if n < 2:
         return None
     if n > MAX_TRIAL_DIVISION:
-        shown = n if n.bit_length() <= 128 else f"a {n.bit_length()}-bit integer"
-        raise ValueError(f"{shown} exceeds MAX_TRIAL_DIVISION = {MAX_TRIAL_DIVISION}, "
+        raise ValueError(f"{shown_int(n)} exceeds MAX_TRIAL_DIVISION = {MAX_TRIAL_DIVISION}, "
                          "the largest n factored by trial division")
     p = 2
     while p * p <= n:
@@ -106,8 +110,13 @@ def _monic_polys(degree: int, p: int):
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Exhaustive divisor scan; poly must be monic of degree >= 1."""
+    """Exhaustive divisor scan; poly must be monic of degree >= 1.  A scan
+    of over MAX_DIVISOR_SCAN divisors is refused before it starts."""
     degree = len(poly) - 1
+    for d in range(1, degree // 2 + 1):  # past the bound by d = 9, whatever p and degree
+        if sum(p ** e for e in range(1, d + 1)) > MAX_DIVISOR_SCAN:
+            raise ValueError(f"GF({p}^{degree}): deciding irreducibility would scan over "
+                             f"MAX_DIVISOR_SCAN = {MAX_DIVISOR_SCAN} divisors")
     for d in range(1, degree // 2 + 1):
         for g in _monic_polys(d, p):
             if not _poly_rem(poly, g, p):
@@ -153,7 +162,7 @@ class FieldSpec(Value):
         if type(i) is not int:  # a bool or a coefficient list included
             raise TypeError(f"element index {i!r} is not an int")
         if not 0 <= i < self.n:
-            raise ValueError(f"index {i} out of range for order {self.n}")
+            raise ValueError(f"index {shown_int(i)} out of range for order {self.n}")
         return ",".join(map(str, _coefficients(self)[i]))
 
     def primitive(self) -> int:
@@ -170,9 +179,9 @@ def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     mod-p arithmetic with modulus x).
 
     Raises TypeError for a p, k or max_order that is not an int, and
-    ValueError for non-prime p, k < 1, or order beyond max_order.  The
-    cap is checked first, by a product that stops once past it, so a
-    huge p or k is refused at once.
+    ValueError for non-prime p, k < 1, order beyond max_order, or a
+    divisor scan over MAX_DIVISOR_SCAN.  The cap is checked first, by a
+    product that stops once past it, so a huge p or k is refused at once.
     """
     p, k = int_tuple((p, k), "make_field (p, k) entry")
     (max_order,) = int_tuple((max_order,), "make_field max_order")
@@ -182,7 +191,8 @@ def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     for _ in range(k if p > 1 else 0):
         order *= p
         if order > max_order:
-            shown = f"{p}^{k}" if k > 1 and k * p.bit_length() > 128 else p ** k
+            shown = (shown_int(p ** k) if k * p.bit_length() <= 128 or k == 1
+                     else f"{shown_int(p)}^{shown_int(k)}")
             raise ValueError(f"order {shown} exceeds the cap {max_order}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -198,7 +208,7 @@ def field_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
     (n,) = int_tuple((n,), "field order")
     (max_order,) = int_tuple((max_order,), "field_of_order max_order")
     if n > max_order:
-        raise ValueError(f"order {n} exceeds the cap {max_order}")
+        raise ValueError(f"order {shown_int(n)} exceeds the cap {max_order}")
     decomposition = prime_power(n)
     if decomposition is None:
         raise ValueError(f"{n} is not a prime power")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import perm
 
-from ._value import Value, int_tuple
+from ._value import Value, int_tuple, shown_int
 from .finite_field import FieldSpec
 from .perm_action import Permutation, _compose, group_closure, transitivity_degree
 # benchmarks/spans.py assigns affine_group, group_closure and transitivity_degree here (ROADMAP 1)
@@ -133,7 +133,8 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
     if n < 2:
         raise ValueError("a chain needs at least 2 loops")
     if n > MAX_CHAIN_LOOPS:
-        raise ValueError(f"a chain has at most MAX_CHAIN_LOOPS = {MAX_CHAIN_LOOPS} loops, got {n}")
+        raise ValueError(f"a chain has at most MAX_CHAIN_LOOPS = {MAX_CHAIN_LOOPS} loops, "
+                         f"got {shown_int(n)}")
     sign = 1 if t >= 0 else -1
     matrix = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -178,7 +179,8 @@ class BraidWord(Value):
         word = int_tuple(word, "generator")
         for g in word:
             if g == 0 or not 1 <= abs(g) <= strands - 1:
-                raise ValueError(f"generator index {g} out of range for {strands} strands")
+                raise ValueError(f"generator index {shown_int(g)} out of range "
+                                 f"for {strands} strands")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "word", word)
 
@@ -232,6 +234,13 @@ def _closure_linking(braid: BraidWord) -> list[list[int]]:
     return matrix
 
 
+# Up to this m the printed power n*m and linking numbers m*x stay under
+# 2**53, exact in a JSON reader that parses numbers as doubles, for every
+# braid word of up to 4000 letters: n <= length + 1, and |x| is at most
+# half the n * length crossings of one period.
+MAX_BRAID_POWER = 10 ** 9
+
+
 def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
     """Close braid**(n*m) for a braid whose permutation is a single
     n-cycle on its n strands.  The closure has exactly n components,
@@ -242,6 +251,9 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
     (m,) = int_tuple((m,), "cyclic_braid_closure m")
     if m < 1:
         raise ValueError("power m must be >= 1")
+    if m > MAX_BRAID_POWER:
+        raise ValueError(f"the power m is at most MAX_BRAID_POWER = {MAX_BRAID_POWER}, "
+                         f"got {shown_int(m)}")
     n = braid.strands
     perm = braid_permutation(braid)
     cycles = perm.cycles()

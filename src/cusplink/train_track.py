@@ -12,33 +12,29 @@ w z w z w and a z edge over w z w z w z w, which gives the tangential
 
 whose transpose is the transverse (weight) system.  Both have dominant
 eigenvalue lam = 3 + 2*sqrt(2) with weight vector proportional to
-(sqrt(2), 1); the general solver is a power iteration with a Rayleigh
-quotient stopping rule, bounded by MAX_ITERATIONS and cross-checked on
-2x2 inputs against the exact quadratic formula.
+(sqrt(2), 1).
 
-The eigen functions work on rows of plain Python floats; the package
-has no numpy dependency, and the tests use numpy only as an oracle.
-perron_eigen accepts any sequence of rows (lists, tuples, an ndarray)
-and returns the eigenvector as a Vector: a tuple that a number scales,
-so lam * vec is a vector, not a repetition.
+perron_eigen takes what a two-letter substitution gives, a primitive
+2x2 matrix of integers 0..MAX_ENTRY, and refuses anything else at once.
+Its power iteration runs on plain Python floats (numpy is only a test
+oracle), is cross-checked against the exact quadratic formula, and
+returns a Vector: a tuple that a number scales.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import operator
+
+from ._value import shown_int
 
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 10 ** 6
-# Coarser tolerances let the stopping rule accept an early Rayleigh
-# quotient (tol = 1 stops at 6.0 for the dilatation).
-MAX_TOL = 1e-6
-# The residual cannot be computed more finely than a few roundings of
-# the largest row sum; asking for less spins to MAX_ITERATIONS.
-ROUNDING_EPSILONS = 4
-# A residual whose contraction over the last CONTRACTION_WINDOW steps
-# cannot reach tol within MAX_ITERATIONS is refused, not spun out.
-CONTRACTION_WINDOW = 1000
+# The largest entry perron_eigen accepts.  Every primitive matrix with
+# entries 0..MAX_ENTRY reaches DEFAULT_TOL within 293 steps, as
+# ((0, 10), (10, 1)) does; at row sums up to 20 the residual's rounding
+# floor, 4 float64 epsilons times 20 (1.8e-14), is under DEFAULT_TOL.
+MAX_ENTRY = 10
 
 
 # The one substitution of the reduced track, independent of the field
@@ -69,10 +65,8 @@ def transition_matrix() -> tuple[tuple[int, ...], ...]:
 
 class Vector(tuple):
     """An eigenvector: a tuple of floats that a number scales, so
-    lam * vec is the scaled vector rather than a repetition.  The
-    benchmark's traced residual computes M @ vec - lam * vec with an
-    ndarray M; the scaling stays until ROADMAP item 1 makes it compute
-    the residual elementwise."""
+    lam * vec is a vector, not a repetition, as the benchmark's traced
+    residual M @ vec - lam * vec needs until ROADMAP item 1."""
 
     __slots__ = ()
 
@@ -89,108 +83,59 @@ def _dot(a, b) -> float:
     return total
 
 
-def _as_matrix(matrix) -> tuple[tuple[float, ...], ...]:
-    """The rows of a nonempty, square, finite, nonnegative matrix as
-    float tuples; matrix is any sequence of rows."""
+def _primitive_2x2(matrix) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The rows of a primitive 2x2 matrix of integers 0..MAX_ENTRY (ints
+    or numpy integers, never bools or floats) as int pairs; matrix is any
+    pair of rows.  ((a, b), (c, d)) has a strictly positive power exactly
+    when b > 0, c > 0 and a + d > 0: its square is then positive."""
     try:
-        rows = tuple(tuple(float(x) for x in row) for row in matrix)
-    except TypeError:  # a flat sequence, or entries that are not numbers
-        rows = ((),)
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("a square matrix is required")
-    if not rows:
-        raise ValueError("matrix is empty")
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            if not math.isfinite(value):
-                raise ValueError(f"entries must be finite, got {value!r} at row {i}, column {j}")
-            if value < 0:
-                raise ValueError("entries must be nonnegative")
+        rows = tuple(tuple(row) for row in matrix)
+    except TypeError:  # a flat sequence, or not a sequence at all
+        rows = ()
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise ValueError("a 2x2 matrix is required")
+    for (i, j), value in zip(((0, 0), (0, 1), (1, 0), (1, 1)), rows[0] + rows[1]):
+        if type(value) is bool or not hasattr(value, "__index__") or not 0 <= value <= MAX_ENTRY:
+            shown = shown_int(value) if type(value) is int else repr(value)
+            raise ValueError(f"entries must be integers 0..MAX_ENTRY = {MAX_ENTRY}, "
+                             f"got {shown} at row {i}, column {j}")
+    (a, b), (c, d) = rows = tuple(tuple(map(operator.index, row)) for row in rows)
+    if not (b and c and a + d):
+        raise ValueError(f"matrix {rows!r} is not primitive (no power is strictly positive): "
+                         "it needs b > 0, c > 0 and a + d > 0")
     return rows
 
 
-def is_primitive(matrix) -> bool:
-    """Some power of the matrix is strictly positive.  Decided from the
-    zero pattern of the first power 2^k at or past the Wielandt bound
-    (n-1)^2 + 1, found by repeated boolean squaring: a primitive matrix
-    has every power from that bound on strictly positive."""
-    rows = _as_matrix(matrix)
-    reach = [[value > 0 for value in row] for row in rows]
-    power = 1
-    while power < (len(rows) - 1) ** 2 + 1 and not all(map(all, reach)):
-        reach = [[any(a and b for a, b in zip(row, column)) for column in zip(*reach)]
-                 for row in reach]
-        power *= 2
-    return all(map(all, reach))
-
-
 def eigenvalues_2x2(matrix) -> tuple[float, float]:
-    """Quadratic-formula eigenvalues of a nonnegative 2x2 matrix, larger
-    first.  The discriminant (a - d)^2 + 4bc equals tr^2 - 4 det without
-    cancelling when a ~ d, and is never negative."""
-    rows = _as_matrix(matrix)
-    if len(rows) != 2:
-        raise ValueError("a 2x2 matrix is required")
-    (a, b), (c, d) = rows
-    root = math.sqrt((a - d) ** 2 + 4.0 * b * c)
+    """Quadratic-formula eigenvalues, larger first, of what perron_eigen
+    accepts.  The discriminant (a - d)^2 + 4bc equals tr^2 - 4 det
+    without cancelling when a ~ d, and is positive."""
+    (a, b), (c, d) = _primitive_2x2(matrix)
+    root = math.sqrt((a - d) ** 2 + 4 * b * c)
     return (a + d + root) / 2.0, (a + d - root) / 2.0
 
 
-def _refuse_slow_contraction(earlier: float, relative: float, step: int, tol: float) -> None:
-    """Raise when the relative residual, contracting per step as it did
-    over the last window, cannot reach tol within MAX_ITERATIONS."""
-    rate = math.log(relative / earlier) / CONTRACTION_WINDOW
-    predicted = step + math.log(tol / relative) / rate if rate < 0 else math.inf
-    if predicted > MAX_ITERATIONS:
-        raise RuntimeError(
-            f"power iteration cannot converge within {MAX_ITERATIONS} steps: over steps "
-            f"{step - CONTRACTION_WINDOW}..{step} the residual contracted by {math.exp(rate)!r} "
-            f"per step (from {earlier:.6g} to {relative:.6g}), which predicts "
-            f"{predicted:.3g} steps to reach tol {tol!r}")
-
-
-def perron_eigen(matrix, tol: float = DEFAULT_TOL) -> tuple[float, Vector]:
+def perron_eigen(matrix) -> tuple[float, Vector]:
     """Dominant eigenvalue and strictly positive eigenvector (last entry
-    normalized to 1) of a primitive nonnegative matrix, by power
-    iteration from the all-ones vector.  Convergence is declared when
-    the residual max|M v - lam v| drops below tol * max|v|, with lam the
-    Rayleigh quotient.  tol must lie between the rounding floor
-    (ROUNDING_EPSILONS float64 epsilons times the largest row sum) and
-    MAX_TOL.  The eigenvector is a Vector, a tuple of floats that a
-    number scales."""
-    rows = _as_matrix(matrix)
-    if not tol <= MAX_TOL:
-        raise ValueError(f"tol must be at most the ceiling {MAX_TOL:g}, got {tol!r}")
-    floor = ROUNDING_EPSILONS * sys.float_info.epsilon * max(sum(row) for row in rows)
-    if tol < floor:
-        raise ValueError(f"tol must be at least the rounding floor {floor:.3g} "
-                         f"({ROUNDING_EPSILONS} float64 epsilons times the largest row sum), "
-                         f"got {tol!r}")
-    if not is_primitive(rows):
-        raise ValueError("matrix is not primitive (no power is strictly positive)")
-    v = [1.0] * len(rows)
-    lam = 0.0
-    earlier = None
-    for step in range(1, MAX_ITERATIONS + 1):
+    normalized to 1, a Vector) of a primitive 2x2 matrix of integers
+    0..MAX_ENTRY, by power iteration from the all-ones vector; anything
+    else is refused with ValueError before the first step.  It stops once
+    max|M v - lam v| <= DEFAULT_TOL * max|v|, lam the Rayleigh quotient."""
+    rows = _primitive_2x2(matrix)
+    v = [1.0, 1.0]
+    for _ in range(MAX_ITERATIONS):
         w = [_dot(row, v) for row in rows]
         lam = _dot(v, w) / _dot(v, v)
         v = [x / w[-1] for x in w]
         residual = max(abs(_dot(row, v) - lam * x) for row, x in zip(rows, v))
-        scale = max(abs(x) for x in v)
-        if residual <= tol * scale:
+        if residual <= DEFAULT_TOL * max(v):
             break
-        if step % CONTRACTION_WINDOW == 0:
-            if earlier is not None:
-                _refuse_slow_contraction(earlier, residual / scale, step, tol)
-            earlier = residual / scale
     else:
         raise RuntimeError(f"power iteration did not converge within {MAX_ITERATIONS} steps")
-    if len(rows) == 2:
-        exact = eigenvalues_2x2(rows)[0]
-        allowance = max(10.0 * tol, 1e-9) * max(1.0, abs(exact))
-        if abs(lam - exact) > allowance:
-            raise AssertionError("power iteration disagrees with the quadratic formula: "
-                                 f"{lam!r} vs {exact!r}, allowance {allowance!r}")
+    exact = eigenvalues_2x2(rows)[0]
+    if abs(lam - exact) > 1e-9 * exact:
+        raise AssertionError("power iteration disagrees with the quadratic formula: "
+                             f"{lam!r} vs {exact!r}, allowance {1e-9 * exact!r}")
     return lam, Vector(v)
 
 

@@ -46,6 +46,15 @@ def test_map_rejects_non_prime_power(capsys):
     assert "prime power" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "dot"])
+def test_map_genus_mismatch_names_itself(monkeypatch, capsys, fmt):
+    # the report is printed, then the failed check on stderr, and exit 1
+    monkeypatch.setattr(regular_map, "genus_formula", lambda n: 999)
+    code, out, err = run(capsys, "map", "--n", "9", "--format", fmt)
+    assert code == 1 and out
+    assert err == "error: map n=9: genus != formula_genus (genus=10, formula_genus=999)\n"
+
+
 def test_map_without_n_is_a_usage_error(capsys):
     code, out, err = run(capsys, "map")
     assert (code, out) == (2, "")
@@ -435,6 +444,50 @@ def test_chain_past_the_loop_bound_is_a_usage_error(capsys, argv):
     assert err == f"error: a chain has at most MAX_CHAIN_LOOPS = 256 loops, got {argv[-1]}\n"
 
 
+_DIGITS_4300 = "9" * 4300  # the most digits that int() reads by default: a 14285-bit integer
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("links", "--family", "braid", "--m", _DIGITS_4300),
+     "error: the power m is at most MAX_BRAID_POWER = 1000000000, got a 14285-bit integer\n"),
+    (("transitivity", "braid", "--m", "1000000001"),
+     "error: the power m is at most MAX_BRAID_POWER = 1000000000, got 1000000001\n"),
+    (("map", "--n", _DIGITS_4300), "error: order a 14285-bit integer exceeds the cap 64\n"),
+    (("map", "--n", "-" + "9" * 4299),
+     "error: n must be a prime power greater than 3, got a negative 14281-bit integer\n"),
+    (("census", "--n-max", _DIGITS_4300), "error: order a 14285-bit integer exceeds the cap 64\n"),
+    (("census", "--n-min", _DIGITS_4300),
+     "error: census range --n-min a 14285-bit integer --n-max 13 holds no prime power above 3\n"),
+    (("transitivity", "chain", "--n", _DIGITS_4300),
+     "error: a chain has at most MAX_CHAIN_LOOPS = 256 loops, got a 14285-bit integer\n"),
+    (("transitivity", "helical", "--n", _DIGITS_4300),
+     "error: order a 14285-bit integer exceeds the cap 64\n"),
+    (("map", "--n", "1" * 4301), "error: argument --n: invalid int value: <4301 characters>\n"),
+    (("links", "--tol", "1" * 4301, "--p", _DIGITS_4300),
+     "error: unrecognized arguments: --tol <4301 characters> --p <4300 characters>\n"),
+], ids=["braid-m", "braid-m-bound+1", "map-n", "map-negative-n", "census-n-max",
+        "census-n-min", "chain-n", "helical-n", "unreadable-int", "unrecognized"])
+def test_huge_numbers_are_refused_in_a_short_line(capsys, argv, shown):
+    # a refusal names cusplink's own bound, and echoes a number of
+    # thousands of digits by its size, not digit by digit
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:  # argparse's refusals, followed by the usage line
+        code = exit_.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines(keepends=True)[0] == shown
+    assert len(captured.err.encode()) < 200
+
+
+def test_braid_power_up_to_its_bound_answers(capsys):
+    from cusplink.link_families import MAX_BRAID_POWER
+
+    code, out, _ = run(capsys, "links", "--family", "braid", "--m", str(MAX_BRAID_POWER))
+    assert code == 0 and json.loads(out)["params"]["power"] == 5 * MAX_BRAID_POWER
+    assert max(abs(x) for row in json.loads(out)["linking"] for x in row) < 2 ** 53
+
+
 def test_family_help_names_each_family_argument(capsys):
     with pytest.raises(SystemExit):
         main(["transitivity", "--help"])
@@ -510,6 +563,9 @@ def test_a_wrong_zech_entry_exits_2(capsys, monkeypatch):
 # Each request of the CLI property test answers or is refused within this
 # many seconds; the slowest, census --n-min 4 --n-max 64, takes about 30 ms.
 REQUEST_BUDGET_S = 1.0
+# Each line a refusal prints is shorter than this, whatever number was
+# typed; argparse's usage lines follow its own error line.
+ERROR_LINE_BYTES = 200
 
 _SUBCOMMANDS = next(action.choices for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
@@ -566,7 +622,8 @@ def _argument_lists(draw, out_dir):
 @given(data=st.data())
 def test_every_argument_list_answers_or_is_refused_quickly(tmp_path, capsys, data):
     # the CLI contract: exit 0, 1 or 2; on a nonzero exit nothing on stdout
-    # and stderr opening with "error: "; no traceback; within the budget
+    # and stderr opening with "error: ", each of its lines under
+    # ERROR_LINE_BYTES; no traceback; within the budget
     argv = data.draw(_argument_lists(tmp_path), label="argv")
     start = perf_counter()
     try:
@@ -578,5 +635,6 @@ def test_every_argument_list_answers_or_is_refused_quickly(tmp_path, capsys, dat
     assert code in (0, 1, 2)
     if code:
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert max(len(line.encode()) for line in captured.err.splitlines()) < ERROR_LINE_BYTES
     assert "Traceback" not in captured.out + captured.err
     assert elapsed <= REQUEST_BUDGET_S, f"{argv[:4]} took {elapsed:.3f} s"

@@ -11,6 +11,7 @@ from sympy.polys.galoistools import gf_irreducible_p
 
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
+    MAX_DIVISOR_SCAN,
     MAX_TRIAL_DIVISION,
     FieldSpec,
     _tables,
@@ -103,6 +104,45 @@ def test_trial_division_past_its_bound_is_refused(n, shown):
         assert str(refusal.value) == message, call.__name__
 
 
+# The slowest field under MAX_DIVISOR_SCAN (x^3 + c is reducible for every
+# c when p = 2 mod 3, so make_field scans 293 candidates first), the most
+# divisors of each shape under it, and fields just over it.
+UNDER_THE_SCAN_BOUND = [(293, 3), (293, 2), (13, 4), (13, 5), (5, 6), (2, 15)]
+OVER_THE_SCAN_BOUND = [(307, 3), (307, 2), (17, 4), (7, 6), (2, 16), (100003, 2),
+                       (999999999989, 2)]
+
+
+@pytest.mark.parametrize("p, k", UNDER_THE_SCAN_BOUND)
+def test_fields_under_the_divisor_scan_bound_build_quickly(p, k):
+    assert sum(p ** d for d in range(1, k // 2 + 1)) <= MAX_DIVISOR_SCAN
+    start = perf_counter()
+    spec = make_field(p, k, max_order=p ** k)
+    assert FieldSpec(p, k, spec.modulus) == spec
+    assert perf_counter() - start < LARGE_N_BUDGET_S
+    assert gf_irreducible_p([int(c) for c in reversed(spec.modulus)], p, ZZ)
+
+
+@pytest.mark.parametrize("p, k", OVER_THE_SCAN_BOUND)
+def test_divisor_scan_past_its_bound_is_refused(p, k):
+    message = (f"GF({p}^{k}): deciding irreducibility would scan over MAX_DIVISOR_SCAN = "
+               f"{MAX_DIVISOR_SCAN} divisors")
+    modulus = (1,) + (0,) * (k - 1) + (1,)
+    for call in (lambda: make_field(p, k, max_order=p ** k), lambda: FieldSpec(p, k, modulus)):
+        start = perf_counter()
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert perf_counter() - start < LARGE_N_BUDGET_S
+        assert str(refusal.value) == message
+
+
+def test_every_field_up_to_1024_builds():
+    orders = [n for n in range(2, 1025) if prime_power(n)]
+    start = perf_counter()
+    specs = [field_of_order(n, max_order=1024) for n in orders]
+    assert perf_counter() - start < LARGE_N_BUDGET_S
+    assert [spec.n for spec in specs] == orders
+
+
 def test_prime_field_modulus_is_x():
     # degree-1 modulus x reduces everything to plain mod-p arithmetic
     gf5 = make_field(5, 1)
@@ -179,7 +219,9 @@ def test_field_constructors_refuse_a_non_int_cap():
 
 
 @pytest.mark.parametrize("p, k, shown", [(3, 30000000, "3^30000000"),
-                                         (100000000000031, 1, "100000000000031")])
+                                         (100000000000031, 1, "100000000000031"),
+                                         pytest.param(10 ** 5000, 1, "a 16610-bit integer",
+                                                      id="10^5000")])
 def test_make_field_refuses_over_the_cap_before_factoring(monkeypatch, p, k, shown):
     from cusplink import finite_field
 

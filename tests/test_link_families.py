@@ -346,6 +346,18 @@ def test_huge_power_answers_at_once():
     assert cyclic_braid_closure(BraidWord(3, (1, 2)), 10 ** 9).linking_matrix[0][1] == 10 ** 9
 
 
+def test_power_past_its_bound_is_refused():
+    from cusplink.link_families import MAX_BRAID_POWER
+
+    # at the bound, a 3999-letter braid's printed numbers stay under 2**53
+    at_bound = cyclic_braid_closure(BraidWord(2, (1,) * 3999), MAX_BRAID_POWER)
+    assert at_bound.linking_matrix[0][1] == 3999 * MAX_BRAID_POWER < 2 ** 53
+    for m, shown in [(MAX_BRAID_POWER + 1, "1000000001"), (10 ** 5000, "a 16610-bit integer")]:
+        with pytest.raises(ValueError, match=f"^the power m is at most MAX_BRAID_POWER = "
+                                             f"{MAX_BRAID_POWER}, got {shown}$"):
+            cyclic_braid_closure(EXAMPLE_BRAID, m)
+
+
 def test_closure_linking_refuses_a_nontrivial_total_permutation():
     # a transposition on 3 strands, cubed, is still a transposition
     with pytest.raises(ValueError, match="^total permutation is not trivial; "

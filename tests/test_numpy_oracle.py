@@ -1,48 +1,48 @@
 """numpy as an independent oracle for the plain-float eigen solver: on
-seeded random matrices of sizes 2 to 6, perron_eigen's eigenvalue is the
-largest real part numpy's LAPACK eigensolver finds, its vector solves
-M v = lam v, and is_primitive agrees with numpy's boolean matrix powers."""
+every primitive 2x2 matrix with entries 0..MAX_ENTRY, perron_eigen's
+eigenvalue is the largest real part numpy's LAPACK eigensolver finds
+and the quadratic formula's larger root, and its vector is positive and
+solves M v = lam v; perron_eigen refuses exactly the matrices whose
+powers numpy finds never strictly positive."""
+
+from itertools import product
 
 import pytest
 
-from cusplink.train_track import DEFAULT_TOL, is_primitive, perron_eigen
+from cusplink.train_track import DEFAULT_TOL, MAX_ENTRY, eigenvalues_2x2, perron_eigen
 
 np = pytest.importorskip("numpy")
 
+# Every 2x2 matrix with entries 0..MAX_ENTRY, as an (N, 2, 2) array.
+MATRICES = np.array(list(product(range(MAX_ENTRY + 1), repeat=4))).reshape(-1, 2, 2)
 
-def numpy_is_primitive(matrix) -> bool:
-    """Wielandt: primitive exactly when the power (n-1)^2 + 1 of the zero
-    pattern is strictly positive."""
-    pattern = (np.asarray(matrix) > 0).astype(np.int64)
-    power = pattern
-    for _ in range((len(pattern) - 1) ** 2):
-        power = ((power @ pattern) > 0).astype(np.int64)
-    return bool(power.all())
+
+def numpy_is_primitive(matrices):
+    """Wielandt: an n x n matrix is primitive exactly when the power
+    (n-1)^2 + 1 of its zero pattern is strictly positive; for n = 2 the
+    square."""
+    pattern = (matrices > 0).astype(np.int64)
+    return ((pattern @ pattern) > 0).all(axis=(1, 2))
 
 
 def test_perron_matches_numpy_eigvals():
-    rng = np.random.default_rng(20261018)
-    checked = {size: 0 for size in range(2, 7)}
-    while min(checked.values()) < 8:
-        size = int(rng.integers(2, 7))
-        matrix = rng.integers(0, 4, size=(size, size))
-        if not numpy_is_primitive(matrix):
-            continue
+    primitive = MATRICES[numpy_is_primitive(MATRICES)]
+    expected = np.linalg.eigvals(primitive.astype(float)).real.max(axis=1)
+    for matrix, lam_numpy in zip(primitive, expected):
         lam, vec = perron_eigen(matrix)
-        expected = float(np.linalg.eigvals(matrix.astype(float)).real.max())
-        assert abs(lam - expected) <= 1e-9 * max(1.0, expected), matrix
+        assert abs(lam - lam_numpy) <= 1e-9 * max(1.0, lam_numpy), matrix
+        assert abs(lam - eigenvalues_2x2(matrix)[0]) <= 1e-9 * lam, matrix
+        assert vec[1] == 1.0 and vec[0] > 0, matrix
         residual = matrix @ np.array(vec) - lam * np.array(vec)
         assert np.abs(residual).max() <= 10 * DEFAULT_TOL * max(vec), matrix
-        checked[size] += 1
+    assert len(primitive) == 12000
 
 
-def test_is_primitive_matches_numpy_matrix_powers():
-    rng = np.random.default_rng(20261019)
-    verdicts = set()
-    for _ in range(400):
-        size = int(rng.integers(2, 7))
-        matrix = (rng.random((size, size)) < rng.uniform(0.15, 0.6)).astype(np.int64)
-        verdict = is_primitive(matrix)
-        assert verdict == numpy_is_primitive(matrix), matrix
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+def test_domain_matches_numpy_matrix_powers():
+    verdicts = numpy_is_primitive(MATRICES)
+    assert set(verdicts) == {True, False}
+    for matrix in MATRICES[~verdicts]:
+        with pytest.raises(ValueError, match="not primitive"):
+            perron_eigen(matrix)
+    # each matrix numpy calls primitive answers in test_perron_matches_numpy_eigvals
+    assert verdicts.sum() == 12000

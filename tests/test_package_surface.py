@@ -20,10 +20,15 @@ MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits
 # Second routes that dilatation never ran, the test-only dilatation(),
 # and the wrappers of the one substitution, gone without a same-named
 # reference: the substitution and its arc counts are module constants.
+# perron_eigen takes a primitive 2x2 integer matrix at DEFAULT_TOL alone,
+# so the general matrix reader, the Wielandt test, the tolerance bounds
+# and the convergence predictor are gone too.
 REMOVED = ["anosov_check", "AnosovReport", "word_lengths", "dilatation",
            "ArcCrossing", "MeasureSystem", "SubstitutionRules", "TransitionMatrix",
            "biggs_substitution", "crossing_measure", "reference_arcs",
-           "tangential_weights", "transverse_weights"]
+           "tangential_weights", "transverse_weights",
+           "is_primitive", "_as_matrix", "_refuse_slow_contraction", "MAX_TOL",
+           "ROUNDING_EPSILONS", "CONTRACTION_WINDOW"]
 
 
 def test_every_exported_name_resolves():
@@ -46,6 +51,7 @@ def test_removed_train_track_routes_are_gone(module):
     for name in REMOVED:
         assert not hasattr(shipped, name), f"{module}.{name}"
         assert name not in cusplink.__all__
+    assert list(inspect.signature(shipped.perron_eigen).parameters) == ["matrix"]
 
 
 def test_perm_group_has_no_orbit_methods():

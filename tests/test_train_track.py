@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cusplink import train_track
 from cusplink.train_track import (
     ARC_CROSSINGS,
+    DEFAULT_TOL,
+    MAX_ENTRY,
     SUBSTITUTION,
     eigen_report,
     eigenvalues_2x2,
-    is_primitive,
     perron_eigen,
     substitution_dot,
     transition_matrix,
@@ -67,10 +69,13 @@ def test_transpose_is_the_weight_system():
 
 
 def test_primitivity():
-    assert is_primitive([[3, 4], [2, 3]])
-    assert is_primitive([[1, 1], [1, 0]])
-    assert not is_primitive([[1, 0], [0, 1]])
-    assert not is_primitive([[0, 1], [1, 0]])  # periodic, never strictly positive
+    # b > 0, c > 0 and a + d > 0: the square is strictly positive
+    assert perron_eigen([[3, 4], [2, 3]])[0] > 0
+    assert perron_eigen([[1, 1], [1, 0]])[0] > 0
+    with pytest.raises(ValueError, match="not primitive"):
+        perron_eigen([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not primitive"):
+        perron_eigen([[0, 1], [1, 0]])  # periodic, never strictly positive
 
 
 def test_perron_on_the_weight_system():
@@ -85,18 +90,64 @@ def test_perron_rejects_identity_and_bad_tol():
     with pytest.raises(ValueError):
         perron_eigen([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        perron_eigen([[2]], tol=0.0)
+        perron_eigen([[2]])
     with pytest.raises(ValueError):
         perron_eigen([[1, -1], [1, 1]])
+    with pytest.raises(TypeError):
+        perron_eigen([[3, 4], [2, 3]], tol=1e-13)  # the tolerance is DEFAULT_TOL alone
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_entries_are_refused_at_once(value):
-    message = f"entries must be finite, got {value!r} at row 1, column 0"
+    message = f"entries must be integers 0..MAX_ENTRY = 10, got {value!r} at row 1, column 0"
+    started = time.perf_counter()
     with pytest.raises(ValueError, match=message):
         perron_eigen([[1, 1], [value, 1]])
     with pytest.raises(ValueError, match=message):
-        is_primitive([[1, 1], [value, 1]])
+        eigenvalues_2x2([[1, 1], [value, 1]])
+    assert time.perf_counter() - started < 0.1
+
+
+def test_the_slowest_matrix_in_the_domain_answers_within_10_ms():
+    perron_eigen(((0, 10), (10, 1)))  # warm up before timing
+    started = time.perf_counter()
+    lam, vec = perron_eigen(((0, 10), (10, 1)))
+    assert time.perf_counter() - started < 0.010
+    assert lam == pytest.approx(eigenvalues_2x2(((0, 10), (10, 1)))[0], rel=1e-12)
+
+
+def _no_step(*_args):
+    raise AssertionError("the power iteration ran on an input outside the domain")
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[5]], "a 2x2 matrix is required"),
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], "a 2x2 matrix is required"),
+    ([1, 2, 3, 4], "a 2x2 matrix is required"),
+    ([[3, 4], [2, -3]], r"got -3 at row 1, column 1"),
+    ([[3, MAX_ENTRY + 1], [2, 3]], rf"got {MAX_ENTRY + 1} at row 0, column 1"),
+    ([[3, 4], [2.0, 3]], r"got 2\.0 at row 1, column 0"),
+    ([[True, 4], [2, 3]], r"got True at row 0, column 0"),
+    ([[3, 4], [math.nan, 3]], r"got nan at row 1, column 0"),
+    ([[3, 10 ** 5000], [2, 3]], r"got a 16610-bit integer at row 0, column 1"),
+    (np.array([[3.0, 4.0], [2.0, 3.0]]), r"got np\.float64\(3\.0\) at row 0, column 0"),
+    ([[1, 0], [0, 1]], r"not primitive .* it needs b > 0, c > 0 and a \+ d > 0"),
+    (((0, 1), (1, 0)), r"matrix \(\(0, 1\), \(1, 0\)\) is not primitive"),
+    (((0, 2), (3, 0)), r"matrix \(\(0, 2\), \(3, 0\)\) is not primitive"),
+], ids=["1x1", "3x3", "flat", "negative", "max_entry+1", "float", "bool", "nan", "huge",
+        "float_ndarray", "identity", "swap", "periodic"])
+def test_inputs_outside_the_domain_are_refused_before_iterating(monkeypatch, matrix, message):
+    monkeypatch.setattr(train_track, "_dot", _no_step)
+    with pytest.raises(ValueError, match=message):
+        perron_eigen(matrix)
+    with pytest.raises(ValueError, match=message):
+        eigenvalues_2x2(matrix)
+
+
+def test_numpy_integers_are_entries():
+    lam, vec = perron_eigen(np.array([[3, 4], [2, 3]]).T)
+    assert (lam, vec) == perron_eigen(((3, 2), (4, 3)))
+    assert type(lam) is float and all(type(x) is float for x in vec)
 
 
 def test_perron_vector_scales_by_a_number():
@@ -111,20 +162,20 @@ def test_perron_fibonacci_matches_quadratic_formula():
     assert lam == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
 
 
-def test_nearly_equal_diagonal_keeps_the_exact_eigenvalue():
-    # the all-ones start is an eigenvector, so the iteration stops at step 1,
-    # and the quadratic formula must not cancel 1 + 1e-9 down to 1.0
-    lam, vec = perron_eigen([[1, 1e-9], [1e-9, 1]])
-    assert abs(lam - 1.000000001) <= 1e-15
+def test_equal_diagonal_keeps_the_exact_eigenvalue():
+    # the all-ones start is an eigenvector, so the iteration stops at step 1
+    # with the exact eigenvalue, and the quadratic formula gives both exactly
+    lam, vec = perron_eigen([[MAX_ENTRY, 1], [1, MAX_ENTRY]])
+    assert lam == MAX_ENTRY + 1
     assert vec == (1.0, 1.0)
-    assert abs(eigenvalues_2x2([[1, 1e-9], [1e-9, 1]])[0] - 1.000000001) <= 1e-15
+    assert eigenvalues_2x2([[MAX_ENTRY, 1], [1, MAX_ENTRY]]) == (MAX_ENTRY + 1, MAX_ENTRY - 1)
 
 
 def test_slow_contraction_is_refused_quickly():
+    # this input once spun for 10^6 steps; its float entries are refused
     started = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"cannot converge within 1000000 steps: over steps "
-                                           r"1000\.\.2000 the residual contracted by 0\.99999999\d* "
-                                           r"per step .* which predicts 2\.\d+e\+09 steps"):
+    with pytest.raises(ValueError, match=r"entries must be integers 0\.\.MAX_ENTRY = 10, "
+                                         r"got 1e-09 at row 0, column 1"):
         perron_eigen([[1, 1e-9], [3e-9, 1]])
     assert time.perf_counter() - started < 0.1
 
@@ -133,13 +184,12 @@ def test_perron_transpose_duality():
     rng = np.random.default_rng(11)
     checked = 0
     while checked < 25:
-        size = int(rng.integers(2, 5))
-        matrix = rng.integers(0, 4, size=(size, size))
-        if not is_primitive(matrix):
+        matrix = rng.integers(0, MAX_ENTRY + 1, size=(2, 2))
+        if not np.all(matrix @ matrix > 0):  # Wielandt: primitive iff M^2 > 0
             continue
-        lam, vec = perron_eigen(matrix, tol=1e-13)
-        lam_t, vec_t = perron_eigen(matrix.T, tol=1e-13)
-        assert abs(lam - lam_t) <= 2e-13 * max(1.0, lam)
+        lam, vec = perron_eigen(matrix)
+        lam_t, vec_t = perron_eigen(matrix.T)
+        assert abs(lam - lam_t) <= 2 * DEFAULT_TOL * max(1.0, lam)
         assert all(x > 0 for x in vec) and all(x > 0 for x in vec_t)
         checked += 1
 
@@ -204,18 +254,18 @@ def test_anosov_reports():
 
 
 @pytest.mark.parametrize("matrix", [[[3, 4], [2, 3]], [[2, 1], [1, 1]], [[1, 1], [1, 0]],
-                                    [[1, 1e-9], [1e-9, 1]], [[0, 2], [3, 0]]])
+                                    [[10, 1], [1, 10]], [[0, 10], [10, 1]]])
 def test_eigenvalues_2x2_match_numpy(matrix):
     assert eigenvalues_2x2(matrix) == pytest.approx(
         sorted(np.linalg.eigvals(np.array(matrix, dtype=float)).real, reverse=True), abs=1e-12)
 
 
 def test_eigenvalues_2x2_requires_square():
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(ValueError, match="2x2"):
         eigenvalues_2x2([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError, match="2x2"):
         eigenvalues_2x2([[1]])
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="integers 0..MAX_ENTRY"):
         eigenvalues_2x2([[0, -1], [1, 0]])
 
 
