@@ -8,17 +8,19 @@ Exit codes: 0 when all requested checks pass, 1 on a check failure,
 not read where it is given, as "error: <reader> does not read --<flag>"
 (a family flag --n, --t or --m that the chosen family does not read,
 or any of them for `links` without --family, which builds every
-family at its defaults); an invalid n; a census --n-max above the
+family at its defaults); an invalid n; a chain --n or --t, or a braid
+--m, beyond its bound in link_families; a census --n-max above the
 field-order cap; a census range that holds no prime power above 3
 (--n-min 10 --n-max 5, or --n-max 3); and an --out path that cannot be
 written, reported as "error: cannot write --out PATH: <reason>".  A
 refusal shows a number of over 128 bits by its size, and an argument of
 over 64 characters by its length.  A failed check names itself on
-stderr: "error: map n=<n>: genus != formula_genus (<values>)", the first
-failing census row as "error: census n=<n>: <invariant> (<values>)",
-and a dilatation residual over train_track.RESIDUAL_BOUND by name and
-value.  A violated internal invariant is a check failure too: it exits 1
-with "error: invariant violated: ..." instead of a traceback.
+stderr after the report: "error: map n=<n>: genus != formula_genus
+(<values>)", the first failing census row as "error: census n=<n>:
+<invariant> (<values>)", and a dilatation residual over
+train_track.RESIDUAL_BOUND by name and value.  A violated internal
+invariant is a check failure too: it exits 1 with "error: invariant
+violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.
 """
@@ -137,7 +139,7 @@ def _build_family(name: str, args) -> link_families.LinkBlueprint:
 # subcommands
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> None:
     spec = _field(args.n)
     surface = biggs_map(spec)
     payload = map_summary(surface)
@@ -148,27 +150,24 @@ def cmd_map(args) -> int:
         _emit_report(args, payload, [payload], ["n", "V", "E", "F", "genus", "formula_genus",
                                                 "vertex_degree", "match"])
     if not payload["match"]:
-        print(f"error: map n={payload['n']}: genus != formula_genus (genus={payload['genus']}, "
-              f"formula_genus={payload['formula_genus']})", file=sys.stderr)
-    return 0 if payload["match"] else 1
+        raise RuntimeError(f"map n={payload['n']}: genus != formula_genus "
+                           f"(genus={payload['genus']}, formula_genus={payload['formula_genus']})")
 
 
-def cmd_transitivity(args) -> int:
+def cmd_transitivity(args) -> None:
     row = _links_row(_build_family(args.family, args))
     payload = {column: row[column] for column in _TRANSITIVITY_COLUMNS}
     _emit_report(args, payload, [payload], _TRANSITIVITY_COLUMNS)
-    return 0
 
 
-def cmd_links(args) -> int:
+def cmd_links(args) -> None:
     if args.family:
         blueprint = _build_family(args.family, args)
         _emit_report(args, blueprint.to_json_dict(), [_links_row(blueprint)], _LINKS_COLUMNS)
-        return 0
+        return
     _refuse_unread(args, "links without --family", _FAMILY_FLAGS)
     rows = [_links_row(build(**defaults)) for defaults, build in _FAMILIES.values()]
     _emit_report(args, {"families": rows}, rows, _LINKS_COLUMNS)
-    return 0
 
 
 _LINKS_COLUMNS = ["family", "ambient", "n_components", "symmetry_order",
@@ -182,18 +181,16 @@ def _links_row(blueprint: link_families.LinkBlueprint) -> dict:
     return row
 
 
-def cmd_dilatation(args) -> int:
+def cmd_dilatation(args) -> None:
     if args.format == "dot":
         _emit(substitution_dot(), args)
-        return 0
+        return
     report = eigen_report()
     _emit_report(args, report, [report], ["lambda", "lambda_inverse", "w", "z"])
     for name, value in report["residuals"].items():
         if not value <= RESIDUAL_BOUND:
-            print(f"error: dilatation residual {name} = {value!r} exceeds "
-                  f"RESIDUAL_BOUND = {RESIDUAL_BOUND!r}", file=sys.stderr)
-            return 1
-    return 0
+            raise RuntimeError(f"dilatation residual {name} = {value!r} exceeds "
+                               f"RESIDUAL_BOUND = {RESIDUAL_BOUND!r}")
 
 
 def _census_failure(row: dict) -> str | None:
@@ -209,7 +206,7 @@ def _census_failure(row: dict) -> str | None:
     return None
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> None:
     # Refused before anything is factored, so every order in range builds.
     if args.n_max > DEFAULT_MAX_ORDER:
         raise ValueError(f"order {shown_int(args.n_max)} exceeds the cap {DEFAULT_MAX_ORDER}")
@@ -232,9 +229,7 @@ def cmd_census(args) -> int:
     _emit_report(args, {"rows": rows}, rows,
                  ["n", "cusps", "symmetry_order", "transitivity_degree", "linking"])
     if failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
-    return 0
+        raise RuntimeError(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: 0, or what it raises shown after "error: ", with
+    exit code 2 for a ValueError and 1 for a failed check or invariant."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -323,6 +320,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry_point() -> None:

@@ -121,6 +121,10 @@ def _group_facts(generators) -> dict:
 # The chain's n x n linking matrix is built, checked entry by entry and
 # printed whole by `links`; 256 loops answer in well under a second.
 MAX_CHAIN_LOOPS = 256
+# The twist count t is read only for its sign, but printed whole in
+# params.half_twists: up to 2**53 it stays exact in a JSON reader that
+# parses numbers as doubles.
+MAX_HALF_TWISTS = 2 ** 53
 
 
 def chain_link(n: int, t: int) -> LinkBlueprint:
@@ -135,6 +139,9 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
     if n > MAX_CHAIN_LOOPS:
         raise ValueError(f"a chain has at most MAX_CHAIN_LOOPS = {MAX_CHAIN_LOOPS} loops, "
                          f"got {shown_int(n)}")
+    if abs(t) > MAX_HALF_TWISTS:
+        raise ValueError(f"a chain has at most MAX_HALF_TWISTS = {MAX_HALF_TWISTS} half-twists "
+                         f"either way, got {shown_int(t)}")
     sign = 1 if t >= 0 else -1
     matrix = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -3,8 +3,9 @@ family built from finite-field arithmetic.
 
 A map is a rotation system over darts (directed edge sides) 0..D-1:
 alpha, a fixed-point-free involution pairing each dart with its
-reverse, and phi, the face rotation, both Permutations of degree D.
-Conventions, fixed once and tested everywhere:
+reverse, and the face lengths, each face a block of consecutive ids
+that phi, the face rotation, turns one step.  Conventions, fixed once
+and tested everywhere:
 
   faces     = cycles of phi
   edges     = cycles of alpha
@@ -19,14 +20,13 @@ b); with omega the least primitive element, dart a*(n-1) + i is
   phi(a, b)   = (a, a + omega*(b - a)).
 
 Face a turns by x -> a + omega*(x - a) (Jones and Singerman, Proc. LMS
-1978), so each face is one block of n-1 darts in cycle order and phi
-turns each block one step.  With -1 = omega^h (h = 0 in characteristic
-2), alpha sends dart a*(n-1) + i to b*(n-1) + (i + h) mod (n-1), with
-b = a + omega^i read off the exp, log and Zech tables; only a right
-table makes that an involution, which RotationMap checks in bulk.  The
-map has n faces, each an (n-1)-gon, every two sharing exactly one edge,
-and genus genus_formula(n): 1 + n(n-7)/4 when n = 3 mod 4, else
-1 + n(n-5)/4.
+1978), so each face is one block of n-1 darts in cycle order.  With
+-1 = omega^h (h = 0 in characteristic 2), alpha sends dart a*(n-1) + i
+to b*(n-1) + (i + h) mod (n-1), with b = a + omega^i read off the exp,
+log and Zech tables; only a right table makes that an involution, which
+RotationMap checks in bulk.  The map has n faces, each an (n-1)-gon,
+every two sharing exactly one edge, and genus genus_formula(n):
+1 + n(n-7)/4 when n = 3 mod 4, else 1 + n(n-5)/4.
 
 Each orbit of <alpha, phi> is one closed orientable surface, with
 V - E + F = 2 - 2g and g >= 0.  An automorphism of a connected map is
@@ -41,53 +41,54 @@ list of face-pair codes, i*F + j for each edge between faces i <= j.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, ne
 
-from ._value import int_tuple
+from ._value import int_tuple, shown_int
 from .finite_field import FieldSpec, _tables, prime_power
-from .perm_action import Permutation, _compose, _invert
+from .perm_action import Permutation, _compose
 
 
 class RotationMap:
-    """A rotation system given by two same-degree dart Permutations;
-    alpha is checked to be a fixed-point-free involution."""
+    """A rotation system given by alpha, a dart Permutation checked in bulk to
+    be a fixed-point-free involution, and its face lengths: face i is the
+    face_lengths[i] darts that follow faces 0..i-1, and phi is derived."""
 
-    def __init__(self, alpha: Permutation, phi: Permutation):
-        for i, (name, perm) in enumerate((("alpha", alpha), ("phi", phi))):
-            if not isinstance(perm, Permutation):
-                raise TypeError(f"{name} {perm!r} at position {i} is not a Permutation")
-        if alpha.degree != phi.degree:
-            raise ValueError(f"alpha has degree {alpha.degree} but phi has degree {phi.degree}")
+    def __init__(self, alpha: Permutation, face_lengths):
+        if not isinstance(alpha, Permutation):
+            raise TypeError(f"alpha {alpha!r} is not a Permutation")
+        lengths = int_tuple(face_lengths, "face length")
+        for i, length in enumerate(lengths):
+            if length < 1:
+                raise ValueError(f"face length {shown_int(length)} at position {i} is not positive")
+        if (total := sum(lengths)) != alpha.degree:
+            raise ValueError(f"the face lengths sum to {shown_int(total)}, "
+                             f"not to alpha's degree {alpha.degree}")
         darts, images = range(alpha.degree), alpha.images
         if not all(map(ne, images, darts)) or _compose(images, images) != tuple(darts):
             d = next(d for d, e in enumerate(images) if e == d or images[e] != d)
             raise ValueError(f"alpha fixes dart {d}" if images[d] == d
                              else f"alpha(alpha({d})) = {images[images[d]]}, not {d}")
         self.alpha = alpha
-        self.phi = phi
         self.darts = darts
+        self.faces = [tuple(range(start, start + length))
+                      for start, length in zip(accumulate(lengths, initial=0), lengths)]
+        self.face_index = tuple(chain.from_iterable(repeat(i, length)
+                                                    for i, length in enumerate(lengths)))
 
     @cached_property
-    def faces(self) -> list[tuple[int, ...]]:
-        return self.phi.cycles()
-
-    @cached_property
-    def face_index(self) -> tuple[int, ...]:
-        """dart -> position of its face in self.faces."""
-        labels = chain.from_iterable(repeat(i, len(face)) for i, face in enumerate(self.faces))
-        return _compose(tuple(labels), self.face_slot)
-
-    @cached_property
-    def face_slot(self) -> tuple[int, ...] | range:
-        """dart -> its position in the faces listed one after another."""
-        return _invert(tuple(chain.from_iterable(self.faces)))
+    def phi(self) -> Permutation:
+        """The face rotation: each dart to the next one of its face's block,
+        and the block's last dart to its first."""
+        images = list(range(1, len(self.darts) + 1))
+        for face in self.faces:
+            images[face[-1]] = face[0]
+        return Permutation._unchecked(tuple(images))
 
 
 def biggs_map(spec: FieldSpec) -> RotationMap:
     """Construct the regular map of the field: n faces, each an (n-1)-gon,
-    labeled by the field elements, every two sharing exactly one edge; it
-    comes with its faces, face_slot and face_index, read off the blocks."""
+    labeled by the field elements, every two sharing exactly one edge."""
     if spec.n <= 3:
         raise ValueError("field order must exceed 3")
     exp, log, zech = _tables(spec)
@@ -98,13 +99,7 @@ def biggs_map(spec: FieldSpec) -> RotationMap:
     for r in log[1:]:  # face a = 1, 2, ...: a + omega^i = omega^(r + Z(i - r)), r = log a
         alpha += map(add, _compose(starts[r:] + starts[:r] + (0,), zech[m - r:] + zech[:m - r]),
                      steps)  # Z = m, for a + omega^i = 0, reads the 0 appended
-    phi = list(range(1, n * m + 1))
-    phi[m - 1::m] = range(0, n * m, m)  # the last dart of each block turns to its first
-    surface = RotationMap(Permutation._unchecked(tuple(alpha)), Permutation._unchecked(tuple(phi)))
-    surface.faces = [tuple(range(base, base + m)) for base in surface.darts[::m]]
-    surface.face_slot = surface.darts  # the faces are in dart order: the identity, as a range
-    surface.face_index = tuple(chain.from_iterable(repeat(a, m) for a in range(n)))
-    return surface
+    return RotationMap(Permutation._unchecked(tuple(alpha)), (m,) * n)
 
 
 def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple | None, str | None]:
@@ -113,7 +108,7 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple | None,
     alpha turns onto the face of its entry dart's image, so f commutes with
     phi; entering a face of another length gives (None, defect) at once, as
     no automorphism maps a face onto one.  A disconnected map is refused."""
-    faces, face, slot = rotation_map.faces, rotation_map.face_index, rotation_map.face_slot
+    faces, face = rotation_map.faces, rotation_map.face_index
     if not 0 <= target < len(face):
         raise ValueError(f"target {target} is not one of the {len(face)} darts")
     alpha = rotation_map.alpha.images
@@ -124,15 +119,14 @@ def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple | None,
         if len(source) != len(image):
             return None, (f"dart {s} is on a face of length {len(source)} "
                           f"but f({s}) = {e} is on one of length {len(image)}")
-        r = (slot[e] - slot[image[0]] - slot[s] + slot[source[0]]) % len(image)
+        r = (e - image[0] - s + source[0]) % len(image)
         row = rows[face[s]] = image[r:] + image[:r]
         if unseen:  # the faces across alpha from this one, each with one entry dart
             crossed = _compose(alpha, source)
             entries = dict(zip(_compose(face, crossed), zip(crossed, _compose(alpha, row))))
             frontier += map(entries.get, unseen.intersection(entries))
             unseen.difference_update(entries)
-    f = tuple(chain.from_iterable(rows))  # f in face order: dart order if face_slot is darts
-    f = f if slot == rotation_map.darts else _compose(f, slot)  # a tuple never equals a range
+    f = tuple(chain.from_iterable(rows))  # the faces are blocks in dart order, so f is too
     if (left := _compose(f, alpha)) != (right := _compose(alpha, f)):
         d = next(d for d, (x, y) in enumerate(zip(left, right)) if x != y)
         return f, f"f(alpha({d})) = {left[d]} but alpha(f({d})) = {right[d]}"

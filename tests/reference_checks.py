@@ -214,24 +214,36 @@ def face_adjacency_complete(rotation_map) -> bool:
     return pairs == [i * F + j for i in range(F) for j in range(i + 1, F)]
 
 
+def block_map(alpha, phi):
+    """The map with the face rotation phi given as a RotationMap, whose
+    faces are blocks of consecutive darts: the darts are renamed in the
+    order of phi's cycles listed end to end.  Returns the map and the
+    renaming, old dart d -> new[d]."""
+    cycles = phi.cycles()
+    new = [0] * alpha.degree
+    for position, d in enumerate(d for cycle in cycles for d in cycle):
+        new[d] = position
+    renamed = [0] * alpha.degree
+    for d, e in enumerate(alpha.images):
+        renamed[new[d]] = new[e]
+    return RotationMap(Permutation(tuple(renamed)), [len(cycle) for cycle in cycles]), tuple(new)
+
+
 def square_torus(width: int, height: int):
     """The regular map {4,4} of width x height squares on the torus.
     Dart 4*(x*height + y) + k is side k of square (x, y), the sides
-    counterclockwise from east; phi turns each square, and alpha glues
-    its east side to the west side of (x + 1, y) and its north side to
-    the south side of (x, y + 1)."""
+    counterclockwise from east, so each square is a block of 4 darts that
+    phi turns; alpha glues its east side to the west side of (x + 1, y)
+    and its north side to the south side of (x, y + 1)."""
     neighbours = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
     def dart(x, y, k):
         return 4 * ((x % width) * height + y % height) + k
 
-    alpha, phi = [], []
-    for x in range(width):
-        for y in range(height):
-            for k, (dx, dy) in enumerate(neighbours):
-                alpha.append(dart(x + dx, y + dy, (k + 2) % 4))
-                phi.append(dart(x, y, (k + 1) % 4))
-    return RotationMap(Permutation(tuple(alpha)), Permutation(tuple(phi)))
+    alpha = [dart(x + dx, y + dy, (k + 2) % 4)
+             for x in range(width) for y in range(height)
+             for k, (dx, dy) in enumerate(neighbours)]
+    return RotationMap(Permutation(tuple(alpha)), (4,) * (width * height))
 
 
 def affine_map_automorphism(spec, s: int, t: int):

@@ -480,6 +480,22 @@ def test_huge_numbers_are_refused_in_a_short_line(capsys, argv, shown):
     assert len(captured.err.encode()) < 200
 
 
+@pytest.mark.parametrize("t, shown", [
+    (_DIGITS_4300, "a 14285-bit integer"), ("-" + _DIGITS_4300, "a negative 14285-bit integer"),
+    (str(2 ** 53 + 1), str(2 ** 53 + 1))], ids=["4300-digits", "negative", "bound+1"])
+def test_chain_twist_count_past_its_bound_is_a_usage_error(capsys, t, shown):
+    code, out, err = run(capsys, "links", "--family", "chain", "--t", t)
+    assert (code, out) == (2, "")
+    assert err == (f"error: a chain has at most MAX_HALF_TWISTS = {2 ** 53} half-twists "
+                   f"either way, got {shown}\n")
+    assert len(err.encode()) < 200
+
+
+def test_chain_twist_count_up_to_its_bound_answers(capsys):
+    code, out, _ = run(capsys, "links", "--family", "chain", "--t", str(-2 ** 53))
+    assert code == 0 and json.loads(out)["params"]["half_twists"] == -2 ** 53
+
+
 def test_braid_power_up_to_its_bound_answers(capsys):
     from cusplink.link_families import MAX_BRAID_POWER
 

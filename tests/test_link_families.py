@@ -10,6 +10,7 @@ from cusplink.finite_field import _tables, field_of_order, make_field, prime_pow
 from cusplink.link_families import (
     EXAMPLE_BRAID,
     MAX_CHAIN_LOOPS,
+    MAX_HALF_TWISTS,
     BraidWord,
     LinkBlueprint,
     _check_cyclic_stabilizer,
@@ -236,6 +237,19 @@ def test_chain_loop_count_is_bounded():
     assert chain_link(MAX_CHAIN_LOOPS, 0).symmetry_order == MAX_CHAIN_LOOPS
     with pytest.raises(ValueError, match=f"at most MAX_CHAIN_LOOPS = {MAX_CHAIN_LOOPS} loops"):
         chain_link(MAX_CHAIN_LOOPS + 1, 0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chain_twist_count_is_bounded(sign):
+    # up to 2**53 either way the count is printed whole and stays exact as a
+    # double; one more is refused by the bound's name and the value
+    assert MAX_HALF_TWISTS == 2 ** 53 == float(2 ** 53)
+    chain = chain_link(5, sign * MAX_HALF_TWISTS)
+    assert chain.to_json_dict()["params"]["half_twists"] == sign * MAX_HALF_TWISTS
+    assert chain.linking_matrix[0][1] == sign
+    with pytest.raises(ValueError, match=rf"^a chain has at most MAX_HALF_TWISTS = {2 ** 53} "
+                                         rf"half-twists either way, got {sign * (2 ** 53 + 1)}$"):
+        chain_link(5, sign * (MAX_HALF_TWISTS + 1))
 
 
 # int() would truncate or convert each of these; a bool is an int subclass

@@ -107,13 +107,20 @@ def test_test_only_builders_are_gone():
 
 def test_second_routes_are_gone():
     # a group's order is the product of its basic-orbit lengths, a map's
-    # counts are the lengths of its orbit lists, and cycles() always
-    # lists the fixed points
+    # counts are the lengths of its orbit lists, its faces are dart blocks
+    # given by their lengths, with no second layout read off phi, and
+    # cycles() always lists the fixed points
+    from cusplink import regular_map
+
+    surface = cusplink.biggs_map(cusplink.field_of_order(5))
     gone = [(cusplink.PermGroup, ["orbit_lengths", "_sift"]),
-            (cusplink.RotationMap, ["num_faces", "num_vertices", "num_edges"])]
+            (cusplink.RotationMap, ["num_faces", "num_vertices", "num_edges", "face_slot"]),
+            (surface, ["face_slot"]), (regular_map, ["_invert"])]
     for owner, names in gone:
         for name in names:
-            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+            assert not hasattr(owner, name), f"{owner!r}.{name}"
+    assert list(inspect.signature(cusplink.RotationMap).parameters) == ["alpha", "face_lengths"]
+    assert "slot" not in regular_map.lockstep_walk.__code__.co_varnames
     with pytest.raises(TypeError):
         cusplink.Permutation((0, 2, 1)).cycles(include_fixed=False)
     assert cusplink.Permutation((0, 2, 1)).cycles() == [(0,), (1, 2)]

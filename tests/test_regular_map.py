@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cusplink import regular_map
 from cusplink.cli import main
 from cusplink.finite_field import _tables, field_of_order, make_field
-from cusplink.perm_action import Permutation, _invert
+from cusplink.perm_action import Permutation
 from cusplink.regular_map import (
     NoAutomorphism,
     RotationMap,
@@ -25,6 +25,7 @@ from cusplink.regular_map import (
 from reference_checks import (
     affine_map_automorphism,
     affine_permutation,
+    block_map,
     dart_automorphism_is_valid,
     dart_pairs,
     edges,
@@ -57,33 +58,48 @@ ORDERS_TO_64_AND_OVER_THE_CAP = (
 
 def two_face_sphere():
     """Two faces glued along two edges: a 2-gon bubble, used as the
-    incomplete-adjacency fixture."""
-    alpha = Permutation((1, 0, 3, 2))
-    phi = Permutation((2, 3, 0, 1))
-    return RotationMap(alpha, phi)
+    incomplete-adjacency fixture.  The faces are the blocks (0, 1) and
+    (2, 3), and alpha glues 0 to 2 and 1 to 3."""
+    return RotationMap(Permutation((2, 3, 0, 1)), (2, 2))
 
 
 def test_rotation_map_validation():
     with pytest.raises(ValueError, match=r"^alpha fixes dart 0$"):
-        RotationMap(Permutation((0, 1)), Permutation((1, 0)))
+        RotationMap(Permutation((0, 1)), (2,))
     with pytest.raises(ValueError, match=r"^alpha fixes dart 2$"):
-        RotationMap(Permutation((1, 0, 2, 3)), identity(4))
+        RotationMap(Permutation((1, 0, 2, 3)), (4,))
     with pytest.raises(ValueError, match=r"^alpha\(alpha\(0\)\) = 2, not 0$"):
-        RotationMap(Permutation((1, 2, 0)), identity(3))
-    with pytest.raises(ValueError, match=r"^alpha has degree 2 but phi has degree 3$"):
-        RotationMap(Permutation((1, 0)), Permutation((0, 1, 2)))  # phi off the dart set
+        RotationMap(Permutation((1, 2, 0)), (1, 2))
 
 
 def test_rotation_map_refuses_a_non_permutation():
-    with pytest.raises(TypeError, match=r"^alpha \(1, 0\) at position 0 is not a Permutation$"):
-        RotationMap((1, 0), (0, 1))
-    with pytest.raises(TypeError, match=r"^phi \(0, 1\) at position 1 is not a Permutation$"):
-        RotationMap(Permutation((1, 0)), (0, 1))
+    with pytest.raises(TypeError, match=r"^alpha \(1, 0\) is not a Permutation$"):
+        RotationMap((1, 0), (2,))
+
+
+@pytest.mark.parametrize("lengths, error, message", [
+    ((2.0,), TypeError, r"face length 2\.0 at position 0 is not an int"),
+    ((True, 1), TypeError, r"face length True at position 0 is not an int"),
+    (("2",), TypeError, r"face length '2' at position 0 is not an int"),
+    ((2, 0, 2), ValueError, r"face length 0 at position 1 is not positive"),
+    ((5, -1), ValueError, r"face length -1 at position 1 is not positive"),
+    ((-2 ** 200, 2 ** 200 + 4), ValueError,
+     r"face length a negative 201-bit integer at position 0 is not positive"),
+    ((3,), ValueError, r"the face lengths sum to 3, not to alpha's degree 4"),
+    ((2, 2, 2), ValueError, r"the face lengths sum to 6, not to alpha's degree 4"),
+    ((), ValueError, r"the face lengths sum to 0, not to alpha's degree 4"),
+    ((4, 2 ** 200), ValueError,
+     r"the face lengths sum to a 201-bit integer, not to alpha's degree 4"),
+], ids=["float", "bool", "str", "zero", "negative", "huge-negative", "short", "long", "none",
+        "huge"])
+def test_rotation_map_refuses_bad_face_lengths(lengths, error, message):
+    # each refusal names the length at fault, or the sum against alpha's degree
+    with pytest.raises(error, match=rf"^{message}$"):
+        RotationMap(Permutation((1, 0, 3, 2)), lengths)
 
 
 def test_disconnected_map_names_its_counts():
-    bubbles = RotationMap(Permutation((1, 0, 3, 2, 5, 4, 7, 6)),
-                          Permutation((2, 3, 0, 1, 6, 7, 4, 5)))
+    bubbles = RotationMap(Permutation((2, 3, 0, 1, 6, 7, 4, 5)), (2, 2, 2, 2))
     with pytest.raises(ValueError, match=r"^map has 2 connected components "
                                          r"\(V=4, E=4, F=4, chi=4\); a genus needs exactly one$"):
         genus(bubbles)
@@ -91,14 +107,13 @@ def test_disconnected_map_names_its_counts():
 
 def two_copies(surface):
     """The disjoint union of a map with a copy of itself."""
-    shift = len(surface.darts)
-    alpha, phi = surface.alpha.images, surface.phi.images
+    shift, alpha = len(surface.darts), surface.alpha.images
     return RotationMap(Permutation(alpha + tuple(d + shift for d in alpha)),
-                       Permutation(phi + tuple(d + shift for d in phi)))
+                       [len(face) for face in surface.faces] * 2)
 
 
 @pytest.mark.parametrize("surface, components, counts", [
-    (RotationMap(Permutation(()), Permutation(())), 0, "V=0, E=0, F=0, chi=0"),
+    (RotationMap(Permutation(()), ()), 0, "V=0, E=0, F=0, chi=0"),
     (two_copies(biggs_map(field_of_order(5))), 2, "V=10, E=20, F=10, chi=0"),
 ])
 def test_genus_needs_exactly_one_component(surface, components, counts):
@@ -109,7 +124,7 @@ def test_genus_needs_exactly_one_component(surface, components, counts):
 
 
 @st.composite
-def rotation_systems(draw):
+def alphas_and_phis(draw):
     """A random fixed-point-free involution alpha and a random phi on at
     most 12 darts."""
     darts = draw(st.integers(0, 6)) * 2
@@ -117,8 +132,23 @@ def rotation_systems(draw):
     alpha = [0] * darts
     for d, e in zip(pairing[::2], pairing[1::2]):
         alpha[d], alpha[e] = e, d
-    phi = draw(st.permutations(range(darts)))
-    return RotationMap(Permutation(tuple(alpha)), Permutation(tuple(phi)))
+    return Permutation(tuple(alpha)), Permutation(tuple(draw(st.permutations(range(darts)))))
+
+
+def rotation_systems():
+    """The map of a random alpha and phi, its darts renamed into face blocks."""
+    return alphas_and_phis().map(lambda drawn: block_map(*drawn)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(alphas_and_phis())
+def test_block_map_is_a_relabelling(drawn):
+    # the renaming carries alpha and phi onto the block map's alpha and
+    # its derived phi: new[sigma(d)] = sigma'(new[d]) for every dart d
+    surface, new = block_map(*drawn)
+    assert sorted(new) == list(surface.darts)
+    for old, renamed in zip(drawn, (surface.alpha, surface.phi)):
+        assert all(new[old(d)] == renamed(new[d]) for d in range(len(new)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -139,12 +169,12 @@ def test_each_connected_map_is_one_closed_orientable_surface(surface):
 
 def test_the_empty_map_has_no_dart_to_walk_from():
     # the bulk alpha check gathers nothing; there is no dart 0
-    empty = RotationMap(Permutation(()), Permutation(()))
-    assert (empty.faces, edges(empty), empty.face_slot) == ([], [], ())
+    empty = RotationMap(Permutation(()), ())
+    assert (empty.faces, edges(empty), empty.face_index, empty.phi) == ([], [], (), identity(0))
     with pytest.raises(ValueError, match=r"^target 0 is not one of the 0 darts$"):
         lockstep_walk(empty, 0)
     with pytest.raises(ValueError, match=r"^alpha fixes dart 0$"):
-        RotationMap(Permutation((0,)), Permutation((0,)))
+        RotationMap(Permutation((0,)), (1,))
 
 
 # lockstep_walk's two defects: the first dart where f*alpha and alpha*f
@@ -200,7 +230,7 @@ def _twisted(surface):
     b = surface.phi(0)
     alpha[0], alpha[b] = alpha[b], alpha[0]
     alpha[alpha[0]], alpha[alpha[b]] = 0, b
-    return RotationMap(Permutation(tuple(alpha)), surface.phi)
+    return RotationMap(Permutation(tuple(alpha)), [len(face) for face in surface.faces])
 
 
 @pytest.mark.parametrize("spec", ORDERS_TO_64_AND_OVER_THE_CAP, ids=lambda spec: f"n={spec.n}")
@@ -226,27 +256,41 @@ def test_square_torus_maps():
     assert not _walk_agrees_with_the_reference(oblong, oblong.phi(0))
 
 
-def relabelled(surface, seed: int):
-    """The same map with dart d renamed p[d], for a shuffle p of the darts:
-    its faces, listed from phi's cycles, are no longer in dart order."""
+def shuffled(surface, seed: int):
+    """The alpha and phi of a map with dart d renamed p[d], for a shuffle p
+    of the darts: phi's cycles, listed end to end, are no longer in dart
+    order."""
     p = list(surface.darts)
     random.Random(seed).shuffle(p)
     alpha, phi = [0] * len(p), [0] * len(p)
     for d, (a, b) in enumerate(zip(surface.alpha.images, surface.phi.images)):
         alpha[p[d]], phi[p[d]] = p[a], p[b]
-    return RotationMap(Permutation(tuple(alpha)), Permutation(tuple(phi)))
+    return Permutation(tuple(alpha)), Permutation(tuple(phi))
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(two_face_sphere, id="two_face_sphere"),
-    *(pytest.param(lambda n=n: relabelled(biggs_map(field_of_order(n)), n), id=f"relabelled n={n}")
+def relabelled(surface, seed: int):
+    """The shuffled map put back into blocks by block_map: its faces come
+    in another order, each from another dart, so dart 0 is no longer the
+    field's."""
+    return block_map(*shuffled(surface, seed))[0]
+
+
+@pytest.mark.parametrize("rotation", [
+    pytest.param(lambda: (Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))),
+                 id="two_face_sphere"),
+    *(pytest.param(lambda n=n: shuffled(biggs_map(field_of_order(n)), n), id=f"relabelled n={n}")
       for n in (5, 8, 9, 16)),
 ])
-def test_the_walk_gathers_when_the_faces_are_not_in_dart_order(build):
-    # face_slot is then a tuple other than the identity, so the rows in face
-    # order are put into dart order by the gather; both automorphisms exist
-    surface = build()
-    assert surface.face_slot != tuple(surface.darts)
+def test_the_walk_gathers_when_the_faces_are_not_in_dart_order(rotation):
+    # phi's cycles are not in dart order, so block_map renames the darts
+    # into face blocks rather than the walk gathering rows into dart order;
+    # the map it hands over walks as the per-dart reference does, and both
+    # automorphisms exist
+    alpha, phi = rotation()
+    assert tuple(chain.from_iterable(phi.cycles())) != tuple(range(phi.degree))
+    surface, new = block_map(alpha, phi)
+    assert new != tuple(surface.darts)
+    assert surface.faces == surface.phi.cycles()
     assert all(_walk_agrees_with_the_reference(surface, target)
                for target in (surface.alpha(0), surface.phi(0)))
 
@@ -264,7 +308,7 @@ def test_genus_walks_a_ring_of_faces():
     k = 6
     alpha = Permutation(tuple(d ^ 1 for d in range(2 * k)))
     phi = from_cycles(2 * k, [(2 * j, 2 * ((j + 1) % k) + 1) for j in range(k)])
-    ring = RotationMap(alpha, phi)
+    ring = block_map(alpha, phi)[0]
     assert (len(vertices(ring)), len(edges(ring)), len(ring.faces)) == (2, k, k)
     assert genus(ring) == 0
 
@@ -453,13 +497,10 @@ def test_alpha_and_phi_equal_the_per_dart_routes_above_the_cap(p, k):
 
 @pytest.mark.parametrize("spec", ORDERS_TO_64_AND_OVER_THE_CAP, ids=lambda spec: f"n={spec.n}")
 def test_the_faces_biggs_map_sets_are_the_derived_ones(spec):
-    # the blocks biggs_map hands over equal the cycles of phi, the slots
-    # _invert finds in them, and the face a of each dart (a, b)
+    # the blocks of biggs_map's face lengths are the cycles of the derived
+    # phi, and the face of each dart (a, b) is a
     surface = biggs_map(spec)
-    cycles = surface.phi.cycles()
-    assert surface.faces == cycles
-    assert tuple(surface.face_slot) == _invert(tuple(chain.from_iterable(cycles)))
-    assert surface.face_slot == surface.darts  # the range lockstep_walk reads as the identity
+    assert surface.faces == surface.phi.cycles()
     assert surface.face_index == tuple(a for a, _ in dart_pairs(spec)[0])
 
 
@@ -510,7 +551,8 @@ def _listed_facts(surface):
 @pytest.mark.parametrize("build", [
     *(pytest.param(lambda spec=spec: biggs_map(spec), id=f"n={spec.n}")
       for spec in ORDERS_TO_64_AND_OVER_THE_CAP),
-    pytest.param(lambda: relabelled(biggs_map(field_of_order(9)), 9), id="relabelled n=9"),
+    *(pytest.param(lambda n=n: relabelled(biggs_map(field_of_order(n)), n), id=f"relabelled n={n}")
+      for n in (5, 8, 9, 16)),
     pytest.param(lambda: square_torus(2, 2), id="square_torus(2, 2)"),
     pytest.param(lambda: square_torus(1, 1), id="square_torus(1, 1)"),
     pytest.param(two_face_sphere, id="two_face_sphere"),
@@ -590,7 +632,7 @@ def test_a_face_of_another_length_stops_the_walk():
     # dart 0 is a face of its own, but alpha(0) = 1 turns in a 3-gon, so
     # the walk to alpha(0) stops there, with no dart map, as the per-dart
     # walk finds no automorphism
-    surface = RotationMap(Permutation((1, 0, 3, 2)), Permutation((0, 2, 3, 1)))
+    surface = RotationMap(Permutation((1, 0, 3, 2)), (1, 3))
     assert [len(face) for face in surface.faces] == [1, 3]
     defect = "dart 0 is on a face of length 1 but f(0) = 1 is on one of length 3"
     assert lockstep_walk(surface, 1) == (None, defect)
@@ -602,7 +644,7 @@ def test_a_face_of_another_length_stops_the_walk():
 
 def test_map_facts_refuse_the_empty_map():
     # there is no dart 0 to walk from, so no alpha(0) or phi(0) to walk to
-    empty = RotationMap(Permutation(()), Permutation(()))
+    empty = RotationMap(Permutation(()), ())
     for facts in (map_facts, map_summary):
         with pytest.raises(ValueError, match=r"^the empty map has no dart 0 to walk from$"):
             facts(empty)
@@ -643,7 +685,7 @@ def test_face_adjacency_dot_is_the_complete_graph(n):
     pytest.param(lambda: square_torus(2, 2), id="square_torus(2, 2)"),
     pytest.param(lambda: square_torus(1, 1), id="square_torus(1, 1)"),
     pytest.param(two_face_sphere, id="two_face_sphere"),
-    pytest.param(lambda: RotationMap(Permutation(()), Permutation(())), id="empty"),
+    pytest.param(lambda: RotationMap(Permutation(()), ()), id="empty"),
 ])
 def test_the_face_pair_codes_read_as_the_counted_pairs(build):
     # the sorted codes give the DOT and the completeness check of the
