@@ -19,7 +19,8 @@ stderr after the report: "error: map n=<n>: genus != formula_genus
 (<values>)", the first failing census row as "error: census n=<n>:
 <invariant> (<values>)", and a dilatation residual over
 train_track.RESIDUAL_BOUND by name and value.  A violated internal
-invariant is a check failure too: it exits 1 with "error: invariant
+invariant, such as a map built from a wrong field table or one that is
+not regular, is a check failure too: it exits 1 with "error: invariant
 violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.
@@ -43,7 +44,13 @@ from .link_families import (
     icosahedral_link,
 )
 from ._value import shown_int
-from .regular_map import biggs_map, face_adjacency_dot, map_summary
+from .regular_map import (
+    NoAutomorphism,
+    biggs_map,
+    face_adjacency_dot,
+    genus_formula,
+    map_summary,
+)
 from .train_track import RESIDUAL_BOUND, eigen_report, substitution_dot
 
 
@@ -142,7 +149,11 @@ def _build_family(name: str, args) -> link_families.LinkBlueprint:
 def cmd_map(args) -> None:
     spec = _field(args.n)
     surface = biggs_map(spec)
-    payload = map_summary(surface)
+    try:
+        payload = map_summary(surface)
+    except NoAutomorphism as refusal:  # the program built this map: not a usage error
+        raise AssertionError(f"no automorphism of the order-{spec.n} map sends dart 0 "
+                             f"to dart {refusal.target}: {refusal.defect}") from None
     payload["match"] = payload["genus"] == payload["formula_genus"]
     if args.format == "dot":
         _emit(face_adjacency_dot(surface), args)
@@ -193,8 +204,9 @@ def cmd_dilatation(args) -> None:
                                f"RESIDUAL_BOUND = {RESIDUAL_BOUND!r}")
 
 
-def _census_failure(row: dict) -> str | None:
-    """The first invariant the census row violates, with its values."""
+def _census_failure(row: dict, blueprint) -> str | None:
+    """The first invariant the census row violates, with its values; the
+    genus and the order are checked against their closed forms."""
     n = row["n"]
     if row["cusps"] != n:
         return f"census n={n}: cusps != n (cusps={row['cusps']}, n={n})"
@@ -203,6 +215,11 @@ def _census_failure(row: dict) -> str | None:
                 f"(transitivity_degree={row['transitivity_degree']})")
     if row["linking"] != "complete":
         return f"census n={n}: linking not complete (linking={row['linking']})"
+    if (genus := blueprint.params["genus"]) != (formula := genus_formula(n)):
+        return f"census n={n}: genus != genus_formula (genus={genus}, genus_formula={formula})"
+    if row["symmetry_order"] != n * (n - 1):
+        return (f"census n={n}: symmetry order != n(n-1) "
+                f"(symmetry_order={row['symmetry_order']}, n(n-1)={n * (n - 1)})")
     return None
 
 
@@ -222,7 +239,7 @@ def cmd_census(args) -> None:
                "transitivity_degree": blueprint.transitivity_degree,
                "linking": "complete" if blueprint.linking_complete else "partial"}
         rows.append(row)
-        failure = failure or _census_failure(row)
+        failure = failure or _census_failure(row, blueprint)
     if not rows:  # nothing to check is not a pass
         raise ValueError(f"census range --n-min {shown_int(args.n_min)} --n-max {args.n_max} "
                          "holds no prime power above 3")

@@ -172,10 +172,21 @@ def chain_link(n: int, t: int) -> LinkBlueprint:
 # braids and cyclic closures
 
 
+# The closure builds, checks and prints an n x n linking matrix of its n
+# strands, as the chain does, so MAX_CHAIN_LOOPS bounds them too: a
+# 256-strand closure of a word at MAX_BRAID_LETTERS answers in well under
+# a second, where 3000 strands take seconds.
+MAX_BRAID_STRANDS = MAX_CHAIN_LOOPS
+# The closure walks the word n times, and MAX_BRAID_POWER keeps the
+# printed numbers exact only for words up to this length.
+MAX_BRAID_LETTERS = 4000
+
+
 class BraidWord(Value):
     """A braid as a word in the standard generators: entry +i (1-based)
     is a right-handed crossing of strands i-1 and i, negative entries
-    are the inverses.  An immutable Value with fields (strands, word)."""
+    are the inverses.  An immutable Value with fields (strands, word), of
+    at most MAX_BRAID_STRANDS strands and MAX_BRAID_LETTERS letters."""
 
     __slots__ = ("strands", "word")
 
@@ -183,7 +194,13 @@ class BraidWord(Value):
         (strands,) = int_tuple((strands,), "BraidWord strand count")
         if strands < 1:
             raise ValueError("strand count must be positive")
+        if strands > MAX_BRAID_STRANDS:
+            raise ValueError(f"a braid has at most MAX_BRAID_STRANDS = {MAX_BRAID_STRANDS} "
+                             f"strands, got {shown_int(strands)}")
         word = int_tuple(word, "generator")
+        if len(word) > MAX_BRAID_LETTERS:
+            raise ValueError(f"a braid word has at most MAX_BRAID_LETTERS = {MAX_BRAID_LETTERS} "
+                             f"letters, got {len(word)}")
         for g in word:
             if g == 0 or not 1 <= abs(g) <= strands - 1:
                 raise ValueError(f"generator index {shown_int(g)} out of range "
@@ -243,8 +260,8 @@ def _closure_linking(braid: BraidWord) -> list[list[int]]:
 
 # Up to this m the printed power n*m and linking numbers m*x stay under
 # 2**53, exact in a JSON reader that parses numbers as doubles, for every
-# braid word of up to 4000 letters: n <= length + 1, and |x| is at most
-# half the n * length crossings of one period.
+# braid word of up to MAX_BRAID_LETTERS = 4000 letters: n <= length + 1,
+# and |x| is at most half the n * length crossings of one period.
 MAX_BRAID_POWER = 10 ** 9
 
 

@@ -3,11 +3,11 @@ family built from finite-field arithmetic.
 
 A map is a rotation system over darts (directed edge sides) 0..D-1:
 alpha, a fixed-point-free involution pairing each dart with its
-reverse, and the face lengths, each face a block of consecutive ids
-that phi, the face rotation, turns one step.  Conventions, fixed once
-and tested everywhere:
+reverse, and the face lengths, each face a block of consecutive ids.
+phi, the face rotation, turns each block one step: d to d + 1, and the
+block's last dart to its first.  Conventions, fixed once and tested
+everywhere:
 
-  faces     = cycles of phi
   edges     = cycles of alpha
   vertices  = cycles of phi * alpha   (d -> phi(alpha(d)))
 
@@ -40,7 +40,6 @@ list of face-pair codes, i*F + j for each edge between faces i <= j.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, ne
 
@@ -52,7 +51,7 @@ from .perm_action import Permutation, _compose
 class RotationMap:
     """A rotation system given by alpha, a dart Permutation checked in bulk to
     be a fixed-point-free involution, and its face lengths: face i is the
-    face_lengths[i] darts that follow faces 0..i-1, and phi is derived."""
+    face_lengths[i] darts that follow faces 0..i-1."""
 
     def __init__(self, alpha: Permutation, face_lengths):
         if not isinstance(alpha, Permutation):
@@ -76,19 +75,11 @@ class RotationMap:
         self.face_index = tuple(chain.from_iterable(repeat(i, length)
                                                     for i, length in enumerate(lengths)))
 
-    @cached_property
-    def phi(self) -> Permutation:
-        """The face rotation: each dart to the next one of its face's block,
-        and the block's last dart to its first."""
-        images = list(range(1, len(self.darts) + 1))
-        for face in self.faces:
-            images[face[-1]] = face[0]
-        return Permutation._unchecked(tuple(images))
-
 
 def biggs_map(spec: FieldSpec) -> RotationMap:
     """Construct the regular map of the field: n faces, each an (n-1)-gon,
-    labeled by the field elements, every two sharing exactly one edge."""
+    labeled by the field elements, every two sharing exactly one edge; a
+    table that fails RotationMap's alpha check is an AssertionError."""
     if spec.n <= 3:
         raise ValueError("field order must exceed 3")
     exp, log, zech = _tables(spec)
@@ -99,7 +90,10 @@ def biggs_map(spec: FieldSpec) -> RotationMap:
     for r in log[1:]:  # face a = 1, 2, ...: a + omega^i = omega^(r + Z(i - r)), r = log a
         alpha += map(add, _compose(starts[r:] + starts[:r] + (0,), zech[m - r:] + zech[:m - r]),
                      steps)  # Z = m, for a + omega^i = 0, reads the 0 appended
-    return RotationMap(Permutation._unchecked(tuple(alpha)), (m,) * n)
+    try:
+        return RotationMap(Permutation._unchecked(tuple(alpha)), (m,) * n)
+    except ValueError as refusal:
+        raise AssertionError(f"the order-{n} map fails the alpha check: {refusal}") from None
 
 
 def lockstep_walk(rotation_map: RotationMap, target: int) -> tuple[tuple | None, str | None]:
@@ -147,19 +141,24 @@ def map_facts(rotation_map: RotationMap) -> dict:
     """The automorphisms with f(0) = alpha(0) and f(0) = phi(0) as "walks",
     and the regular map's vertex degree q, V, E, F and genus.  A map that is
     empty, disconnected or, by NoAutomorphism, not regular is refused."""
-    darts, alpha, phi = len(rotation_map.darts), rotation_map.alpha.images, rotation_map.phi.images
+    darts, alpha, faces = len(rotation_map.darts), rotation_map.alpha.images, rotation_map.faces
     if not darts:
         raise ValueError("the empty map has no dart 0 to walk from")
+
+    def phi(d):  # the next dart of d's face block, the last turning to the first
+        block = faces[rotation_map.face_index[d]]
+        return d + 1 if d < block[-1] else block[0]
+
     walks = []
-    for target in (alpha[0], phi[0]):
+    for target in (alpha[0], phi(0)):
         f, defect = lockstep_walk(rotation_map, target)
         if defect is not None:
             raise NoAutomorphism(target, defect)
         walks.append(f)
-    q, d = 1, phi[alpha[0]]
+    q, d = 1, phi(alpha[0])
     while d:  # dart 0's vertex, under d -> phi(alpha(d))
-        q, d = q + 1, phi[alpha[d]]
-    V, E, F = darts // q, darts // 2, len(rotation_map.faces)
+        q, d = q + 1, phi(alpha[d])
+    V, E, F = darts // q, darts // 2, len(faces)
     return {"walks": walks, "q": q, "V": V, "E": E, "F": F, "genus": (2 - V + E - F) // 2}
 
 

@@ -147,10 +147,19 @@ def orbit_sizes_divide_order(group) -> bool:
     return all(order % len(found) == 0 for found in orbits(group))
 
 
+def phi(rotation_map):
+    """The face rotation as a Permutation: each dart to the next one of
+    its face's block, and the block's last dart to its first."""
+    images = list(range(1, len(rotation_map.darts) + 1))
+    for face in rotation_map.faces:
+        images[face[-1]] = face[0]
+    return Permutation(tuple(images))
+
+
 def dart_automorphism_is_valid(rotation_map, dart_map) -> bool:
     """The dart permutation commutes with alpha and with phi."""
-    alpha, phi = rotation_map.alpha, rotation_map.phi
-    return all(compose(dart_map, g) == compose(g, dart_map) for g in (alpha, phi))
+    return all(compose(dart_map, g) == compose(g, dart_map)
+               for g in (rotation_map.alpha, phi(rotation_map)))
 
 
 def lockstep_dfs(rotation_map, target: int):
@@ -158,12 +167,12 @@ def lockstep_dfs(rotation_map, target: int):
     depth-first walk sets f(alpha(d)) = alpha(f(d)) and f(phi(d)) =
     phi(f(d)) for each dart d it has reached; None when a dart is given
     two images.  A map whose walk leaves a dart unreached is refused."""
-    alpha, phi = rotation_map.alpha, rotation_map.phi
+    alpha, rotation = rotation_map.alpha, phi(rotation_map)
     images = {0: target}
     stack = [0]
     while stack:
         d = stack.pop()
-        for g in (alpha, phi):
+        for g in (alpha, rotation):
             x, y = g(d), g(images[d])
             if x not in images:
                 images[x] = y
@@ -177,7 +186,7 @@ def lockstep_dfs(rotation_map, target: int):
 
 def vertices(rotation_map) -> list[tuple[int, ...]]:
     """Every vertex, listed: the cycles of phi * alpha (d -> phi(alpha(d)))."""
-    return compose(rotation_map.phi, rotation_map.alpha).cycles()
+    return compose(phi(rotation_map), rotation_map.alpha).cycles()
 
 
 def edges(rotation_map) -> list[tuple[int, int]]:

@@ -358,7 +358,12 @@ def test_dilatation_failure_names_the_residual(monkeypatch, capsys):
     ({"transitivity_degree": 3},
      "error: census n=7: transitivity degree != 2 (transitivity_degree=3)\n"),
     ({"linking_complete": False}, "error: census n=7: linking not complete (linking=partial)\n"),
-], ids=["cusps", "transitivity", "linking"])
+    # the map's genus and the group order, each against its closed form
+    ({"params": {"genus": 2}},
+     "error: census n=7: genus != genus_formula (genus=2, genus_formula=1)\n"),
+    ({"symmetry_order": 84},
+     "error: census n=7: symmetry order != n(n-1) (symmetry_order=84, n(n-1)=42)\n"),
+], ids=["cusps", "transitivity", "linking", "genus", "order"])
 def test_census_failure_names_the_first_failing_row(monkeypatch, capsys, fault, shown):
     helical_link = cli.helical_link
 
@@ -369,7 +374,8 @@ def test_census_failure_names_the_first_failing_row(monkeypatch, capsys, fault, 
         return SimpleNamespace(**{"n_components": blueprint.n_components,
                                   "symmetry_order": blueprint.symmetry_order,
                                   "transitivity_degree": blueprint.transitivity_degree,
-                                  "linking_complete": blueprint.linking_complete, **fault})
+                                  "linking_complete": blueprint.linking_complete,
+                                  "params": blueprint.params, **fault})
 
     monkeypatch.setattr(cli, "helical_link", faulty)
     code, out, err = run(capsys, "census")
@@ -567,13 +573,27 @@ def test_argparse_refusals_open_with_error(capsys, argv):
     assert error.startswith("error: ") and usage.startswith("usage: cusplink")
 
 
-def test_a_wrong_zech_entry_exits_2(capsys, monkeypatch):
-    # the alpha check in RotationMap raises ValueError, which main maps to 2;
+def test_a_wrong_zech_entry_exits_1(capsys, monkeypatch):
+    # the program built that alpha, so RotationMap's alpha check is a
+    # violated invariant, not a usage error;
     # Z(0) = log(1 + 1) read as 0 sends dart 8 = (1, 2) to (1, 0), not (2, 1)
     exp, log, zech = _tables(field_of_order(9))
     monkeypatch.setattr(regular_map, "_tables", lambda spec: (exp, log, (0,) + zech[1:]))
     code, out, err = run(capsys, "map", "--n", "9")
-    assert (code, out, err) == (2, "", "error: alpha(alpha(8)) = 0, not 8\n")
+    assert (code, out, err) == (1, "", "error: invariant violated: the order-9 map fails the "
+                                       "alpha check: alpha(alpha(8)) = 0, not 8\n")
+
+
+def test_a_map_that_is_not_regular_exits_1(capsys, monkeypatch):
+    # the 2 x 3 torus has no quarter turn, so no automorphism sends dart 0
+    # to phi(0) = 1; map_summary's NoAutomorphism is a violated invariant
+    from reference_checks import square_torus
+
+    monkeypatch.setattr(cli, "biggs_map", lambda spec: square_torus(2, 3))
+    code, out, err = run(capsys, "map", "--n", "9")
+    assert (code, out, err) == (1, "", "error: invariant violated: no automorphism of the "
+                                       "order-9 map sends dart 0 to dart 1: "
+                                       "f(alpha(0)) = 11 but alpha(f(0)) = 7\n")
 
 
 # Each request of the CLI property test answers or is refused within this

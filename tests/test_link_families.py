@@ -1,6 +1,7 @@
 import random
 import re
 from math import gcd, perm
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,9 @@ from cusplink import link_families
 from cusplink.finite_field import _tables, field_of_order, make_field, prime_power
 from cusplink.link_families import (
     EXAMPLE_BRAID,
+    MAX_BRAID_LETTERS,
+    MAX_BRAID_POWER,
+    MAX_BRAID_STRANDS,
     MAX_CHAIN_LOOPS,
     MAX_HALF_TWISTS,
     BraidWord,
@@ -370,6 +374,45 @@ def test_power_past_its_bound_is_refused():
         with pytest.raises(ValueError, match=f"^the power m is at most MAX_BRAID_POWER = "
                                              f"{MAX_BRAID_POWER}, got {shown}$"):
             cyclic_braid_closure(EXAMPLE_BRAID, m)
+
+
+# A braid at both of its bounds closes within this many seconds.
+BRAID_AT_BOUND_BUDGET_S = 1.0
+
+
+def test_braids_at_their_bounds_close_quickly():
+    # the widest braid, a 256-cycle, and the longest word, 4000 letters of
+    # a 255-cycle (a 256-cycle is odd, so its words have odd length); at
+    # the largest power every printed number stays exact as a double
+    assert MAX_BRAID_STRANDS == MAX_CHAIN_LOOPS == 256 and MAX_BRAID_LETTERS == 4000
+    widest = BraidWord(MAX_BRAID_STRANDS, tuple(range(1, MAX_BRAID_STRANDS)))
+    longest = BraidWord(255, tuple(range(1, 255)) + (1, -1) * 1873)
+    assert len(longest.word) == MAX_BRAID_LETTERS
+    for braid in (widest, longest):
+        started = perf_counter()
+        closure = cyclic_braid_closure(braid, MAX_BRAID_POWER)
+        assert perf_counter() - started < BRAID_AT_BOUND_BUDGET_S
+        assert closure.n_components == braid.strands
+        assert closure.linking_matrix == tuple(
+            tuple(MAX_BRAID_POWER * x for x in row) for row in _closure_linking(braid))
+        numbers = [closure.params["power"], *(x for row in closure.linking_matrix for x in row)]
+        assert max(map(abs, numbers)) < 2 ** 53
+
+
+@pytest.mark.parametrize("strands, word, message", [
+    (257, (1,), "a braid has at most MAX_BRAID_STRANDS = 256 strands, got 257"),
+    (10 ** 18, (1,), "a braid has at most MAX_BRAID_STRANDS = 256 strands, "
+                     "got 1000000000000000000"),
+    (10 ** 5000, (), "a braid has at most MAX_BRAID_STRANDS = 256 strands, "
+                     "got a 16610-bit integer"),
+    (2, (1,) * 4001, "a braid word has at most MAX_BRAID_LETTERS = 4000 letters, got 4001"),
+    (256, (1, -1) * 2001, "a braid word has at most MAX_BRAID_LETTERS = 4000 letters, got 4002"),
+], ids=["strands+1", "strands-1e18", "strands-huge", "letters+1", "both-bounds-letters+2"])
+def test_braids_past_their_bounds_are_refused_before_the_closure(strands, word, message):
+    # refused by the bound's name before the closure allocates its n x n
+    # linking matrix or walks the word
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BraidWord(strands, word)
 
 
 def test_closure_linking_refuses_a_nontrivial_total_permutation():

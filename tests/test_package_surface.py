@@ -16,7 +16,8 @@ MOVED = ["is_k_transitive_literal", "orbit_sizes_divide_order", "orbit", "orbits
          "dart_automorphism_is_valid", "expand_word", "letter_counts", "growth_ratios",
          "affine_map_automorphism", "induced_face_permutation",
          "affine_permutation", "from_cycles", "identity",
-         "vertices", "edges", "genus", "face_adjacency_complete", "compose", "affine_images"]
+         "vertices", "edges", "genus", "face_adjacency_complete", "compose", "affine_images",
+         "phi"]
 # Second routes that dilatation never ran, the test-only dilatation(),
 # and the wrappers of the one substitution, gone without a same-named
 # reference: the substitution and its arc counts are module constants.
@@ -108,14 +109,16 @@ def test_test_only_builders_are_gone():
 def test_second_routes_are_gone():
     # a group's order is the product of its basic-orbit lengths, a map's
     # counts are the lengths of its orbit lists, its faces are dart blocks
-    # given by their lengths, with no second layout read off phi, and
-    # cycles() always lists the fixed points
+    # given by their lengths, with no second layout and no phi table (the
+    # face rotation is the tests' reference phi), and cycles() always lists
+    # the fixed points
     from cusplink import regular_map
 
     surface = cusplink.biggs_map(cusplink.field_of_order(5))
     gone = [(cusplink.PermGroup, ["orbit_lengths", "_sift"]),
-            (cusplink.RotationMap, ["num_faces", "num_vertices", "num_edges", "face_slot"]),
-            (surface, ["face_slot"]), (regular_map, ["_invert"])]
+            (cusplink.RotationMap,
+             ["num_faces", "num_vertices", "num_edges", "face_slot", "phi"]),
+            (surface, ["face_slot", "phi"]), (regular_map, ["_invert", "cached_property"])]
     for owner, names in gone:
         for name in names:
             assert not hasattr(owner, name), f"{owner!r}.{name}"
