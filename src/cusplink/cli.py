@@ -20,10 +20,14 @@ stderr after the report: "error: map n=<n>: genus != formula_genus
 <invariant> (<values>)", and a dilatation residual over
 train_track.RESIDUAL_BOUND by name and value.  A violated internal
 invariant, such as a map built from a wrong field table or one that is
-not regular, is a check failure too: it exits 1 with "error: invariant
-violated: ..." instead of a traceback.
+not regular or not connected, is a check failure too: it exits 1 with
+"error: invariant violated: ..." instead of a traceback.
 JSON output is deterministic for fixed inputs: keys are sorted and
 floats carry 15 significant digits.
+
+The argument parser is built once per process, on the first call of
+main, and shared by every later call; main may be called repeatedly in
+one interpreter, each call parsing into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import link_families
 from .finite_field import DEFAULT_MAX_ORDER, field_of_order, prime_power
@@ -45,7 +50,7 @@ from .link_families import (
 )
 from ._value import shown_int
 from .regular_map import (
-    NoAutomorphism,
+    _built_map_failure,
     biggs_map,
     face_adjacency_dot,
     genus_formula,
@@ -151,9 +156,8 @@ def cmd_map(args) -> None:
     surface = biggs_map(spec)
     try:
         payload = map_summary(surface)
-    except NoAutomorphism as refusal:  # the program built this map: not a usage error
-        raise AssertionError(f"no automorphism of the order-{spec.n} map sends dart 0 "
-                             f"to dart {refusal.target}: {refusal.defect}") from None
+    except ValueError as refusal:  # the program built this map: not a usage error
+        raise _built_map_failure(spec.n, refusal) from None
     payload["match"] = payload["genus"] == payload["formula_genus"]
     if args.format == "dot":
         _emit(face_adjacency_dot(surface), args)
@@ -262,6 +266,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
+@cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cusplink",
@@ -323,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand: 0, or what it raises shown after "error: ", with
-    exit code 2 for a ValueError and 1 for a failed check or invariant."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    exit code 2 for a ValueError and 1 for a failed check or invariant.
+    The parser is built on the first call and reused, so main may be
+    called repeatedly in one process."""
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except ValueError as exc:

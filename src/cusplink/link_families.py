@@ -26,7 +26,7 @@ from .finite_field import FieldSpec
 from .perm_action import Permutation, _compose, group_closure, transitivity_degree
 # benchmarks/spans.py assigns affine_group, group_closure and transitivity_degree here (ROADMAP 1)
 from .perm_action import affine_group  # noqa: F401
-from .regular_map import NoAutomorphism, biggs_map, map_facts
+from .regular_map import _built_map_failure, biggs_map, map_facts
 
 
 class LinkBlueprint:
@@ -456,9 +456,8 @@ def helical_link(spec: FieldSpec) -> LinkBlueprint:
     n, surface = spec.n, biggs_map(spec)
     try:
         facts = map_facts(surface)
-    except NoAutomorphism as refusal:
-        raise AssertionError(f"no automorphism of the order-{n} map sends dart 0 "
-                             f"to dart {refusal.target}: {refusal.defect}") from None
+    except ValueError as refusal:
+        raise _built_map_failure(n, refusal) from None
     faces, face, alpha = surface.faces, surface.face_index, surface.alpha.images
     generators = [Permutation(_compose(face, _compose(f, [c[0] for c in faces])))
                   for f in facts["walks"]]

@@ -32,12 +32,20 @@ from functools import cached_property
 from math import prod
 from operator import itemgetter
 
-from ._value import Value, int_tuple
+from ._value import Value, int_tuple, shown_int
 from .finite_field import _tables
 
 # A library caller's bound on group_closure; the largest group a command
 # builds is a chain's cyclic group, of order at most MAX_CHAIN_LOOPS = 256.
 MAX_GROUP_ORDER = 10 ** 6
+# A library caller's bound on the points a PermGroup acts on, as the order
+# cap does not bound them: the chain keeps two tuples of the degree's length
+# per basic-orbit point, so a build grows as the square of the degree (one
+# 3000-cycle took 1.3 s).  The largest degree a command builds is a chain's
+# or a braid's, MAX_CHAIN_LOOPS = 256.  At this bound, on a shared 2-core
+# machine, the 1024-cycle took 0.14 s, and AGL(1, 997), of order 993012
+# just under MAX_GROUP_ORDER, 0.37 s.
+MAX_GROUP_DEGREE = 1024
 
 
 def _compose(p, q) -> tuple[int, ...]:
@@ -114,7 +122,8 @@ class Permutation(Value):
 class PermGroup:
     """The group generated by a nonempty list of same-degree permutations,
     held as its stabilizer chain along the base 0, 1, ..., m-1, which is
-    built here, so a group of order over MAX_GROUP_ORDER is refused here.
+    built here, so a group of order over MAX_GROUP_ORDER is refused here;
+    a degree over MAX_GROUP_DEGREE is refused before the chain is begun.
 
     Level i keeps the strong generators that fix 0..i-1 and the
     transversal of its basic orbit: for each orbit point p, a group
@@ -134,6 +143,9 @@ class PermGroup:
         degree = generators[0].degree
         if any(g.degree != degree for g in generators):
             raise ValueError("generators must share one degree")
+        if degree > MAX_GROUP_DEGREE:
+            raise ValueError(f"a group acts on at most MAX_GROUP_DEGREE = {MAX_GROUP_DEGREE} "
+                             f"points, got degree {shown_int(degree)}")
         self.degree = degree
         self.generators = generators
         self._identity = tuple(range(degree))

@@ -137,6 +137,15 @@ class NoAutomorphism(ValueError):
         self.target, self.defect = target, defect
 
 
+def _built_map_failure(n: int, refusal: ValueError) -> AssertionError:
+    """map_facts' refusal of the order-n map the program built: a violated
+    invariant, not a usage error, naming the order."""
+    if isinstance(refusal, NoAutomorphism):
+        return AssertionError(f"no automorphism of the order-{n} map sends dart 0 "
+                              f"to dart {refusal.target}: {refusal.defect}")
+    return AssertionError(f"the order-{n} map fails its walks: {refusal}")
+
+
 def map_facts(rotation_map: RotationMap) -> dict:
     """The automorphisms with f(0) = alpha(0) and f(0) = phi(0) as "walks",
     and the regular map's vertex degree q, V, E, F and genus.  A map that is

@@ -255,6 +255,13 @@ def square_torus(width: int, height: int):
     return RotationMap(Permutation(tuple(alpha)), (4,) * (width * height))
 
 
+def two_copies(surface):
+    """The disjoint union of a map with a copy of itself."""
+    shift, alpha = len(surface.darts), surface.alpha.images
+    return RotationMap(Permutation(alpha + tuple(d + shift for d in alpha)),
+                       [len(face) for face in surface.faces] * 2)
+
+
 def affine_map_automorphism(spec, s: int, t: int):
     """The dart permutation (a, b) -> (s*a + t, s*b + t) of the order-n
     map of the field spec, for a nonzero scale s, with the darts numbered

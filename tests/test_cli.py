@@ -596,6 +596,28 @@ def test_a_map_that_is_not_regular_exits_1(capsys, monkeypatch):
                                        "f(alpha(0)) = 11 but alpha(f(0)) = 7\n")
 
 
+@pytest.mark.parametrize("argv, n", [(("map", "--n", "5"), 5),
+                                     (("links", "--family", "helical", "--n", "5"), 5),
+                                     (("census", "--n-max", "5"), 4)],
+                         ids=["map", "links-helical", "census"])
+def test_a_disconnected_built_map_exits_1(capsys, monkeypatch, argv, n):
+    # the program built the map, so the walk's refusal of a disconnected
+    # one is a violated invariant, not a usage error; census builds through
+    # helical_link, and a library caller of map_facts still gets ValueError
+    from cusplink import link_families
+    from reference_checks import two_copies
+
+    def doubled(spec):
+        return two_copies(regular_map.biggs_map(spec))
+
+    monkeypatch.setattr(cli, "biggs_map", doubled)
+    monkeypatch.setattr(link_families, "biggs_map", doubled)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: invariant violated: the order-{n} map fails its "
+                                       f"walks: the walk from dart 0 misses {n} faces: "
+                                       "a disconnected map\n")
+
+
 # Each request of the CLI property test answers or is refused within this
 # many seconds; the slowest, census --n-min 4 --n-max 64, takes about 30 ms.
 REQUEST_BUDGET_S = 1.0
@@ -674,3 +696,70 @@ def test_every_argument_list_answers_or_is_refused_quickly(tmp_path, capsys, dat
         assert max(len(line.encode()) for line in captured.err.splitlines()) < ERROR_LINE_BYTES
     assert "Traceback" not in captured.out + captured.err
     assert elapsed <= REQUEST_BUDGET_S, f"{argv[:4]} took {elapsed:.3f} s"
+
+
+def _outcomes(capsys, argument_lists) -> list[tuple]:
+    """Exit code, stdout and stderr of each argument list, run in turn in
+    this process; argparse's refusals and --help raise SystemExit."""
+    outcomes = []
+    for argv in argument_lists:
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cached = cli.build_parser  # a test may replace it before this is torn down
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch, fresh_parser_cache):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "cusplink":  # the subparsers share this class
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    codes = [code for code, *_ in _outcomes(capsys, [("map", "--n", "5"), ("map", "--p", "3"),
+                                                     ("map", "--n", "6"), ("dilatation",)])]
+    assert codes == [0, 2, 2, 0] and len(built) == 1
+    assert cli.build_parser() is built[0]
+
+
+# an argparse refusal, --help, a ValueError refusal, answers, and each again
+_SEQUENCE = [("map", "--p", "3"), ("transitivity", "--help"), ("map", "--n", "6"),
+             ("map", "--n", "9"), ("census",), ("map", "--p", "3"), ("map", "--n", "9"),
+             ("transitivity", "helical", "--n", "3"), ("map", "--n", "9", "--format", "dot")]
+
+
+def test_one_parser_answers_as_a_fresh_parser_per_request(capsys, monkeypatch,
+                                                          fresh_parser_cache):
+    shared = _outcomes(capsys, _SEQUENCE)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert shared == _outcomes(capsys, _SEQUENCE)
+    assert [code for code, *_ in shared] == [2, 0, 2, 0, 0, 2, 0, 2, 0]
+    assert shared[3] == shared[6] and shared[1][1].startswith("usage: cusplink transitivity")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_drawn_requests_in_one_process_answer_as_fresh_parsers_do(tmp_path, capsys, monkeypatch,
+                                                                  data):
+    # the property test's argument lists, run in turn on the one shared
+    # parser and then each on a parser of its own
+    argument_lists = data.draw(st.lists(_argument_lists(tmp_path), min_size=2, max_size=5),
+                               label="argument_lists")
+    shared = _outcomes(capsys, argument_lists)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert _outcomes(capsys, argument_lists) == shared

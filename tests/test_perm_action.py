@@ -236,6 +236,21 @@ def test_group_elements_form_group():
             assert compose(g, h) in elements
 
 
+def test_the_degree_bound_is_checked_before_the_chain_is_built(monkeypatch):
+    bound = perm_action.MAX_GROUP_DEGREE
+    assert bound == 1024
+    assert group_closure([cyclic(bound)]).order == bound
+    grown = []
+    monkeypatch.setattr(perm_action.PermGroup, "_grow_orbit",
+                        lambda self, level: grown.append(level))
+    for degree in (bound + 1, 3000):
+        with pytest.raises(ValueError, match=rf"^a group acts on at most MAX_GROUP_DEGREE = "
+                                             rf"1024 points, got degree {degree}$") as excinfo:
+            group_closure([cyclic(degree)])
+        assert len(str(excinfo.value).encode()) < 200
+    assert grown == []
+
+
 def test_oversized_group_is_refused_while_the_chain_is_built(monkeypatch):
     # S_12 has order 479001600; listing it would take minutes
     gens = [from_cycles(12, [(0, 1)]), cyclic(12)]

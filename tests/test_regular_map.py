@@ -45,6 +45,7 @@ from reference_checks import (
     per_dart_phi,
     phi,
     square_torus,
+    two_copies,
     vertices,
 )
 
@@ -104,13 +105,6 @@ def test_disconnected_map_names_its_counts():
     with pytest.raises(ValueError, match=r"^map has 2 connected components "
                                          r"\(V=4, E=4, F=4, chi=4\); a genus needs exactly one$"):
         genus(bubbles)
-
-
-def two_copies(surface):
-    """The disjoint union of a map with a copy of itself."""
-    shift, alpha = len(surface.darts), surface.alpha.images
-    return RotationMap(Permutation(alpha + tuple(d + shift for d in alpha)),
-                       [len(face) for face in surface.faces] * 2)
 
 
 @pytest.mark.parametrize("surface, components, counts", [
@@ -297,10 +291,15 @@ def test_the_walk_gathers_when_the_faces_are_not_in_dart_order(rotation):
 
 
 def test_a_walk_over_a_disconnected_map_is_refused():
+    # a library caller gets the ValueError; the CLI reports a map it built
+    # this way as a violated invariant
     surface = two_copies(biggs_map(field_of_order(5)))
-    with pytest.raises(ValueError, match=r"^the walk from dart 0 misses 5 faces: "
-                                         r"a disconnected map$"):
-        lockstep_walk(surface, surface.alpha(0))
+    for refused in (lambda: lockstep_walk(surface, surface.alpha(0)),
+                    lambda: map_facts(surface), lambda: map_summary(surface)):
+        with pytest.raises(ValueError, match=r"^the walk from dart 0 misses 5 faces: "
+                                             r"a disconnected map$") as excinfo:
+            refused()
+        assert type(excinfo.value) is ValueError
 
 
 def test_genus_walks_a_ring_of_faces():
