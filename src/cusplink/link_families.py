@@ -19,7 +19,8 @@ symmetry invariants.
 
 from __future__ import annotations
 
-from math import perm
+from itertools import combinations, product
+from math import dist, perm
 
 from ._value import Value, int_tuple, shown_int
 from .finite_field import FieldSpec
@@ -280,8 +281,7 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
                          f"got {shown_int(m)}")
     n = braid.strands
     perm = braid_permutation(braid)
-    cycles = perm.cycles()
-    if len(cycles) != 1 or len(cycles[0]) != n:
+    if len(perm.cycles()) != 1:  # cycles() lists fixed points too
         raise ValueError("braid permutation must be a single n-cycle on n strands")
     matrix = [[m * x for x in row] for row in _closure_linking(braid)]
     return LinkBlueprint(
@@ -302,32 +302,37 @@ def cyclic_braid_closure(braid: BraidWord, m: int = 1) -> LinkBlueprint:
 # polyhedral great-circle links
 
 
-_CUBE_PLANES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# The cube [-1, 1]^3 and the two turns that generate its rotation group of
+# order 24, the quarter turn (x, y, z) -> (y, -x, z) about the z axis and the
+# third turn (x, y, z) -> (z, x, y) about the diagonal through (1, 1, 1).
+_CUBE_VERTICES = tuple(product((-1, 1), repeat=3))
+_CUBE_TURNS = (lambda v: (v[1], -v[0], v[2]), lambda v: (v[2], v[0], v[1]))
 
 
-def _cube_diagonal_generators() -> tuple[Permutation, Permutation]:
-    """Two cube rotations as permutations of the four diagonals, indexed
-    by the plane signs (A, B): a quarter turn about a face axis maps
-    (A, B) -> (B, -A); a third turn about a diagonal maps (A, B) -> (B, A*B)."""
-    index = {pair: i for i, pair in enumerate(_CUBE_PLANES)}
-    quarter = Permutation(tuple(index[(b, -a)] for (a, b) in _CUBE_PLANES))
-    third = Permutation(tuple(index[(b, a * b)] for (a, b) in _CUBE_PLANES))
-    return quarter, third
+def _cube_turns(objects) -> tuple[Permutation, ...]:
+    """The two cube turns as permutations of objects, each a sorted tuple
+    of vertices that a turn carries to the sorted tuple of their images."""
+    index = {x: i for i, x in enumerate(objects)}
+    return tuple(Permutation(tuple(index[tuple(sorted(map(turn, x)))] for x in objects))
+                 for turn in _CUBE_TURNS)
 
 
 def cube_link() -> LinkBlueprint:
     """Four great circles cut by the planes A*x + B*y + z = 0 with
     A, B in {+1, -1} (one per cube diagonal), meeting in twelve points
-    resolved alternately.  The rotation group of the cube permutes the
-    four components 4-transitively."""
-    n = 4
-    matrix = tuple(tuple(0 if i == j else 1 for j in range(n)) for i in range(n))
+    resolved alternately.  Plane (A, B) is read as its normal diagonal,
+    the vertex pair +-(A, B, 1): a cube turn carries it to the diagonal
+    whose z > 0 end names the image plane.  The quarter and third turns
+    permute the four components 4-transitively."""
+    planes = [(a, b) for a in (1, -1) for b in (1, -1)]
+    matrix = tuple(tuple(0 if i == j else 1 for j in range(4)) for i in range(4))
     return LinkBlueprint(
         family="cube_diagonal",
         ambient="S3",
-        components=tuple(f"plane({a:+d},{b:+d})" for (a, b) in _CUBE_PLANES),
+        components=tuple(f"plane({a:+d},{b:+d})" for (a, b) in planes),
         linking_matrix=matrix,
-        **_group_facts(_cube_diagonal_generators()),
+        **_group_facts(_cube_turns([tuple(sorted(((a, b, 1), (-a, -b, -1))))
+                                    for (a, b) in planes])),
         hyperbolicity={
             "status": "asserted_by_paper",
             "note": "alternating resolution of the four great circles; "
@@ -336,40 +341,13 @@ def cube_link() -> LinkBlueprint:
     )
 
 
-def _cube_vertices() -> list[tuple[int, int, int]]:
-    return [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-
-
-def _cube_edges() -> list[tuple[tuple, tuple]]:
-    vertices = _cube_vertices()
-    edges = set()
-    for u in vertices:
-        for v in vertices:
-            if sum(a != b for a, b in zip(u, v)) == 1:
-                edges.add(tuple(sorted((u, v))))
-    return sorted(edges)
-
-
-def _edge_permutation(rotate) -> Permutation:
-    edges = _cube_edges()
-    index = {e: i for i, e in enumerate(edges)}
-    return Permutation(tuple(index[tuple(sorted((rotate(u), rotate(v))))]
-                             for (u, v) in edges))
-
-
-def _vertex_sign_label(v: tuple[int, int, int]) -> str:
-    return "".join("+" if c > 0 else "-" for c in v)
-
-
 def cube_edge_link() -> LinkBlueprint:
     """Twelve loops following the edges of a cube, the three at each
-    vertex interlocking pairwise.  The rotation group of the cube acts
-    transitively (and only transitively) on the twelve components."""
-    edges = _cube_edges()
-    generators = (
-        _edge_permutation(lambda v: (v[1], -v[0], v[2])),
-        _edge_permutation(lambda v: (v[2], v[0], v[1])),
-    )
+    vertex interlocking pairwise.  An edge is its sorted vertex pair, and
+    a cube turn carries it to the sorted pair of the turned vertices.  The
+    quarter and third turns act transitively (and only transitively) on
+    the twelve components."""
+    edges = [e for e in combinations(_CUBE_VERTICES, 2) if dist(*e) == 2]  # sides of length 2
     n = len(edges)
     # loops at a common vertex interlock: linking 1 when edges share a vertex
     matrix = tuple(tuple(
@@ -378,9 +356,10 @@ def cube_edge_link() -> LinkBlueprint:
     return LinkBlueprint(
         family="cube_edge",
         ambient="S3",
-        components=tuple(f"{_vertex_sign_label(u)}|{_vertex_sign_label(v)}" for (u, v) in edges),
+        components=tuple("|".join("".join("+" if c > 0 else "-" for c in v) for v in e)
+                         for e in edges),
         linking_matrix=matrix,
-        **_group_facts(generators),
+        **_group_facts(_cube_turns(edges)),
         hyperbolicity={
             "status": "asserted_by_paper",
             "note": "hyperbolicity verified externally with SnapPea"},

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cusplink import cli, regular_map
+from cusplink import cli, link_families, perm_action, regular_map, train_track
 from cusplink.cli import main
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
@@ -277,25 +277,41 @@ def test_helical_on_a_torus_map_is_an_invariant_violation(monkeypatch, capsys, w
     assert err.startswith(f"error: invariant violated: {invariant}") and err.count("\n") == 1
 
 
-def test_group_cap_failure_maps_to_exit_1(monkeypatch, capsys):
-    from cusplink import perm_action
-
-    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 2)
-    code, out, err = run(capsys, "transitivity", "cube")
-    assert code == 1 and out == ""
-    assert "cap" in err
+def _both_walks_to_alpha_0(rotation_map):
+    facts = regular_map.map_facts(rotation_map)
+    return {**facts, "walks": [facts["walks"][0]] * 2}
 
 
-def test_group_cap_message_names_cap_source_and_bound(monkeypatch, capsys):
-    # the cap has one source, perm_action.MAX_GROUP_ORDER, so the message
-    # names the cap and the bound it was exceeded by
-    from cusplink import perm_action
-
-    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 2)
-    code, _, err = run(capsys, "transitivity", "cube")
-    assert code == 1
-    # the cube group's first basic orbit already has 4 points
-    assert err == "error: group order cap 2 exceeded: the order is at least 4\n"
+# The fault-injection table: one row per check the program runs on its own
+# results, giving the attribute a fault replaces, the request, and the
+# stdout and stderr of its exit 1, the check named with its values.  Each
+# row fails once its check is removed (mutation testing of the program's
+# own checks; DeMillo, Lipton and Sayward, Computer 1978).
+@pytest.mark.parametrize("module, name, fault, argv, out, err", [
+    # the cap's one source is perm_action.MAX_GROUP_ORDER; the cube
+    # group's first basic orbit already has 4 points
+    pytest.param(perm_action, "MAX_GROUP_ORDER", 2, ("transitivity", "cube"), "",
+                 "error: group order cap 2 exceeded: the order is at least 4\n", id="group-cap"),
+    # a quadratic formula that disagrees with power iteration
+    pytest.param(train_track, "eigenvalues_2x2", lambda matrix: (1.0, 0.0), ("dilatation",), "",
+                 "error: invariant violated: power iteration disagrees with the quadratic "
+                 "formula: 5.828427124746196 vs 1.0, allowance 1e-09\n", id="quadratic"),
+    pytest.param(train_track, "perron_eigen", lambda matrix: (1.0, (-1.0, 1.0)), ("dilatation",),
+                 "", "error: invariant violated: weights must be strictly positive, got "
+                     "(-1.0, 1.0) and lengths (-1.0, 1.0)\n", id="nonpositive-weight"),
+    pytest.param(train_track, "MAX_ITERATIONS", 1, ("dilatation",), "",
+                 "error: power iteration did not converge within 1 steps\n", id="power-iteration"),
+    # the walk to alpha(0) in place of the walk to phi(0): the order-7
+    # map's stabilizer generator is then no 6-cycle
+    pytest.param(link_families, "map_facts", _both_walks_to_alpha_0,
+                 ("transitivity", "helical", "--n", "7"), "",
+                 "error: invariant violated: the stabilizer of face 0 is not shown cyclic: its "
+                 "generator has cycle lengths [2, 2, 2, 1], not [1, 6]\n", id="stabilizer"),
+])
+def test_a_failed_check_exits_1_and_names_itself(monkeypatch, capsys, module, name, fault, argv,
+                                                out, err):
+    monkeypatch.setattr(module, name, fault)
+    assert run(capsys, *argv) == (1, out, err)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "2"])
@@ -308,18 +324,6 @@ def test_cap_env_variable_is_not_read(monkeypatch, capsys, value):
     assert [run(capsys, *argv) for argv in commands] == unset
 
 
-def test_violated_invariant_maps_to_exit_1(monkeypatch, capsys):
-    from cusplink import train_track
-
-    # a quadratic formula that disagrees with power iteration
-    monkeypatch.setattr(train_track, "eigenvalues_2x2", lambda matrix: (1.0, 0.0))
-    code, out, err = run(capsys, "dilatation")
-    assert code == 1 and out == ""
-    assert err.startswith("error: invariant violated: power iteration disagrees "
-                          "with the quadratic formula")
-    assert "Traceback" not in err
-
-
 def test_census_refuses_over_cap_before_building_links(monkeypatch, capsys):
     import cusplink.cli as cli
 
@@ -329,15 +333,6 @@ def test_census_refuses_over_cap_before_building_links(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err == "error: order 67 exceeds the cap 64\n"
     assert built == []
-
-
-def test_nonpositive_weight_maps_to_exit_1(monkeypatch, capsys):
-    from cusplink import train_track
-
-    monkeypatch.setattr(train_track, "perron_eigen", lambda matrix: (1.0, (-1.0, 1.0)))
-    code, out, err = run(capsys, "dilatation")
-    assert code == 1 and out == ""
-    assert err.startswith("error: invariant violated: weights must be strictly positive")
 
 
 def test_dilatation_failure_names_the_residual(monkeypatch, capsys):
