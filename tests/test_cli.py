@@ -286,12 +286,9 @@ def _both_walks_to_alpha_0(rotation_map):
 # results, giving the attribute a fault replaces, the request, and the
 # stdout and stderr of its exit 1, the check named with its values.  Each
 # row fails once its check is removed (mutation testing of the program's
-# own checks; DeMillo, Lipton and Sayward, Computer 1978).
+# own checks; DeMillo, Lipton and Sayward, Computer 1978).  The group-order
+# cap's exit 1 has its own two tests below.
 @pytest.mark.parametrize("module, name, fault, argv, out, err", [
-    # the cap's one source is perm_action.MAX_GROUP_ORDER; the cube
-    # group's first basic orbit already has 4 points
-    pytest.param(perm_action, "MAX_GROUP_ORDER", 2, ("transitivity", "cube"), "",
-                 "error: group order cap 2 exceeded: the order is at least 4\n", id="group-cap"),
     # a quadratic formula that disagrees with power iteration
     pytest.param(train_track, "eigenvalues_2x2", lambda matrix: (1.0, 0.0), ("dilatation",), "",
                  "error: invariant violated: power iteration disagrees with the quadratic "
@@ -312,6 +309,23 @@ def test_a_failed_check_exits_1_and_names_itself(monkeypatch, capsys, module, na
                                                 out, err):
     monkeypatch.setattr(module, name, fault)
     assert run(capsys, *argv) == (1, out, err)
+
+
+def test_group_cap_failure_maps_to_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 2)
+    code, out, err = run(capsys, "transitivity", "cube")
+    assert code == 1 and out == ""
+    assert "cap" in err
+
+
+def test_group_cap_message_names_cap_source_and_bound(monkeypatch, capsys):
+    # the cap has one source, perm_action.MAX_GROUP_ORDER, so the message
+    # names the cap and the bound it was exceeded by
+    monkeypatch.setattr(perm_action, "MAX_GROUP_ORDER", 2)
+    code, _, err = run(capsys, "transitivity", "cube")
+    assert code == 1
+    # the cube group's first basic orbit already has 4 points
+    assert err == "error: group order cap 2 exceeded: the order is at least 4\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "2"])
