@@ -109,10 +109,12 @@ def _emit_report(args, payload, rows: list[dict], columns: list[str]) -> None:
 
 def _field(n: int | None):
     """The field of order n, a prime power above 3.  An order over the
-    cap is refused before it is factored."""
+    CLI's cap is refused before it is factored, as cmd_census does."""
     if n is None:
         raise ValueError("--n is required for this command")
-    if n <= 3 or (n <= DEFAULT_MAX_ORDER and prime_power(n) is None):
+    if n > DEFAULT_MAX_ORDER:
+        raise ValueError(f"order {shown_int(n)} exceeds the cap {DEFAULT_MAX_ORDER}")
+    if n <= 3 or prime_power(n) is None:
         raise ValueError(f"n must be a prime power greater than 3, got {shown_int(n)}")
     return field_of_order(n)
 

@@ -6,10 +6,11 @@ modulo a fixed monic irreducible polynomial is its base-p value
 c0 + c1*p + ..., so prime fields read 0, 1, ..., p-1 and GF(4) reads
 0, 1, x, x+1.  FieldSpec.label(i) gives the text "c0,c1,..." of index i.
 
-Everything here targets tiny fields (order <= 64 by default), so orders
-are factored (up to MAX_TRIAL_DIVISION) and irreducibility is decided by
-trial division (up to MAX_DIVISOR_SCAN divisors); at this scale that is
-fast enough and easy to audit.
+Everything here targets tiny fields: an order over MAX_FIELD_ORDER is
+refused before anything is factored, so orders are factored by trial
+division and irreducibility is decided by a divisor scan (at most 62
+divisors, for GF(2^10)); at this scale that is fast enough and easy to
+audit.
 Polynomial arithmetic on coefficient vectors only finds the modulus and
 fills, once per field, the exp, log and Zech tables of the least primitive
 element g (Lidl-Niederreiter, Finite Fields; Huber, IEEE TIT 1990)."""
@@ -20,13 +21,14 @@ import functools
 
 from ._value import Value, int_tuple, shown_int
 
+# the CLI's cap on a field order (map --n, --n of the helical family,
+# census --n-max); the library's bound is MAX_FIELD_ORDER
 DEFAULT_MAX_ORDER = 64
+# the largest order FieldSpec, make_field and field_of_order build; it
+# equals perm_action.MAX_GROUP_DEGREE
+MAX_FIELD_ORDER = 1024
 # prime_power's bound: it tries each divisor d <= sqrt(n), at most 10**6
 MAX_TRIAL_DIVISION = 10 ** 12
-# _is_irreducible's bound on its p + p^2 + ... + p^(k//2) divisors, tried
-# once by FieldSpec and once per candidate by make_field: the slowest field
-# under it, GF(293^3), tries all 293 reducible x^3 + c first, in 0.2 s.
-MAX_DIVISOR_SCAN = 300
 
 _setattr = object.__setattr__
 
@@ -110,18 +112,25 @@ def _monic_polys(degree: int, p: int):
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Exhaustive divisor scan; poly must be monic of degree >= 1.  A scan
-    of over MAX_DIVISOR_SCAN divisors is refused before it starts."""
+    """Exhaustive divisor scan; poly must be monic of degree >= 1."""
     degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):  # past the bound by d = 9, whatever p and degree
-        if sum(p ** e for e in range(1, d + 1)) > MAX_DIVISOR_SCAN:
-            raise ValueError(f"GF({p}^{degree}): deciding irreducibility would scan over "
-                             f"MAX_DIVISOR_SCAN = {MAX_DIVISOR_SCAN} divisors")
     for d in range(1, degree // 2 + 1):
         for g in _monic_polys(d, p):
             if not _poly_rem(poly, g, p):
                 return False
     return degree >= 1
+
+
+def _check_order(p: int, k: int) -> None:
+    """Refuse an order p^k over MAX_FIELD_ORDER by a product that stops
+    once past it, so a huge p or k is refused before anything is factored."""
+    order = 1
+    for _ in range(k if p > 1 else 0):
+        order *= p
+        if order > MAX_FIELD_ORDER:
+            shown = (shown_int(p ** k) if k * p.bit_length() <= 128 or k == 1
+                     else f"{shown_int(p)}^{shown_int(k)}")
+            raise ValueError(f"order {shown} exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +140,15 @@ class FieldSpec(Value):
     """A concrete model of GF(p^k): the prime, the exponent, and the
     monic irreducible modulus (length k+1 coefficient vector).
     An immutable Value with fields (p, k, modulus).  Its elements are
-    the indices 0..n-1 of the canonical order."""
+    the indices 0..n-1 of the canonical order, at most MAX_FIELD_ORDER."""
 
     __slots__ = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         p, k = int_tuple((p, k), "FieldSpec (p, k) entry")
+        _check_order(p, k)
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"{shown_int(p)} is not prime")
         if k < 1:
             raise ValueError("exponent k must be >= 1")
         mod = int_tuple(modulus, "modulus coefficient")
@@ -173,46 +183,36 @@ class FieldSpec(Value):
         return exp[1 % len(exp)]  # in GF(2), g = 1 = exp[0]
 
 
-def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
+def make_field(p: int, k: int) -> FieldSpec:
     """Construct GF(p^k) using the lexicographically smallest monic
     irreducible modulus of degree k (so prime fields reduce to plain
     mod-p arithmetic with modulus x).
 
-    Raises TypeError for a p, k or max_order that is not an int, and
-    ValueError for non-prime p, k < 1, order beyond max_order, or a
-    divisor scan over MAX_DIVISOR_SCAN.  The cap is checked first, by a
-    product that stops once past it, so a huge p or k is refused at once.
+    Raises TypeError for a p or k that is not an int, and ValueError for
+    k < 1, an order over MAX_FIELD_ORDER, or non-prime p; the order is
+    checked before p is factored.
     """
     p, k = int_tuple((p, k), "make_field (p, k) entry")
-    (max_order,) = int_tuple((max_order,), "make_field max_order")
     if k < 1:
         raise ValueError("exponent k must be >= 1")
-    order = 1
-    for _ in range(k if p > 1 else 0):
-        order *= p
-        if order > max_order:
-            shown = (shown_int(p ** k) if k * p.bit_length() <= 128 or k == 1
-                     else f"{shown_int(p)}^{shown_int(k)}")
-            raise ValueError(f"order {shown} exceeds the cap {max_order}")
+    _check_order(p, k)
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{shown_int(p)} is not prime")
     for candidate in _monic_polys(k, p):
         if _is_irreducible(candidate, p):
             return FieldSpec(p, k, candidate)
     raise AssertionError("no irreducible polynomial found; unreachable")
 
 
-def field_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
+def field_of_order(n: int) -> FieldSpec:
     """make_field for a prime-power order given directly; an order over
-    the cap is refused before it is factored."""
+    MAX_FIELD_ORDER is refused before it is factored."""
     (n,) = int_tuple((n,), "field order")
-    (max_order,) = int_tuple((max_order,), "field_of_order max_order")
-    if n > max_order:
-        raise ValueError(f"order {shown_int(n)} exceeds the cap {max_order}")
+    _check_order(n, 1)
     decomposition = prime_power(n)
     if decomposition is None:
-        raise ValueError(f"{n} is not a prime power")
-    return make_field(*decomposition, max_order=max_order)
+        raise ValueError(f"{shown_int(n)} is not a prime power")
+    return make_field(*decomposition)
 
 
 @functools.lru_cache(maxsize=None)

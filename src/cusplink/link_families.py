@@ -37,8 +37,8 @@ class LinkBlueprint:
     row per component), or None when every pair of components links and
     no numbers are recorded.  The group is given by its generators,
     which act on component indices and must preserve the linking data,
-    with its order and transitivity degree k, which must be possible: a
-    positive order that is a multiple of n(n-1)...(n-k+1), k in 0..n.
+    with its order and transitivity degree k, ints that must be possible:
+    a positive order that is a multiple of n(n-1)...(n-k+1), k in 0..n.
     """
 
     __slots__ = ("family", "ambient", "components", "linking_matrix", "generators",
@@ -48,6 +48,9 @@ class LinkBlueprint:
                  linking_matrix: tuple[tuple[int, ...], ...] | None,
                  generators: tuple[Permutation, ...], symmetry_order: int,
                  transitivity_degree: int, hyperbolicity: dict, params: dict | None = None):
+        symmetry_order, transitivity_degree = int_tuple(
+            (symmetry_order, transitivity_degree),
+            "LinkBlueprint (symmetry_order, transitivity_degree) entry")
         self.family = family
         self.ambient = ambient
         self.components = components
@@ -61,13 +64,13 @@ class LinkBlueprint:
         if (degree := {g.degree for g in generators} - {n}):
             raise ValueError(f"symmetry degree {degree.pop()} differs from the component count {n}")
         if symmetry_order < 1:
-            raise ValueError(f"symmetry order {symmetry_order} is not positive")
+            raise ValueError(f"symmetry order {shown_int(symmetry_order)} is not positive")
         if not 0 <= (k := transitivity_degree) <= n:
-            raise ValueError(f"transitivity degree {k} is not in 0..{n}")
+            raise ValueError(f"transitivity degree {shown_int(k)} is not in 0..{n}")
         if not generators:
             raise ValueError(f"symmetry generators {generators!r}: a group needs at least one")
         if symmetry_order % perm(n, k):  # a k-transitive group has an orbit of n!/(n-k)! k-tuples
-            raise ValueError(f"symmetry order {symmetry_order} is not a multiple of "
+            raise ValueError(f"symmetry order {shown_int(symmetry_order)} is not a multiple of "
                              f"{perm(n, k)}, the number of {k}-tuples of {n} components")
         matrix = linking_matrix
         if matrix is not None:

@@ -11,7 +11,7 @@ from sympy.polys.galoistools import gf_irreducible_p
 
 from cusplink.finite_field import (
     DEFAULT_MAX_ORDER,
-    MAX_DIVISOR_SCAN,
+    MAX_FIELD_ORDER,
     MAX_TRIAL_DIVISION,
     FieldSpec,
     _tables,
@@ -20,7 +20,7 @@ from cusplink.finite_field import (
     make_field,
     prime_power,
 )
-from cusplink.regular_map import genus_formula
+from cusplink.regular_map import biggs_map, genus_formula
 from reference_checks import (
     affine_images,
     affine_images_by_elements,
@@ -104,43 +104,113 @@ def test_trial_division_past_its_bound_is_refused(n, shown):
         assert str(refusal.value) == message, call.__name__
 
 
-# The slowest field under MAX_DIVISOR_SCAN (x^3 + c is reducible for every
-# c when p = 2 mod 3, so make_field scans 293 candidates first), the most
-# divisors of each shape under it, and fields just over it.
-UNDER_THE_SCAN_BOUND = [(293, 3), (293, 2), (13, 4), (13, 5), (5, 6), (2, 15)]
+def _divisors_scanned(p, k):
+    """How many monic divisors _is_irreducible tries on a degree-k modulus."""
+    return sum(p ** d for d in range(1, k // 2 + 1))
+
+
+def _guard_factoring(monkeypatch):
+    """Fail any is_prime or prime_power call above MAX_FIELD_ORDER."""
+    from cusplink import finite_field
+
+    def guarded(real):
+        def check(n):
+            assert n <= MAX_FIELD_ORDER, f"{real.__name__}({n}) ran above the bound"
+            return real(n)
+        return check
+
+    monkeypatch.setattr(finite_field, "is_prime", guarded(finite_field.is_prime))
+    monkeypatch.setattr(finite_field, "prime_power", guarded(finite_field.prime_power))
+
+
+def _refused_over_the_bound(call, shown):
+    start = perf_counter()
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert perf_counter() - start < LARGE_N_BUDGET_S
+    assert str(excinfo.value) == f"order {shown} exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"
+
+
+# Fields whose divisor scan once ran past a bound of 300 divisors: each is
+# over MAX_FIELD_ORDER, so the scan never starts.
 OVER_THE_SCAN_BOUND = [(307, 3), (307, 2), (17, 4), (7, 6), (2, 16), (100003, 2),
                        (999999999989, 2)]
 
 
-@pytest.mark.parametrize("p, k", UNDER_THE_SCAN_BOUND)
-def test_fields_under_the_divisor_scan_bound_build_quickly(p, k):
-    assert sum(p ** d for d in range(1, k // 2 + 1)) <= MAX_DIVISOR_SCAN
-    start = perf_counter()
-    spec = make_field(p, k, max_order=p ** k)
-    assert FieldSpec(p, k, spec.modulus) == spec
-    assert perf_counter() - start < LARGE_N_BUDGET_S
-    assert gf_irreducible_p([int(c) for c in reversed(spec.modulus)], p, ZZ)
-
-
 @pytest.mark.parametrize("p, k", OVER_THE_SCAN_BOUND)
-def test_divisor_scan_past_its_bound_is_refused(p, k):
-    message = (f"GF({p}^{k}): deciding irreducibility would scan over MAX_DIVISOR_SCAN = "
-               f"{MAX_DIVISOR_SCAN} divisors")
+def test_divisor_scan_past_its_bound_is_refused(monkeypatch, p, k):
+    # the longest scan under the bound is GF(2^10)'s 62 divisors
+    from cusplink import finite_field
+
+    def no_scan(poly, p):
+        raise AssertionError(f"a scan of {_divisors_scanned(p, len(poly) - 1)} divisors started")
+
+    assert _divisors_scanned(p, k) > 62
+    monkeypatch.setattr(finite_field, "_is_irreducible", no_scan)
     modulus = (1,) + (0,) * (k - 1) + (1,)
-    for call in (lambda: make_field(p, k, max_order=p ** k), lambda: FieldSpec(p, k, modulus)):
-        start = perf_counter()
-        with pytest.raises(ValueError) as refusal:
-            call()
-        assert perf_counter() - start < LARGE_N_BUDGET_S
-        assert str(refusal.value) == message
+    for call in (lambda: make_field(p, k), lambda: FieldSpec(p, k, modulus)):
+        _refused_over_the_bound(call, str(p ** k))
 
 
 def test_every_field_up_to_1024_builds():
     orders = [n for n in range(2, 1025) if prime_power(n)]
     start = perf_counter()
-    specs = [field_of_order(n, max_order=1024) for n in orders]
+    specs = [field_of_order(n) for n in orders]
     assert perf_counter() - start < LARGE_N_BUDGET_S
     assert [spec.n for spec in specs] == orders
+    assert max(_divisors_scanned(spec.p, spec.k) for spec in specs) == 62
+
+
+# Just over the bound, as a prime and as a power of 2; fields whose
+# divisor scan once took up to 0.2 s; a prime whose tables once took 20 s
+# to run out of memory; and orders too large to compute or to show.
+OVER_THE_BOUND = [(1031, 1, "1031"), (2, 11, "2048"),
+                  (293, 3, "25153757"), (293, 2, "85849"), (13, 4, "28561"), (13, 5, "371293"),
+                  (5, 6, "15625"), (2, 15, "32768"), (999999999989, 1, "999999999989"),
+                  (3, 30000000, "3^30000000"), (100000000000031, 1, "100000000000031"),
+                  pytest.param(10 ** 5000, 1, "a 16610-bit integer", id="10^5000")]
+
+
+@pytest.mark.parametrize("p, k, shown", OVER_THE_BOUND)
+def test_make_field_refuses_over_the_cap_before_factoring(monkeypatch, p, k, shown):
+    _guard_factoring(monkeypatch)
+    _refused_over_the_bound(lambda: make_field(p, k), shown)
+
+
+@pytest.mark.parametrize("p, k, modulus, shown", [
+    (293, 3, (3, 1, 0, 1), "25153757"),
+    (999999999989, 1, (0, 1), "999999999989"),
+    (1031, 1, (0, 1), "1031"),
+    (2, 11, (1, 0, 1) + (0,) * 8 + (1,), "2048"),
+    (2, 13, (1, 1, 0, 1, 1) + (0,) * 8 + (1,), "8192"),
+    (3, 30000000, (0, 1), "3^30000000"),
+    pytest.param(10 ** 5000, 1, (0, 1), "a 16610-bit integer", id="10^5000"),
+])
+def test_field_spec_refuses_over_the_cap_before_factoring(monkeypatch, p, k, modulus, shown):
+    # the first five moduli are irreducible: each FieldSpec used to build,
+    # and GF(293^3)'s label(0) then ran 32 s into a MemoryError
+    _guard_factoring(monkeypatch)
+    _refused_over_the_bound(lambda: FieldSpec(p, k, modulus), shown)
+
+
+@pytest.mark.parametrize("n, shown", [(1025, "1025"), (1031, "1031"), (2 ** 11, "2048"),
+                                      (999999999989, "999999999989"),
+                                      pytest.param(10 ** 5000, "a 16610-bit integer",
+                                                   id="10^5000")])
+def test_field_of_order_refuses_over_the_cap_before_factoring(monkeypatch, n, shown):
+    _guard_factoring(monkeypatch)
+    _refused_over_the_bound(lambda: field_of_order(n), shown)
+
+
+@pytest.mark.parametrize("n, primitive, last_label", [
+    (1021, 10, "1020"), (1024, 2, ",".join(["1"] * 10))])
+def test_fields_at_the_bound_answer(n, primitive, last_label):
+    spec = field_of_order(n)
+    assert FieldSpec(spec.p, spec.k, spec.modulus) == spec
+    assert spec.label(n - 1) == last_label
+    assert spec.primitive() == primitive
+    assert gf_multiplicative_order(spec, primitive) == n - 1
+    assert biggs_map(spec).alpha.degree == n * (n - 1)
 
 
 def test_prime_field_modulus_is_x():
@@ -186,13 +256,17 @@ def test_primitive_is_the_least_generator_by_sympy(n):
 
 
 def test_make_field_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
         make_field(4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponent k must be >= 1$"):
         make_field(5, 0)
-    with pytest.raises(ValueError):
-        make_field(2, 7)  # 128 > default cap
-    assert make_field(2, 7, max_order=128).n == 128
+    # a p or n below 2 passes the order bound and is shown by its size
+    with pytest.raises(ValueError, match=r"^a negative 16610-bit integer is not prime$"):
+        make_field(-10 ** 5000, 1)
+    with pytest.raises(ValueError, match=r"^a negative 16610-bit integer is not a prime power$"):
+        field_of_order(-10 ** 5000)
+    # 128 is over the CLI's cap, not the library's bound
+    assert make_field(2, 7).n == 128 > DEFAULT_MAX_ORDER
 
 
 @pytest.mark.parametrize("p, k, shown", [(3, 2.0, "2.0 at position 1"),
@@ -208,34 +282,6 @@ def test_field_of_order_refuses_a_non_int_order():
     # field_of_order(9.0) used to return GF(9)
     with pytest.raises(TypeError, match=r"^field order 9\.0 at position 0 is not an int$"):
         field_of_order(9.0)
-
-
-def test_field_constructors_refuse_a_non_int_cap():
-    # both used to end in a raw "'>' not supported" TypeError
-    with pytest.raises(TypeError, match=r"^field_of_order max_order '64' at position 0 is not an int$"):
-        field_of_order(9, max_order="64")
-    with pytest.raises(TypeError, match=r"^make_field max_order None at position 0 is not an int$"):
-        make_field(3, 2, max_order=None)
-
-
-@pytest.mark.parametrize("p, k, shown", [(3, 30000000, "3^30000000"),
-                                         (100000000000031, 1, "100000000000031"),
-                                         pytest.param(10 ** 5000, 1, "a 16610-bit integer",
-                                                      id="10^5000")])
-def test_make_field_refuses_over_the_cap_before_factoring(monkeypatch, p, k, shown):
-    from cusplink import finite_field
-
-    def guarded(real):
-        def check(n):
-            assert n <= DEFAULT_MAX_ORDER, f"{real.__name__}({n}) ran above the cap"
-            return real(n)
-        return check
-
-    monkeypatch.setattr(finite_field, "is_prime", guarded(finite_field.is_prime))
-    monkeypatch.setattr(finite_field, "prime_power", guarded(finite_field.prime_power))
-    with pytest.raises(ValueError) as excinfo:
-        make_field(p, k)
-    assert str(excinfo.value) == f"order {shown} exceeds the cap {DEFAULT_MAX_ORDER}"
 
 
 def test_gf4_multiplication():
@@ -275,7 +321,7 @@ def _operation_rows(spec):
 
 @pytest.mark.parametrize("n", SMALL_ORDERS)
 def test_field_axioms(n):
-    spec = field_of_order(n, max_order=DEFAULT_MAX_ORDER)
+    spec = field_of_order(n)
     add, mul = _operation_rows(spec)
     assert all(sorted(row) == list(range(n)) for row in add + mul[1:])
 
@@ -381,8 +427,9 @@ def test_field_spec_refuses_non_int_p_and_k():
     (3, 2, (1, 3, 1), r"modulus coefficients must lie in \[0, p\)"),
     (3, 2, (-1, 0, 1), r"modulus coefficients must lie in \[0, p\)"),
     (3, 2, (0, 0, 1), "modulus is reducible over Z/p"),  # x^2 = x * x
+    (-10 ** 5000, 1, (0, 1), "a negative 16610-bit integer is not prime"),
 ], ids=["p-not-prime", "k-below-1", "short-modulus", "not-monic", "coefficient-p",
-        "negative-coefficient", "reducible"])
+        "negative-coefficient", "reducible", "p-huge-negative"])
 def test_field_spec_refusals(p, k, modulus, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         FieldSpec(p, k, modulus)

@@ -146,6 +146,29 @@ def test_each_impossible_symmetry_fact_is_named(generators, order, degree, messa
                       {"status": "unknown", "note": "test fixture"})
 
 
+_NOT_AN_INT = "LinkBlueprint (symmetry_order, transitivity_degree) entry {} is not an int"
+
+
+@pytest.mark.parametrize("order, degree, error, message", [
+    (24.0, 1, TypeError, _NOT_AN_INT.format("24.0 at position 0")),
+    (6, 2.0, TypeError, _NOT_AN_INT.format("2.0 at position 1")),
+    (6, True, TypeError, _NOT_AN_INT.format("True at position 1")),
+    (10 ** 400, 1, ValueError, "symmetry order a 1329-bit integer is not a multiple of 3, "
+                               "the number of 1-tuples of 3 components"),
+    (-10 ** 400, 1, ValueError, "symmetry order a negative 1329-bit integer is not positive"),
+    (6, 10 ** 400, ValueError, "transitivity degree a 1329-bit integer is not in 0..3"),
+], ids=["order-float", "degree-float", "degree-bool", "order-huge", "order-huge-negative",
+        "degree-huge"])
+def test_symmetry_facts_are_ints_shown_briefly(order, degree, error, message):
+    # the order 24.0 used to be kept and printed as 24.0 by to_json_dict,
+    # and the degree 2.0 to end in a raw "'float' object cannot be
+    # interpreted as an integer"; a 401-digit order was echoed in full
+    with pytest.raises(error) as excinfo:
+        LinkBlueprint("test", "S3", ("c0", "c1", "c2"), _TRIANGLE, (_ROTATION,), order, degree,
+                      {"status": "unknown", "note": "test fixture"})
+    assert str(excinfo.value) == message
+
+
 def test_every_family_has_possible_facts_and_no_higher_degree():
     # the six families rebuild with their own facts; one degree more, or
     # the order negated, is refused by the orbit-stabilizer bound or the range
@@ -611,7 +634,7 @@ def test_each_refused_stabilizer_generator_is_named(generator, lengths):
 
 def test_helical_link_past_the_group_order_cap():
     # AGL(1, 1024) has order 1047552, over the cap that stops a chain
-    blueprint = helical_link(make_field(2, 10, max_order=1024))
+    blueprint = helical_link(make_field(2, 10))
     assert blueprint.symmetry_order == 1024 * 1023 > MAX_GROUP_ORDER
     assert blueprint.transitivity_degree == 2
     assert blueprint.params["genus"] == genus_formula(1024)

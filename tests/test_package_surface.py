@@ -60,6 +60,18 @@ def test_perm_group_has_no_orbit_methods():
     assert not hasattr(cusplink.PermGroup, "orbits")
 
 
+def test_field_constructors_take_no_cap():
+    # one bound, MAX_FIELD_ORDER, replaces the per-call max_order cap and
+    # the divisor-scan bound; DEFAULT_MAX_ORDER is the CLI's cap alone
+    from cusplink import finite_field, perm_action
+
+    assert list(inspect.signature(cusplink.make_field).parameters) == ["p", "k"]
+    assert list(inspect.signature(cusplink.field_of_order).parameters) == ["n"]
+    assert not hasattr(finite_field, "MAX_DIVISOR_SCAN")
+    assert finite_field.MAX_FIELD_ORDER == perm_action.MAX_GROUP_DEGREE == 1024
+    assert cusplink.DEFAULT_MAX_ORDER == 64
+
+
 def test_test_only_group_api_is_gone():
     # callers write transitivity_degree(g) >= k; the group-order cap is
     # the constant MAX_GROUP_ORDER, read from no environment variable

@@ -55,7 +55,7 @@ PRIME_POWERS_TO_64 = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
 
 ORDERS_TO_64_AND_OVER_THE_CAP = (
     [field_of_order(n) for n in PRIME_POWERS_TO_64]
-    + [make_field(p, k, max_order=256) for p, k in [(2, 7), (3, 5), (2, 8)]])
+    + [make_field(p, k) for p, k in [(2, 7), (3, 5), (2, 8)]])
 
 
 def two_face_sphere():
@@ -361,8 +361,8 @@ def test_genus_matches_formula(n):
 
 @pytest.mark.parametrize("p, k", [(2, 7), (3, 5), (2, 8)])
 def test_genus_matches_formula_above_the_cap(p, k):
-    # the library builds fields over the CLI's cap when asked to
-    spec = make_field(p, k, max_order=p ** k)
+    # the library builds fields over the CLI's cap, up to MAX_FIELD_ORDER
+    spec = make_field(p, k)
     assert genus(biggs_map(spec)) == genus_formula(spec.n)
     assert gf_multiplicative_order(spec, spec.primitive()) == spec.n - 1
 
@@ -489,7 +489,7 @@ def test_alpha_equals_the_per_dart_route(n):
 
 @pytest.mark.parametrize("p, k", [(2, 7), (3, 5), (2, 8)])
 def test_alpha_and_phi_equal_the_per_dart_routes_above_the_cap(p, k):
-    spec = make_field(p, k, max_order=256)
+    spec = make_field(p, k)
     surface = biggs_map(spec)
     assert surface.alpha == per_dart_alpha(spec)
     assert phi(surface) == per_dart_phi(spec)
