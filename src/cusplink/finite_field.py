@@ -11,9 +11,11 @@ refused before anything is factored, so orders are factored by trial
 division and irreducibility is decided by a divisor scan (at most 62
 divisors, for GF(2^10)); at this scale that is fast enough and easy to
 audit.
-Polynomial arithmetic on coefficient vectors only finds the modulus and
-fills, once per field, the exp, log and Zech tables of the least primitive
-element g (Lidl-Niederreiter, Finite Fields; Huber, IEEE TIT 1990)."""
+A residue is its vector of k base-p digits, listed in index order by one
+enumeration, _digits; a product is reduced back to k digits by one pass of
+long division.  This arithmetic only finds the modulus and fills, once per
+field, the exp, log and Zech tables of the least primitive element g
+(Lidl-Niederreiter, Finite Fields; Huber, IEEE TIT 1990)."""
 
 from __future__ import annotations
 
@@ -61,64 +63,49 @@ def prime_power(n: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # polynomial helpers over Z/p; coefficient tuples, constant term first
 
-def _poly_trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return coeffs[:i]
+def _digits(p: int, k: int):
+    """Yield the vector (c0, ..., c_{k-1}) of k base-p digits of each
+    index 0..p^k-1, in index order."""
+    for i in range(p ** k):
+        yield tuple(i // p ** j % p for j in range(k))
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The product's coefficients, not reduced mod p."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
 
 
-def _poly_rem(a: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a by a monic modulus, coefficients mod p."""
-    rem = list(a)
-    d = len(modulus) - 1
-    while len(_poly_trim(tuple(rem))) > d:
-        rem = list(_poly_trim(tuple(rem)))
-        lead = rem[-1]
-        shift = len(rem) - 1 - d
-        for i, mi in enumerate(modulus):
-            rem[shift + i] = (rem[shift + i] - lead * mi) % p
-    return _poly_trim(tuple(rem))
+def _poly_rem(a, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The remainder of a (at least k coefficients) by a monic modulus of
+    degree k, by one pass of long division from the top: exactly k
+    coefficients, each in 0..p-1."""
+    rem, k = list(a), len(modulus) - 1
+    for top in range(len(rem) - 1, k - 1, -1):
+        if lead := rem[top] % p:
+            for i, mi in enumerate(modulus[:k], top - k):
+                rem[i] -= lead * mi
+    return tuple([c % p for c in rem[:k]])
 
 
-def _poly_index(coeffs, p: int) -> int:
-    """The canonical index of a coefficient vector, each entry read mod p."""
+def _poly_index(coeffs: tuple[int, ...], p: int) -> int:
+    """The canonical index of a vector of base-p digits."""
     v = 0
     for c in reversed(coeffs):
-        v = v * p + c % p
+        v = v * p + c
     return v
 
 
-def _monic_polys(degree: int, p: int):
-    """Yield all monic polynomials of the given degree over Z/p."""
-    for m in range(p ** degree):
-        lower = []
-        v = m
-        for _ in range(degree):
-            lower.append(v % p)
-            v //= p
-        yield tuple(lower) + (1,)
-
-
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Exhaustive divisor scan; poly must be monic of degree >= 1."""
+    """Exhaustive scan of the monic divisors of degree 1..k/2; poly must
+    be monic, and one of degree 0 is not irreducible."""
     degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not _poly_rem(poly, g, p):
-                return False
-    return degree >= 1
+    return degree >= 1 and all(any(_poly_rem(poly, lower + (1,), p))
+                               for d in range(1, degree // 2 + 1) for lower in _digits(p, d))
 
 
 def _check_order(p: int, k: int) -> None:
@@ -133,6 +120,19 @@ def _check_order(p: int, k: int) -> None:
             raise ValueError(f"order {shown} exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
 
 
+def _checked_p_k(p: int, k: int, what: str) -> tuple[int, int]:
+    """p and k as FieldSpec and make_field check them, in one order: ints
+    (else TypeError), then k >= 1, p^k <= MAX_FIELD_ORDER and p prime (else
+    ValueError), so p is factored only once the order passes."""
+    p, k = int_tuple((p, k), f"{what} (p, k) entry")
+    if k < 1:
+        raise ValueError("exponent k must be >= 1")
+    _check_order(p, k)
+    if not is_prime(p):
+        raise ValueError(f"{shown_int(p)} is not prime")
+    return p, k
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -140,17 +140,13 @@ class FieldSpec(Value):
     """A concrete model of GF(p^k): the prime, the exponent, and the
     monic irreducible modulus (length k+1 coefficient vector).
     An immutable Value with fields (p, k, modulus).  Its elements are
-    the indices 0..n-1 of the canonical order, at most MAX_FIELD_ORDER."""
+    the indices 0..n-1 of the canonical order, at most MAX_FIELD_ORDER.
+    p and k are refused in make_field's order, before the modulus."""
 
     __slots__ = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        p, k = int_tuple((p, k), "FieldSpec (p, k) entry")
-        _check_order(p, k)
-        if not is_prime(p):
-            raise ValueError(f"{shown_int(p)} is not prime")
-        if k < 1:
-            raise ValueError("exponent k must be >= 1")
+        p, k = _checked_p_k(p, k, "FieldSpec")
         mod = int_tuple(modulus, "modulus coefficient")
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
@@ -188,19 +184,14 @@ def make_field(p: int, k: int) -> FieldSpec:
     irreducible modulus of degree k (so prime fields reduce to plain
     mod-p arithmetic with modulus x).
 
-    Raises TypeError for a p or k that is not an int, and ValueError for
-    k < 1, an order over MAX_FIELD_ORDER, or non-prime p; the order is
-    checked before p is factored.
+    Raises TypeError for a p or k that is not an int, then ValueError for
+    k below 1, an order over MAX_FIELD_ORDER, or a p that is not prime, in
+    this order, FieldSpec's too; p is factored only once the order passes.
     """
-    p, k = int_tuple((p, k), "make_field (p, k) entry")
-    if k < 1:
-        raise ValueError("exponent k must be >= 1")
-    _check_order(p, k)
-    if not is_prime(p):
-        raise ValueError(f"{shown_int(p)} is not prime")
-    for candidate in _monic_polys(k, p):
-        if _is_irreducible(candidate, p):
-            return FieldSpec(p, k, candidate)
+    p, k = _checked_p_k(p, k, "make_field")
+    for lower in _digits(p, k):
+        if _is_irreducible(lower + (1,), p):
+            return FieldSpec(p, k, lower + (1,))
     raise AssertionError("no irreducible polynomial found; unreachable")
 
 
@@ -218,8 +209,7 @@ def field_of_order(n: int) -> FieldSpec:
 @functools.lru_cache(maxsize=None)
 def _coefficients(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """The coefficient vector (c0, ..., c_{k-1}) of every index."""
-    p, k = spec.p, spec.k
-    return tuple(tuple(i // p ** j % p for j in range(k)) for i in range(spec.n))
+    return tuple(_digits(spec.p, spec.k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,7 +223,7 @@ def _tables(spec: FieldSpec) -> tuple[tuple[int, ...], tuple, tuple]:
         exp, x = [1], coefficients[g]
         while (i := _poly_index(x, p)) != 1:
             exp.append(i)
-            x = _poly_rem(_poly_mul(x, coefficients[g], p), spec.modulus, p)
+            x = _poly_rem(_poly_mul(x, coefficients[g]), spec.modulus, p)
         if len(exp) == q:
             break
     else:

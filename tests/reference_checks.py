@@ -429,6 +429,41 @@ def expand_word(rules: dict[str, str], word, iterations: int = 1) -> tuple[str, 
     return current
 
 
+def free_reduction(word: str) -> str:
+    """The word with each adjacent letter and inverse cancelled, an
+    inverse written in the other case (W for w^-1)."""
+    out = []
+    for letter in word:
+        if out and out[-1] == letter.swapcase():
+            out.pop()
+        else:
+            out.append(letter)
+    return "".join(out)
+
+
+def cyclic_reduction(word: str) -> str:
+    """The freely reduced word with each first and last letter that are
+    inverses cut off: one word of its conjugacy class up to rotation."""
+    word = free_reduction(word)
+    while len(word) > 1 and word[0] == word[-1].swapcase():
+        word = word[1:-1]
+    return word
+
+
+def reduced_commutator(u: str, v: str) -> str:
+    """The cyclic reduction of [u, v] = u v u^-1 v^-1."""
+    return cyclic_reduction(u + v + u[::-1].swapcase() + v[::-1].swapcase())
+
+
+def is_free_basis(u: str, v: str) -> bool:
+    """Nielsen's criterion (Math. Ann. 1917; Lyndon and Schupp, ch. I):
+    (u, v) is a basis of the free group F(w, z) exactly when [u, v] is
+    conjugate to [w, z] = wzWZ or its inverse zwZW, so its cyclic
+    reduction is a rotation of one of them."""
+    commutator = reduced_commutator(u, v)
+    return len(commutator) == 4 and any(commutator in target * 2 for target in ("wzWZ", "zwZW"))
+
+
 def letter_counts(rules: dict[str, str], seed: str, iterations: int) -> dict[str, int]:
     """Letter counts of the seed letter's image after `iterations`
     substitutions: the seed's row of that power of the letter-count

@@ -16,6 +16,7 @@ from cusplink.finite_field import (
     make_field,
     prime_power,
 )
+from reference_checks import square_torus
 
 
 def run(capsys, *argv):
@@ -268,9 +269,6 @@ def test_census_reports_check_failures(monkeypatch, capsys):
 ], ids=["incomplete", "not-regular"])
 def test_helical_on_a_torus_map_is_an_invariant_violation(monkeypatch, capsys, width, height,
                                                           invariant):
-    from cusplink import link_families
-    from reference_checks import square_torus
-
     monkeypatch.setattr(link_families, "biggs_map", lambda spec: square_torus(width, height))
     code, out, err = run(capsys, "transitivity", "helical", "--n", "4")
     assert (code, out) == (1, "")
@@ -280,6 +278,11 @@ def test_helical_on_a_torus_map_is_an_invariant_violation(monkeypatch, capsys, w
 def _both_walks_to_alpha_0(rotation_map):
     facts = regular_map.map_facts(rotation_map)
     return {**facts, "walks": [facts["walks"][0]] * 2}
+
+
+def _zech_0_read_as_0(spec):
+    exp, log, zech = _tables(spec)
+    return exp, log, (0,) + zech[1:]
 
 
 # The fault-injection table: one row per check the program runs on its own
@@ -304,6 +307,17 @@ def _both_walks_to_alpha_0(rotation_map):
                  ("transitivity", "helical", "--n", "7"), "",
                  "error: invariant violated: the stabilizer of face 0 is not shown cyclic: its "
                  "generator has cycle lengths [2, 2, 2, 1], not [1, 6]\n", id="stabilizer"),
+    # Z(0) = log(1 + 1) read as 0 sends dart 8 = (1, 2) to (1, 0), not (2, 1);
+    # the program built that alpha, so RotationMap's alpha check is a
+    # violated invariant, not a usage error
+    pytest.param(regular_map, "_tables", _zech_0_read_as_0, ("map", "--n", "9"), "",
+                 "error: invariant violated: the order-9 map fails the alpha check: "
+                 "alpha(alpha(8)) = 0, not 8\n", id="zech"),
+    # the 2 x 3 torus has no quarter turn, so no automorphism sends dart 0
+    # to phi(0) = 1; map_summary's NoAutomorphism is a violated invariant
+    pytest.param(cli, "biggs_map", lambda spec: square_torus(2, 3), ("map", "--n", "9"), "",
+                 "error: invariant violated: no automorphism of the order-9 map sends dart 0 "
+                 "to dart 1: f(alpha(0)) = 11 but alpha(f(0)) = 7\n", id="not-regular"),
 ])
 def test_a_failed_check_exits_1_and_names_itself(monkeypatch, capsys, module, name, fault, argv,
                                                 out, err):
@@ -580,29 +594,6 @@ def test_argparse_refusals_open_with_error(capsys, argv):
     assert excinfo.value.code == 2 and captured.out == ""
     error, usage = captured.err.splitlines()[:2]
     assert error.startswith("error: ") and usage.startswith("usage: cusplink")
-
-
-def test_a_wrong_zech_entry_exits_1(capsys, monkeypatch):
-    # the program built that alpha, so RotationMap's alpha check is a
-    # violated invariant, not a usage error;
-    # Z(0) = log(1 + 1) read as 0 sends dart 8 = (1, 2) to (1, 0), not (2, 1)
-    exp, log, zech = _tables(field_of_order(9))
-    monkeypatch.setattr(regular_map, "_tables", lambda spec: (exp, log, (0,) + zech[1:]))
-    code, out, err = run(capsys, "map", "--n", "9")
-    assert (code, out, err) == (1, "", "error: invariant violated: the order-9 map fails the "
-                                       "alpha check: alpha(alpha(8)) = 0, not 8\n")
-
-
-def test_a_map_that_is_not_regular_exits_1(capsys, monkeypatch):
-    # the 2 x 3 torus has no quarter turn, so no automorphism sends dart 0
-    # to phi(0) = 1; map_summary's NoAutomorphism is a violated invariant
-    from reference_checks import square_torus
-
-    monkeypatch.setattr(cli, "biggs_map", lambda spec: square_torus(2, 3))
-    code, out, err = run(capsys, "map", "--n", "9")
-    assert (code, out, err) == (1, "", "error: invariant violated: no automorphism of the "
-                                       "order-9 map sends dart 0 to dart 1: "
-                                       "f(alpha(0)) = 11 but alpha(f(0)) = 7\n")
 
 
 @pytest.mark.parametrize("argv, n", [(("map", "--n", "5"), 5),

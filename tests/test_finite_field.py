@@ -32,6 +32,10 @@ from reference_checks import (
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
 PRIME_POWERS_TO_CAP = [n for n in range(2, DEFAULT_MAX_ORDER + 1) if prime_power(n)]
 EXTENSION_ORDERS_TO_CAP = [n for n in PRIME_POWERS_TO_CAP if prime_power(n)[1] > 1]
+# the 17 extension fields over the CLI's cap, 81..1024, where the long
+# division and the divisor scan run longest
+EXTENSION_ORDERS_OVER_CAP = [n for n in range(DEFAULT_MAX_ORDER + 1, MAX_FIELD_ORDER + 1)
+                             if prime_power(n) and prime_power(n)[1] > 1]
 
 
 def test_prime_power_decomposition():
@@ -236,7 +240,7 @@ def test_gf4_modulus_is_the_unique_irreducible_quadratic():
     assert make_field(2, 2).modulus == (1, 1, 1)
 
 
-@pytest.mark.parametrize("n", PRIME_POWERS_TO_CAP)
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_CAP + EXTENSION_ORDERS_OVER_CAP)
 def test_modulus_is_the_least_irreducible_by_sympy(n):
     spec = field_of_order(n)
     assert gf_irreducible_p(list(reversed(spec.modulus)), spec.p, ZZ)
@@ -435,6 +439,27 @@ def test_field_spec_refusals(p, k, modulus, message):
         FieldSpec(p, k, modulus)
 
 
+@pytest.mark.parametrize("p, k, message", [
+    (10 ** 13, 0, "exponent k must be >= 1"),
+    (4, 0, "exponent k must be >= 1"),
+    (2, -1, "exponent k must be >= 1"),
+    (1031, 1, f"order 1031 exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"),
+    (4, 1, "4 is not prime"),
+    (2, 11, f"order 2048 exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"),
+], ids=["huge-p-k-0", "p-not-prime-k-0", "k-negative", "over-the-bound", "p-not-prime",
+        "power-over-the-bound"])
+def test_field_spec_and_make_field_check_p_and_k_alike(p, k, message):
+    # one check, in make_field's order: FieldSpec once factored p first, so
+    # (10**13, 0) named MAX_TRIAL_DIVISION and (4, 0) "4 is not prime"
+    modulus = (0,) * k + (1,)
+    for call in (lambda: FieldSpec(p, k, modulus), lambda: make_field(p, k)):
+        start = perf_counter()
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert perf_counter() - start < LARGE_N_BUDGET_S
+        assert str(refusal.value) == message
+
+
 @pytest.mark.parametrize("index", [True, False])
 def test_element_refuses_a_bool_index(index):
     # True used to read as the index 1 and False as 0
@@ -459,7 +484,7 @@ def test_affine_images_match_field_arithmetic_for_every_pair(n):
         assert affine_images(spec, s, t) == affine_images_by_elements(spec, s, t)
 
 
-@pytest.mark.parametrize("n", PRIME_POWERS_TO_CAP)
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_CAP + EXTENSION_ORDERS_OVER_CAP)
 def test_tables_match_galoistools(n):
     # every field, prime ones included, reads its affine rows from these
     spec = field_of_order(n)

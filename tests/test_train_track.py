@@ -24,7 +24,9 @@ from reference_checks import (
     expand_word,
     growth_ratios,
     is_anosov,
+    is_free_basis,
     letter_counts,
+    reduced_commutator,
 )
 
 LAMBDA = 3.0 + 2.0 * math.sqrt(2.0)
@@ -62,6 +64,25 @@ def test_transition_matrices():
         [{"w": 3, "z": 2}, {"w": 4, "z": 3}]
     assert [letter_counts(FIBONACCI, label, 1) for label in "ab"] == \
         [{"a": 1, "b": 1}, {"a": 1, "b": 0}]
+
+
+def test_the_substitution_is_an_automorphism_of_the_free_group():
+    # this certifies the two-letter substitution on the once-punctured
+    # torus, not the paper's point-push on the higher-genus surface
+    assert reduced_commutator(SUBSTITUTION["w"], SUBSTITUTION["z"]) == "wzWZ"
+    assert is_free_basis(SUBSTITUTION["w"], SUBSTITUTION["z"])
+    assert is_free_basis("w", "z") and is_free_basis("z", "w") and not is_free_basis("w", "w")
+
+
+@pytest.mark.parametrize("scramble", [{"w": "wwzzw", "z": "wzwzwzw"},
+                                      {"w": "wzwzw", "z": "wzwwzzw"}], ids=["w", "z"])
+def test_a_scrambled_substitution_fails_nielsens_criterion(monkeypatch, scramble):
+    # each word keeps its letter counts, so the matrix and every check read
+    # off it agree with SUBSTITUTION's; only the words tell them apart
+    matrix = transition_matrix()
+    monkeypatch.setattr(train_track, "SUBSTITUTION", scramble)
+    assert transition_matrix() == matrix
+    assert not is_free_basis(scramble["w"], scramble["z"])
 
 
 def test_transpose_is_the_weight_system():
