@@ -190,8 +190,8 @@ def make_field(p: int, k: int) -> FieldSpec:
     """
     p, k = _checked_p_k(p, k, "make_field")
     for lower in _digits(p, k):
-        if _is_irreducible(lower + (1,), p):
-            return FieldSpec(p, k, lower + (1,))
+        if _is_irreducible(modulus := lower + (1,), p):
+            return FieldSpec(p, k, modulus)
     raise AssertionError("no irreducible polynomial found; unreachable")
 
 

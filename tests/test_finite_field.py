@@ -449,8 +449,8 @@ def test_field_spec_refusals(p, k, modulus, message):
 ], ids=["huge-p-k-0", "p-not-prime-k-0", "k-negative", "over-the-bound", "p-not-prime",
         "power-over-the-bound"])
 def test_field_spec_and_make_field_check_p_and_k_alike(p, k, message):
-    # one check, in make_field's order: FieldSpec once factored p first, so
-    # (10**13, 0) named MAX_TRIAL_DIVISION and (4, 0) "4 is not prime"
+    # one check, in make_field's order: k is checked before p is factored,
+    # so (10**13, 0) and (4, 0) name k, not MAX_TRIAL_DIVISION or p
     modulus = (0,) * k + (1,)
     for call in (lambda: FieldSpec(p, k, modulus), lambda: make_field(p, k)):
         start = perf_counter()
